@@ -12,6 +12,7 @@ from __future__ import annotations
 from . import exact
 from .errors import IntersectsM, NoPerfectMatching
 from .graphs import (
+    AltCycle,
     ContractedDigraph,
     DEFAULT_CYCLE_CAP,
     DEFAULT_MATCHING_CAP,
@@ -46,6 +47,11 @@ def antiforcing_number(
     return exact.min_hitting_set(c.edge_ids - m.edge_set for c in cycles)
 
 
+def antiforcing_value(cycles: tuple[AltCycle, ...], m: Matching) -> int:
+    """Anti-forcing number of m from its alternating cycles, without a witness."""
+    return exact.min_hitting_size(c.edge_ids - m.edge_set for c in cycles)
+
+
 def max_compatible_alternating_set(
     g: Graph, m: Matching, max_cycles: int = DEFAULT_CYCLE_CAP
 ) -> tuple[int, CycleFamily]:
@@ -70,7 +76,9 @@ def antiforcing_spectrum(
     pms = enumerate_perfect_matchings(g, max_matchings)
     if not pms:
         raise NoPerfectMatching("graph has no perfect matching")
-    return Spectrum(tuple(antiforcing_number(g, m, max_cycles)[0] for m in pms))
+    return Spectrum(tuple(
+        antiforcing_value(enumerate_alternating_cycles(g, m, max_cycles), m) for m in pms
+    ))
 
 
 def anti_forcing_edges(g: Graph) -> tuple[int, ...]:

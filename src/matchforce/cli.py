@@ -53,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--out", help="write the report here instead of stdout")
     p_compute.add_argument("--max-matchings", type=int, default=DEFAULT_MATCHING_CAP)
     p_compute.add_argument("--max-cycles", type=int, default=DEFAULT_CYCLE_CAP)
-    p_compute.add_argument("--seed", type=int, default=None, help="reserved")
 
     p_verify = sub.add_parser("verify", help="run one verification suite")
     p_verify.add_argument("--suite", required=True, choices=SUITE_IDS)
@@ -61,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-matchings", type=int, default=DEFAULT_MATCHING_CAP)
     p_verify.add_argument("--max-cycles", type=int, default=DEFAULT_CYCLE_CAP)
     p_verify.add_argument("--out", help="also write the check results as JSON")
-    p_verify.add_argument("--seed", type=int, default=None, help="reserved")
 
     p_gen = sub.add_parser("generate", help="write instance files")
     p_gen.add_argument(
@@ -69,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_gen.add_argument("params", help="e.g. 5,5,3,2 / dodecahedron / 4 / 1")
     p_gen.add_argument("--out", help="output file (or directory for polyhex-corpus)")
-    p_gen.add_argument("--seed", type=int, default=None, help="reserved")
     return parser
 
 

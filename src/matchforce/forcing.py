@@ -105,6 +105,11 @@ def forcing_number(
     return exact.min_hitting_set(c.edge_ids & m.edge_set for c in cycles)
 
 
+def forcing_value(cycles: tuple[AltCycle, ...], m: Matching) -> int:
+    """Forcing number of m from its alternating cycles, without a witness."""
+    return exact.min_hitting_size(c.edge_ids & m.edge_set for c in cycles)
+
+
 def max_disjoint_alternating_cycles(
     g: Graph, m: Matching, max_cycles: int = DEFAULT_CYCLE_CAP
 ) -> tuple[int, CycleFamily]:
@@ -134,4 +139,6 @@ def forcing_spectrum(
     pms = enumerate_perfect_matchings(g, max_matchings)
     if not pms:
         raise NoPerfectMatching("graph has no perfect matching")
-    return Spectrum(tuple(forcing_number(g, m, max_cycles)[0] for m in pms))
+    return Spectrum(tuple(
+        forcing_value(enumerate_alternating_cycles(g, m, max_cycles), m) for m in pms
+    ))

@@ -228,14 +228,6 @@ def matching_partner(g: Graph, m: Matching) -> list[int]:
     return partner
 
 
-def is_perfect_matching(g: Graph, m: Matching) -> bool:
-    try:
-        matching_partner(g, m)
-    except NotPerfect:
-        return False
-    return True
-
-
 def _iter_perfect_matchings(g: Graph) -> Iterator[tuple[int, ...]]:
     """Backtracking over the lowest-index uncovered vertex, edges in id order."""
     covered = bytearray(g.n)
@@ -435,6 +427,9 @@ def enumerate_alternating_cycles(
         path.pop()
         on_path[s] = on_path[t] = 0
 
+    # walk refers to itself; unbinding it lets the cycles die with the caller's
+    # tuple instead of waiting for the garbage collector
+    del walk
     cycles.sort(key=lambda c: (len(c.vertex_seq), c.vertex_seq))
     return tuple(cycles)
 

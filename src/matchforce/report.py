@@ -5,22 +5,25 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable
 
 from .antiforcing import (
     anti_forcing_edges,
     antiforcing_number,
+    antiforcing_value,
     is_antiforcing_set,
 )
 from .errors import InapplicableInvariant, NoPerfectMatching
-from .forcing import Spectrum, forcing_number, is_forcing_set
+from .forcing import Spectrum, forcing_number, forcing_value, is_forcing_set
 from .graphs import (
     DEFAULT_CYCLE_CAP,
     DEFAULT_MATCHING_CAP,
     Graph,
     Matching,
     count_perfect_matchings,
+    enumerate_alternating_cycles,
     enumerate_perfect_matchings,
 )
 from .hexsys import HexSystem, alternating_hexagons, clar_number, fries_numbers
@@ -28,96 +31,92 @@ from .io import load_instance, serialize_instance
 
 SCHEMA_VERSION = 1
 
+# family -> (value from a matching's cycles, (value, witness) of a matching,
+#            witness check, what a witness must be)
+_FAMILIES = {
+    "f": (forcing_value, forcing_number, is_forcing_set, "a forcing set"),
+    "af": (antiforcing_value, antiforcing_number, is_antiforcing_set, "an anti-forcing set"),
+}
 
-def _graph_of(kind: str, obj: Graph | HexSystem) -> Graph:
-    return obj.graph if kind == "hex" else obj
-
-
-def _spectrum_value(s: Spectrum) -> dict[str, Any]:
-    return {
-        "values": list(s.values),
-        "min": s.min,
-        "max": s.max,
-        "value_set": list(s.value_set),
-    }
-
-
-def _extreme(
-    g: Graph,
-    number_fn: Callable[[Graph, Matching], tuple[int, tuple[int, ...]]],
-    pick,
-    caps: dict[str, int],
-) -> tuple[int, dict[str, Any]]:
-    pms = enumerate_perfect_matchings(g, caps["max_matchings"])
-    best = None
-    for m in pms:
-        value, witness = number_fn(g, m)
-        if best is None or pick(value, best[0]):
-            best = (value, m, witness)
-    if best is None:
-        raise NoPerfectMatching("graph has no perfect matching")
-    value, m, witness = best
-    return value, {"matching": list(m.edge_ids), "edge_set": list(witness)}
+# invariant -> (family, extreme over the matchings, or None for the spectrum)
+_PER_MATCHING = {
+    "f": ("f", min),
+    "F": ("f", max),
+    "af": ("af", min),
+    "Af": ("af", max),
+    "f_spectrum": ("f", None),
+    "af_spectrum": ("af", None),
+}
 
 
-def _inv_pm_count(kind, obj, caps):
-    return count_perfect_matchings(_graph_of(kind, obj), caps["max_matchings"]), None
+class _Call:
+    """The instance and caps of one compute_report or replay call.
+
+    Each perfect matching is solved once per call: its alternating cycles
+    are enumerated once, every family the call's invariants need is read
+    from them, and only those ints are kept.  Nothing outlives the call.
+    """
+
+    def __init__(self, kind: str, obj: Graph | HexSystem, caps: dict[str, int], names) -> None:
+        self.kind = kind
+        self.obj = obj
+        self.graph = obj.graph if kind == "hex" else obj
+        self.caps = caps
+        wanted = {_PER_MATCHING[n][0] for n in names if n in _PER_MATCHING}
+        self.families = tuple(f for f in _FAMILIES if f in wanted)
+
+    @cached_property
+    def matchings(self) -> tuple[Matching, ...]:
+        pms = enumerate_perfect_matchings(self.graph, self.caps["max_matchings"])
+        if not pms:
+            raise NoPerfectMatching("graph has no perfect matching")
+        return pms
+
+    @cached_property
+    def values(self) -> dict[str, tuple[int, ...]]:
+        rows = []
+        for m in self.matchings:
+            cycles = enumerate_alternating_cycles(self.graph, m, self.caps["max_cycles"])
+            rows.append(tuple(_FAMILIES[f][0](cycles, m) for f in self.families))
+        return dict(zip(self.families, zip(*rows)))
 
 
-def _inv_f(kind, obj, caps):
-    g = _graph_of(kind, obj)
-    fn = lambda g_, m: forcing_number(g_, m, caps["max_cycles"])  # noqa: E731
-    return _extreme(g, fn, lambda v, b: v < b, caps)
+def _per_matching(family: str, extreme: Callable | None) -> Callable[[_Call], tuple]:
+    number_fn = _FAMILIES[family][1]
+
+    def invariant(call: _Call):
+        values = call.values[family]
+        if extreme is None:
+            s = Spectrum(values)
+            return {
+                "values": list(s.values),
+                "min": s.min,
+                "max": s.max,
+                "value_set": list(s.value_set),
+            }, None
+        # the first matching in canonical order to attain the extreme
+        m = call.matchings[values.index(extreme(values))]
+        value, witness = number_fn(call.graph, m, call.caps["max_cycles"])
+        return value, {"matching": list(m.edge_ids), "edge_set": list(witness)}
+
+    return invariant
 
 
-def _inv_F(kind, obj, caps):
-    g = _graph_of(kind, obj)
-    fn = lambda g_, m: forcing_number(g_, m, caps["max_cycles"])  # noqa: E731
-    return _extreme(g, fn, lambda v, b: v > b, caps)
+def _inv_pm_count(call: _Call):
+    return count_perfect_matchings(call.graph, call.caps["max_matchings"]), None
 
 
-def _inv_af(kind, obj, caps):
-    g = _graph_of(kind, obj)
-    fn = lambda g_, m: antiforcing_number(g_, m, caps["max_cycles"])  # noqa: E731
-    return _extreme(g, fn, lambda v, b: v < b, caps)
-
-
-def _inv_Af(kind, obj, caps):
-    g = _graph_of(kind, obj)
-    fn = lambda g_, m: antiforcing_number(g_, m, caps["max_cycles"])  # noqa: E731
-    return _extreme(g, fn, lambda v, b: v > b, caps)
-
-
-def _spectrum_of(g, number_fn, caps):
-    pms = enumerate_perfect_matchings(g, caps["max_matchings"])
-    if not pms:
-        raise NoPerfectMatching("graph has no perfect matching")
-    return Spectrum(tuple(number_fn(g, m)[0] for m in pms))
-
-
-def _inv_f_spectrum(kind, obj, caps):
-    g = _graph_of(kind, obj)
-    s = _spectrum_of(g, lambda g_, m: forcing_number(g_, m, caps["max_cycles"]), caps)
-    return _spectrum_value(s), None
-
-
-def _inv_af_spectrum(kind, obj, caps):
-    g = _graph_of(kind, obj)
-    s = _spectrum_of(g, lambda g_, m: antiforcing_number(g_, m, caps["max_cycles"]), caps)
-    return _spectrum_value(s), None
-
-
-def _inv_clar(kind, obj, caps):
-    if kind != "hex":
+def _inv_clar(call: _Call):
+    if call.kind != "hex":
         raise InapplicableInvariant("clar needs a hexagonal system")
-    value, (m, cells) = clar_number(obj, caps["max_matchings"])
+    value, (m, cells) = clar_number(call.obj, call.caps["max_matchings"])
     return value, {"matching": list(m.edge_ids), "hexagons": [list(c) for c in cells]}
 
 
-def _inv_fries(kind, obj, caps):
-    if kind != "hex":
+def _inv_fries(call: _Call):
+    if call.kind != "hex":
         raise InapplicableInvariant("fries needs a hexagonal system")
-    fr = fries_numbers(obj, caps["max_matchings"])
+    fr = fries_numbers(call.obj, call.caps["max_matchings"])
     value = {"max": fr.maximum, "min": fr.minimum}
     witness = {
         "max_matching": list(fr.max_witness[0].edge_ids),
@@ -128,18 +127,13 @@ def _inv_fries(kind, obj, caps):
     return value, witness
 
 
-def _inv_anti_forcing_edges(kind, obj, caps):
-    return list(anti_forcing_edges(_graph_of(kind, obj))), None
+def _inv_anti_forcing_edges(call: _Call):
+    return list(anti_forcing_edges(call.graph)), None
 
 
-REGISTRY: dict[str, Callable] = {
+REGISTRY: dict[str, Callable[[_Call], tuple]] = {
     "pm_count": _inv_pm_count,
-    "f": _inv_f,
-    "F": _inv_F,
-    "af": _inv_af,
-    "Af": _inv_Af,
-    "f_spectrum": _inv_f_spectrum,
-    "af_spectrum": _inv_af_spectrum,
+    **{name: _per_matching(*spec) for name, spec in _PER_MATCHING.items()},
     "clar": _inv_clar,
     "fries": _inv_fries,
     "anti_forcing_edges": _inv_anti_forcing_edges,
@@ -153,14 +147,16 @@ def compute_report(
     max_cycles: int = DEFAULT_CYCLE_CAP,
 ) -> dict[str, Any]:
     kind, obj = load_instance(path)
-    caps = {"max_matchings": max_matchings, "max_cycles": max_cycles}
+    call = _Call(
+        kind, obj, {"max_matchings": max_matchings, "max_cycles": max_cycles}, invariants
+    )
     canonical = serialize_instance(obj)
     entries = []
     for name in invariants:
         if name not in REGISTRY:
             raise InapplicableInvariant(f"unknown invariant {name!r}")
         start = time.perf_counter()
-        value, witness = REGISTRY[name](kind, obj, caps)
+        value, witness = REGISTRY[name](call)
         entries.append(
             {
                 "name": name,
@@ -185,23 +181,17 @@ def dumps_report(report: dict[str, Any]) -> str:
     return json.dumps(report, indent=2, sort_keys=False) + "\n"
 
 
-def _check_witness(name: str, value, witness, kind, obj) -> list[str]:
+def _check_witness(name: str, value, witness, call: _Call) -> list[str]:
     problems = []
-    g = _graph_of(kind, obj)
-    if name in ("f", "F"):
+    obj = call.obj
+    if name in _PER_MATCHING:
+        _, _, is_set, what = _FAMILIES[_PER_MATCHING[name][0]]
         m = Matching(witness["matching"])
         s = witness["edge_set"]
         if len(s) != value:
             problems.append(f"{name}: witness size {len(s)} != {value}")
-        elif not is_forcing_set(g, m, s):
-            problems.append(f"{name}: witness is not a forcing set")
-    elif name in ("af", "Af"):
-        m = Matching(witness["matching"])
-        s = witness["edge_set"]
-        if len(s) != value:
-            problems.append(f"{name}: witness size {len(s)} != {value}")
-        elif not is_antiforcing_set(g, m, s):
-            problems.append(f"{name}: witness is not an anti-forcing set")
+        elif not is_set(call.graph, m, s):
+            problems.append(f"{name}: witness is not {what}")
     elif name == "clar":
         m = Matching(witness["matching"])
         cells = [tuple(c) for c in witness["hexagons"]]
@@ -226,12 +216,13 @@ def replay(report: dict[str, Any], path: str | Path) -> list[str]:
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     if digest != report["instance"]["sha256"]:
         problems.append("instance hash differs from the report")
+    caps = {"max_matchings": DEFAULT_MATCHING_CAP, "max_cycles": DEFAULT_CYCLE_CAP}
+    call = _Call(kind, obj, caps, [e["name"] for e in report["invariants"]])
     for entry in report["invariants"]:
         name = entry["name"]
-        caps = {"max_matchings": DEFAULT_MATCHING_CAP, "max_cycles": DEFAULT_CYCLE_CAP}
-        value, _ = REGISTRY[name](kind, obj, caps)
+        value, _ = REGISTRY[name](call)
         if value != entry["value"]:
             problems.append(f"{name}: recomputed {value!r} != reported {entry['value']!r}")
         if entry.get("witness") is not None:
-            problems += _check_witness(name, entry["value"], entry["witness"], kind, obj)
+            problems += _check_witness(name, entry["value"], entry["witness"], call)
     return problems

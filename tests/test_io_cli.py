@@ -1,12 +1,15 @@
 """File formats, invariant reports, and the command line."""
 
 import json
+from itertools import combinations
 
 import pytest
 
+from matchforce.antiforcing import is_antiforcing_set
 from matchforce.cli import main
 from matchforce.errors import ParseError
 from matchforce.generators import gen_named, gen_truncated_parallelogram
+from matchforce.graphs import Matching
 from matchforce.io import (
     load_instance,
     parse_graph,
@@ -96,6 +99,46 @@ def test_report_replay_detects_tampering(tmp_path):
     report = compute_report(path, ["f"])
     report["invariants"][0]["value"] = 99
     assert replay(report, path)
+
+
+def _tampered(tmp_path, name, change):
+    path = tmp_path / "tri.hex"
+    path.write_text(serialize_hex(gen_named("triphenylene")))
+    report = compute_report(path, ["f", "F", "af", "Af", "f_spectrum", "af_spectrum"])
+    entry = next(e for e in report["invariants"] if e["name"] == name)
+    change(entry, load_instance(path)[1].graph)
+    return replay(report, path)
+
+
+def test_report_replay_detects_tampered_F_value(tmp_path):
+    def change(entry, g):
+        entry["value"] += 1
+
+    problems = _tampered(tmp_path, "F", change)
+    assert any(p.startswith("F: recomputed") for p in problems)
+
+
+def test_report_replay_detects_tampered_af_spectrum_entry(tmp_path):
+    def change(entry, g):
+        entry["value"]["values"][0] += 1
+
+    problems = _tampered(tmp_path, "af_spectrum", change)
+    assert any(p.startswith("af_spectrum: recomputed") for p in problems)
+
+
+def test_report_replay_detects_swapped_Af_witness(tmp_path):
+    def change(entry, g):
+        m = Matching(entry["witness"]["matching"])
+        size = len(entry["witness"]["edge_set"])
+        outside = [e for e in range(g.m) if e not in m.edge_set]
+        for candidate in combinations(outside, size):
+            if not is_antiforcing_set(g, m, candidate):
+                entry["witness"]["edge_set"] = list(candidate)
+                return
+        raise AssertionError("every same-size set is anti-forcing")
+
+    problems = _tampered(tmp_path, "Af", change)
+    assert problems == ["Af: witness is not an anti-forcing set"]
 
 
 # -------------------------------------------------------------------- CLI
