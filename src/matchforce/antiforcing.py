@@ -24,7 +24,14 @@ from .graphs import (
     has_unique_perfect_matching,
     remove_edges,
 )
-from .forcing import COMPATIBLE, CycleFamily, Spectrum, compatible_cycles
+from .forcing import (
+    COMPATIBLE,
+    CycleFamily,
+    Spectrum,
+    compatible_cycles,
+    disjoint_value,
+    forcing_value,
+)
 
 
 def is_antiforcing_set(
@@ -47,7 +54,7 @@ def antiforcing_number(
     return exact.min_hitting_set(c.edge_ids - m.edge_set for c in cycles)
 
 
-def antiforcing_value(cycles: tuple[AltCycle, ...], m: Matching) -> int:
+def antiforcing_value(g: Graph, m: Matching, cycles: tuple[AltCycle, ...]) -> int:
     """Anti-forcing number of m from its alternating cycles, without a witness."""
     return exact.min_hitting_size(c.edge_ids - m.edge_set for c in cycles)
 
@@ -57,14 +64,33 @@ def max_compatible_alternating_set(
 ) -> tuple[int, CycleFamily]:
     """Largest cycle family pairwise disjoint or meeting only in m-edges."""
     cycles = enumerate_alternating_cycles(g, m, max_cycles)
+    size, picked = exact.max_independent_indices(_compatible_conflicts(g, m, cycles))
+    return size, CycleFamily(tuple(cycles[i] for i in picked), COMPATIBLE)
+
+
+def compatible_value(g: Graph, m: Matching, cycles: tuple[AltCycle, ...]) -> int:
+    """Size of max_compatible_alternating_set from m's cycles, without a witness."""
+    return exact.max_independent_size(_compatible_conflicts(g, m, cycles))
+
+
+def _compatible_conflicts(g: Graph, m: Matching, cycles: tuple[AltCycle, ...]) -> list[int]:
     conflicts = [0] * len(cycles)
     for i, a in enumerate(cycles):
         for j in range(i + 1, len(cycles)):
             if not compatible_cycles(g, m, a, cycles[j]):
                 conflicts[i] |= 1 << j
                 conflicts[j] |= 1 << i
-    size, picked = exact.max_independent_indices(conflicts)
-    return size, CycleFamily(tuple(cycles[i] for i in picked), COMPATIBLE)
+    return conflicts
+
+
+# family -> its value for one matching, read from that matching's alternating
+# cycles; each equals the size its witness-returning solver reports
+VALUE_OF = {
+    "f": forcing_value,
+    "af": antiforcing_value,
+    "disjoint": disjoint_value,
+    "compatible": compatible_value,
+}
 
 
 def antiforcing_spectrum(
@@ -77,7 +103,7 @@ def antiforcing_spectrum(
     if not pms:
         raise NoPerfectMatching("graph has no perfect matching")
     return Spectrum(tuple(
-        antiforcing_value(enumerate_alternating_cycles(g, m, max_cycles), m) for m in pms
+        antiforcing_value(g, m, enumerate_alternating_cycles(g, m, max_cycles)) for m in pms
     ))
 
 
@@ -97,3 +123,8 @@ def min_feedback_arc_set(
     """Smallest arc set meeting every directed cycle, by exact hitting set."""
     cycles = enumerate_directed_cycles(d, max_cycles)
     return exact.min_hitting_set(c.arc_ids for c in cycles)
+
+
+def feedback_value(d: ContractedDigraph, max_cycles: int = DEFAULT_CYCLE_CAP) -> int:
+    """Size of min_feedback_arc_set, without a witness."""
+    return exact.min_hitting_size(c.arc_ids for c in enumerate_directed_cycles(d, max_cycles))

@@ -70,6 +70,7 @@ def _min_hit_size(sets: list[int]) -> int:
             descend([s for s in remaining if not s & b], size + 1)
 
     descend(sets, 0)
+    del descend  # it refers to itself; unbinding it frees it without the collector
     return best
 
 
@@ -97,19 +98,24 @@ def _hit_feasible(sets: list[int], allowed: int, budget: int) -> bool:
                 return True
         return False
 
-    return descend(masked, budget)
+    feasible = descend(masked, budget)
+    del descend  # as in _min_hit_size
+    return feasible
+
+
+def _encode(sets: Iterable[Iterable[int]]) -> tuple[list[int], list[int]]:
+    """The sorted elements, and the reduced family as bitmasks over their positions."""
+    family = [frozenset(s) for s in sets]
+    if any(not s for s in family):
+        raise ValueError("hitting-set instance contains an empty set")
+    elements = sorted(set().union(*family))
+    bit_of = {e: 1 << i for i, e in enumerate(elements)}
+    return elements, _reduce(sum(bit_of[e] for e in s) for s in family)
 
 
 def min_hitting_size(sets: Iterable[Iterable[int]]) -> int:
     """Optimum value of min_hitting_set without witness reconstruction."""
-    family = [frozenset(s) for s in sets]
-    if any(not s for s in family):
-        raise ValueError("hitting-set instance contains an empty set")
-    if not family:
-        return 0
-    elements = sorted(set().union(*family))
-    bit_of = {e: 1 << i for i, e in enumerate(elements)}
-    return _min_hit_size(_reduce(sum(bit_of[e] for e in s) for s in family))
+    return _min_hit_size(_encode(sets)[1])
 
 
 def min_hitting_set(sets: Iterable[Iterable[int]]) -> tuple[int, tuple[int, ...]]:
@@ -119,16 +125,7 @@ def min_hitting_set(sets: Iterable[Iterable[int]]) -> tuple[int, tuple[int, ...]
     optimal hitting set as a sorted tuple.  Raises ValueError on an empty
     member set, which no element could ever hit.
     """
-    family = [frozenset(s) for s in sets]
-    if any(not s for s in family):
-        raise ValueError("hitting-set instance contains an empty set")
-    if not family:
-        return 0, ()
-
-    elements = sorted(set().union(*family))
-    bit_of = {e: 1 << i for i, e in enumerate(elements)}
-    masks = _reduce(sum(bit_of[e] for e in s) for s in family)
-
+    elements, masks = _encode(sets)
     k = _min_hit_size(masks)
 
     # Rebuild the witness greedily: an element enters iff the rest can still
@@ -140,7 +137,7 @@ def min_hitting_set(sets: Iterable[Iterable[int]]) -> tuple[int, tuple[int, ...]
         if budget == 0:
             break
         higher = ~((1 << (idx + 1)) - 1)
-        after = [s for s in remaining if not s & bit_of[e]]
+        after = [s for s in remaining if not s & (1 << idx)]
         if _hit_feasible(after, higher, budget - 1):
             witness.append(e)
             remaining = after
@@ -182,6 +179,7 @@ def _max_independent_size(conflicts: Sequence[int], avail: int) -> int:
         descend(count, pool & ~b)
 
     descend(0, avail)
+    del descend  # as in _min_hit_size
     return best
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from . import exact
 from .errors import NoPerfectMatching, NotSubsetOfM
@@ -43,14 +44,9 @@ class CycleFamily:
         return len(self.cycles)
 
     def is_valid(self, g: Graph, m: Matching) -> bool:
-        for i, a in enumerate(self.cycles):
-            for b in self.cycles[i + 1:]:
-                if self.mode == DISJOINT:
-                    if a.vertex_set & b.vertex_set:
-                        return False
-                elif not compatible_cycles(g, m, a, b):
-                    return False
-        return True
+        if self.mode == DISJOINT:
+            return not any(_vertex_conflicts(self.cycles))
+        return all(compatible_cycles(g, m, a, b) for a, b in combinations(self.cycles, 2))
 
 
 def compatible_cycles(g: Graph, m: Matching, a: AltCycle, b: AltCycle) -> bool:
@@ -105,7 +101,7 @@ def forcing_number(
     return exact.min_hitting_set(c.edge_ids & m.edge_set for c in cycles)
 
 
-def forcing_value(cycles: tuple[AltCycle, ...], m: Matching) -> int:
+def forcing_value(g: Graph, m: Matching, cycles: tuple[AltCycle, ...]) -> int:
     """Forcing number of m from its alternating cycles, without a witness."""
     return exact.min_hitting_size(c.edge_ids & m.edge_set for c in cycles)
 
@@ -118,6 +114,11 @@ def max_disjoint_alternating_cycles(
     conflicts = _vertex_conflicts(cycles)
     size, picked = exact.max_independent_indices(conflicts)
     return size, CycleFamily(tuple(cycles[i] for i in picked), DISJOINT)
+
+
+def disjoint_value(g: Graph, m: Matching, cycles: tuple[AltCycle, ...]) -> int:
+    """Size of max_disjoint_alternating_cycles from m's cycles, without a witness."""
+    return exact.max_independent_size(_vertex_conflicts(cycles))
 
 
 def _vertex_conflicts(cycles: tuple[AltCycle, ...]) -> list[int]:
@@ -140,5 +141,5 @@ def forcing_spectrum(
     if not pms:
         raise NoPerfectMatching("graph has no perfect matching")
     return Spectrum(tuple(
-        forcing_value(enumerate_alternating_cycles(g, m, max_cycles), m) for m in pms
+        forcing_value(g, m, enumerate_alternating_cycles(g, m, max_cycles)) for m in pms
     ))

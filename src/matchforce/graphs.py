@@ -546,5 +546,6 @@ def enumerate_directed_cycles(
         path.pop()
         on_path[root] = 0
 
+    del walk  # as in enumerate_alternating_cycles
     cycles.sort(key=lambda c: (len(c.node_seq), c.node_seq, sorted(c.arc_ids)))
     return tuple(cycles)

@@ -288,8 +288,8 @@ def hex_labels(h: HexSystem, m: Matching | None = None) -> HexLabels:
     return HexLabels(fused_directions=fused_directions(h), alternating=alt)
 
 
-def _max_disjoint_hexagons(h: HexSystem, cells: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Largest pairwise non-adjacent subset of the given cell indices."""
+def _hexagon_conflicts(h: HexSystem, cells: tuple[int, ...]) -> list[int]:
+    """Adjacency among the given cell indices, as bitmasks over their positions."""
     conflicts = []
     pos = {c: i for i, c in enumerate(cells)}
     for c in cells:
@@ -298,8 +298,12 @@ def _max_disjoint_hexagons(h: HexSystem, cells: tuple[int, ...]) -> tuple[int, t
             if nb in pos:
                 mask |= 1 << pos[nb]
         conflicts.append(mask)
-    size, picked = exact.max_independent_indices(conflicts)
-    return size, tuple(cells[i] for i in picked)
+    return conflicts
+
+
+def clar_count(h: HexSystem, m: Matching) -> int:
+    """Largest set of pairwise non-adjacent m-alternating hexagons, without a witness."""
+    return exact.max_independent_size(_hexagon_conflicts(h, alternating_hexagons(h, m)))
 
 
 def clar_number(
@@ -309,16 +313,13 @@ def clar_number(
     pms = enumerate_perfect_matchings(h.graph, max_matchings)
     if not pms:
         raise NoPerfectMatching("hexagonal system has no perfect matching")
-    best = -1
-    witness: tuple[Matching, tuple[Cell, ...]] | None = None
-    for m in pms:
-        alt = alternating_hexagons(h, m)
-        size, picked = _max_disjoint_hexagons(h, alt)
-        if size > best:
-            best = size
-            witness = (m, tuple(h.cells[i] for i in picked))
-    assert witness is not None
-    return best, witness
+    counts = [clar_count(h, m) for m in pms]
+    best = max(counts)
+    # the first matching in canonical order to attain the maximum
+    m = pms[counts.index(best)]
+    alt = alternating_hexagons(h, m)
+    _, picked = exact.max_independent_indices(_hexagon_conflicts(h, alt))
+    return best, (m, tuple(h.cells[alt[i]] for i in picked))
 
 
 def fries_numbers(

@@ -10,13 +10,13 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .antiforcing import (
+    VALUE_OF,
     anti_forcing_edges,
     antiforcing_number,
-    antiforcing_value,
     is_antiforcing_set,
 )
-from .errors import InapplicableInvariant, NoPerfectMatching
-from .forcing import Spectrum, forcing_number, forcing_value, is_forcing_set
+from .errors import InapplicableInvariant, IntersectsM, NoPerfectMatching, NotSubsetOfM
+from .forcing import Spectrum, forcing_number, is_forcing_set
 from .graphs import (
     DEFAULT_CYCLE_CAP,
     DEFAULT_MATCHING_CAP,
@@ -31,11 +31,11 @@ from .io import load_instance, serialize_instance
 
 SCHEMA_VERSION = 1
 
-# family -> (value from a matching's cycles, (value, witness) of a matching,
-#            witness check, what a witness must be)
+# family -> ((value, witness) of a matching, witness check, what a witness
+#            must be); the value alone comes from VALUE_OF
 _FAMILIES = {
-    "f": (forcing_value, forcing_number, is_forcing_set, "a forcing set"),
-    "af": (antiforcing_value, antiforcing_number, is_antiforcing_set, "an anti-forcing set"),
+    "f": (forcing_number, is_forcing_set, "a forcing set"),
+    "af": (antiforcing_number, is_antiforcing_set, "an anti-forcing set"),
 }
 
 # invariant -> (family, extreme over the matchings, or None for the spectrum)
@@ -77,12 +77,12 @@ class _Call:
         rows = []
         for m in self.matchings:
             cycles = enumerate_alternating_cycles(self.graph, m, self.caps["max_cycles"])
-            rows.append(tuple(_FAMILIES[f][0](cycles, m) for f in self.families))
+            rows.append(tuple(VALUE_OF[f](self.graph, m, cycles) for f in self.families))
         return dict(zip(self.families, zip(*rows)))
 
 
 def _per_matching(family: str, extreme: Callable | None) -> Callable[[_Call], tuple]:
-    number_fn = _FAMILIES[family][1]
+    number_fn = _FAMILIES[family][0]
 
     def invariant(call: _Call):
         values = call.values[family]
@@ -185,13 +185,18 @@ def _check_witness(name: str, value, witness, call: _Call) -> list[str]:
     problems = []
     obj = call.obj
     if name in _PER_MATCHING:
-        _, _, is_set, what = _FAMILIES[_PER_MATCHING[name][0]]
+        _, is_set, what = _FAMILIES[_PER_MATCHING[name][0]]
         m = Matching(witness["matching"])
         s = witness["edge_set"]
         if len(s) != value:
             problems.append(f"{name}: witness size {len(s)} != {value}")
-        elif not is_set(call.graph, m, s):
-            problems.append(f"{name}: witness is not {what}")
+        else:
+            try:
+                ok = is_set(call.graph, m, s)
+            except (NotSubsetOfM, IntersectsM):  # edges on the wrong side of m
+                ok = False
+            if not ok:
+                problems.append(f"{name}: witness is not {what}")
     elif name == "clar":
         m = Matching(witness["matching"])
         cells = [tuple(c) for c in witness["hexagons"]]
@@ -220,6 +225,9 @@ def replay(report: dict[str, Any], path: str | Path) -> list[str]:
     call = _Call(kind, obj, caps, [e["name"] for e in report["invariants"]])
     for entry in report["invariants"]:
         name = entry["name"]
+        if name not in REGISTRY:
+            problems.append(f"unknown invariant {name!r}")
+            continue
         value, _ = REGISTRY[name](call)
         if value != entry["value"]:
             problems.append(f"{name}: recomputed {value!r} != reported {entry['value']!r}")

@@ -12,10 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from . import exact
-from .antiforcing import anti_forcing_edges, min_feedback_arc_set
+from .antiforcing import VALUE_OF, anti_forcing_edges, feedback_value
 from .errors import UnknownSuite
-from .forcing import compatible_cycles
 from .generators import (
     GLUE_PRESETS,
     MAX_ENUMERATED_CELLS,
@@ -39,6 +37,7 @@ from .hexsys import (
     HexSystem,
     alternating_hexagons,
     build_hex_system,
+    clar_count,
     inner_dual,
     is_all_kink_catahex,
     is_truncated_parallelogram,
@@ -157,43 +156,17 @@ def _matchings(obj: Graph | HexSystem, caps: Caps) -> tuple[Matching, ...]:
 
 
 @lru_cache(maxsize=None)
-def _forcing_values(g: Graph, caps: Caps) -> tuple[int, ...]:
-    out = []
+def _values(g: Graph, caps: Caps, families: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
+    """Per-matching values of each named VALUE_OF family, in matching order.
+
+    Each matching's alternating cycles are enumerated once and every family
+    is read from them; the cycles are dropped before the next matching.
+    """
+    rows = []
     for m in _graph_matchings(g, caps):
         cycles = enumerate_alternating_cycles(g, m, caps.max_cycles)
-        out.append(exact.min_hitting_size(c.edge_ids & m.edge_set for c in cycles))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _antiforcing_values(g: Graph, caps: Caps) -> tuple[int, ...]:
-    out = []
-    for m in _graph_matchings(g, caps):
-        cycles = enumerate_alternating_cycles(g, m, caps.max_cycles)
-        out.append(exact.min_hitting_size(c.edge_ids - m.edge_set for c in cycles))
-    return tuple(out)
-
-
-def _disjoint_value(g: Graph, m: Matching, caps: Caps) -> int:
-    cycles = enumerate_alternating_cycles(g, m, caps.max_cycles)
-    conflicts = [0] * len(cycles)
-    for i, a in enumerate(cycles):
-        for j in range(i + 1, len(cycles)):
-            if a.vertex_set & cycles[j].vertex_set:
-                conflicts[i] |= 1 << j
-                conflicts[j] |= 1 << i
-    return exact.max_independent_size(conflicts)
-
-
-def _compatible_value(g: Graph, m: Matching, caps: Caps) -> int:
-    cycles = enumerate_alternating_cycles(g, m, caps.max_cycles)
-    conflicts = [0] * len(cycles)
-    for i, a in enumerate(cycles):
-        for j in range(i + 1, len(cycles)):
-            if not compatible_cycles(g, m, a, cycles[j]):
-                conflicts[i] |= 1 << j
-                conflicts[j] |= 1 << i
-    return exact.max_independent_size(conflicts)
+        rows.append(tuple(VALUE_OF[f](g, m, cycles) for f in families))
+    return dict(zip(families, zip(*rows)))
 
 
 @lru_cache(maxsize=None)
@@ -203,30 +176,7 @@ def _fries_values(h: HexSystem, caps: Caps) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _clar_value(h: HexSystem, caps: Caps) -> int:
-    best = 0
-    for m in _matchings(h, caps):
-        alt = alternating_hexagons(h, m)
-        pos = {c: i for i, c in enumerate(alt)}
-        conflicts = []
-        for c in alt:
-            mask = 0
-            for nb in h.cell_adjacency[c]:
-                if nb in pos:
-                    mask |= 1 << pos[nb]
-            conflicts.append(mask)
-        best = max(best, exact.max_independent_size(conflicts))
-    return best
-
-
-def clear_caches() -> None:
-    for fn in (
-        _graph_matchings,
-        _forcing_values,
-        _antiforcing_values,
-        _fries_values,
-        _clar_value,
-    ):
-        fn.cache_clear()
+    return max((clar_count(h, m) for m in _matchings(h, caps)), default=0)
 
 
 # ------------------------------------------------------------ the suites
@@ -243,12 +193,12 @@ def _suite_thm2(max_cells: int | None, caps: Caps) -> list[CheckResult]:
         g = obj.graph if isinstance(obj, HexSystem) else obj
         if not _graph_matchings(g, caps):
             continue
-        fs = _forcing_values(g, caps)
-        bad = []
-        for i, m in enumerate(_graph_matchings(g, caps)):
-            c = _disjoint_value(g, m, caps)
-            if fs[i] != c:
-                bad.append(f"matching {i}: f={fs[i]} c={c}")
+        v = _values(g, caps, ("f", "disjoint"))
+        bad = [
+            f"matching {i}: f={f} c={c}"
+            for i, (f, c) in enumerate(zip(v["f"], v["disjoint"]))
+            if f != c
+        ]
         checks.append(CheckResult(name, not bad, "; ".join(bad)))
     return checks
 
@@ -260,7 +210,7 @@ def _suite_thm3(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     for name, h in polyhex_corpus(mc):
         if not _matchings(h, caps):
             continue
-        big_f = max(_forcing_values(h.graph, caps))
+        big_f = max(_values(h.graph, caps, ("f",))["f"])
         cl = _clar_value(h, caps)
         checks.append(
             CheckResult(name, big_f == cl, "" if big_f == cl else f"F={big_f} cl={cl}")
@@ -284,12 +234,11 @@ def _suite_thm5(max_cells: int | None, caps: Caps) -> list[CheckResult]:
         g = obj.graph if isinstance(obj, HexSystem) else obj
         if not _graph_matchings(g, caps):
             continue
-        fs = _forcing_values(g, caps)
-        afs = _antiforcing_values(g, caps)
+        v = _values(g, caps, ("f", "af"))
         slack = g.max_degree - 1
         bad = [
             f"matching {i}: f={f} af={af}"
-            for i, (f, af) in enumerate(zip(fs, afs))
+            for i, (f, af) in enumerate(zip(v["f"], v["af"]))
             if not f <= af <= slack * f
         ]
         checks.append(CheckResult(name, not bad, "; ".join(bad)))
@@ -303,12 +252,12 @@ def _suite_lem8(max_cells: int | None, caps: Caps) -> list[CheckResult]:
         g = obj.graph if isinstance(obj, HexSystem) else obj
         if not _graph_matchings(g, caps):
             continue
-        afs = _antiforcing_values(g, caps)
-        bad = []
-        for i, m in enumerate(_graph_matchings(g, caps)):
-            cp = _compatible_value(g, m, caps)
-            if afs[i] < cp:
-                bad.append(f"matching {i}: af={afs[i]} c'={cp}")
+        v = _values(g, caps, ("af", "compatible"))
+        bad = [
+            f"matching {i}: af={af} c'={cp}"
+            for i, (af, cp) in enumerate(zip(v["af"], v["compatible"]))
+            if af < cp
+        ]
         checks.append(CheckResult(name, not bad, "; ".join(bad)))
     return checks
 
@@ -325,13 +274,13 @@ def _suite_thm9(max_cells: int | None, caps: Caps) -> list[CheckResult]:
         g = h.graph
         if not _graph_matchings(g, caps):
             continue
-        afs = _antiforcing_values(g, caps)
+        v = _values(g, caps, ("af", "compatible"))
         bad = []
         for i, m in enumerate(_graph_matchings(g, caps)):
-            cp = _compatible_value(g, m, caps)
-            fb = min_feedback_arc_set(orient_and_contract(g, m), caps.max_cycles)[0]
-            if not afs[i] == cp == fb:
-                bad.append(f"matching {i}: af={afs[i]} c'={cp} feedback={fb}")
+            af, cp = v["af"][i], v["compatible"][i]
+            fb = feedback_value(orient_and_contract(g, m), caps.max_cycles)
+            if not af == cp == fb:
+                bad.append(f"matching {i}: af={af} c'={cp} feedback={fb}")
         checks.append(CheckResult(name, not bad, "; ".join(bad)))
     return checks
 
@@ -343,7 +292,7 @@ def _suite_thm11(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     for name, h in polyhex_corpus(mc):
         if not _matchings(h, caps):
             continue
-        big_af = max(_antiforcing_values(h.graph, caps))
+        big_af = max(_values(h.graph, caps, ("af",))["af"])
         fries = max(_fries_values(h, caps))
         ok = big_af == fries
         checks.append(CheckResult(name, ok, "" if ok else f"Af={big_af} Fries={fries}"))
@@ -418,8 +367,9 @@ def _suite_thm14(max_cells: int | None, caps: Caps) -> list[CheckResult]:
         if not _matchings(h, caps) or not is_all_kink_catahex(h):
             continue
         dual = inner_dual(h)
-        big_af = max(_antiforcing_values(h.graph, caps))
-        big_f = max(_forcing_values(h.graph, caps))
+        v = _values(h.graph, caps, ("f", "af"))
+        big_af = max(v["af"])
+        big_f = max(v["f"])
         dual_pm = bool(enumerate_perfect_matchings(dual.graph, caps.max_matchings))
         nu = _tree_matching_number(dual.graph)
         alpha = _independence_number(dual.graph)
@@ -461,7 +411,7 @@ def _suite_thm15(max_cells: int | None, caps: Caps) -> list[CheckResult]:
         if not _matchings(h, caps) or not is_all_kink_catahex(h):
             continue
         dual = inner_dual(h)
-        f_min = min(_forcing_values(h.graph, caps))
+        f_min = min(_values(h.graph, caps, ("f",))["f"])
         fries_min = min(_fries_values(h, caps))
         i_dp, witness = tree_independent_domination(dual)
         i_brute = _brute_independent_domination(dual.graph)
@@ -563,7 +513,7 @@ def _suite_thm20(max_cells: int | None, caps: Caps) -> list[CheckResult]:
         labels = edge_fixedness(h.graph, caps.max_matchings)
         if FIXED_SINGLE not in labels:
             continue
-        af_min = min(_antiforcing_values(h.graph, caps))
+        af_min = min(_values(h.graph, caps, ("af",))["af"])
         comps = normal_hex_components(h, caps.max_matchings)
         both_tp = len(comps) == 2 and all(is_truncated_parallelogram(c)[0] for c in comps)
         ok = (af_min == 2) == both_tp

@@ -101,6 +101,14 @@ def test_report_replay_detects_tampering(tmp_path):
     assert replay(report, path)
 
 
+def test_report_replay_names_an_unknown_invariant(tmp_path):
+    path = tmp_path / "c6.graph"
+    path.write_text(serialize_graph(gen_named("C6")))
+    report = compute_report(path, ["f", "af"])
+    report["invariants"][0]["name"] = "nonesuch"
+    assert replay(report, path) == ["unknown invariant 'nonesuch'"]
+
+
 def _tampered(tmp_path, name, change):
     path = tmp_path / "tri.hex"
     path.write_text(serialize_hex(gen_named("triphenylene")))
@@ -139,6 +147,24 @@ def test_report_replay_detects_swapped_Af_witness(tmp_path):
 
     problems = _tampered(tmp_path, "Af", change)
     assert problems == ["Af: witness is not an anti-forcing set"]
+
+
+def test_report_replay_rejects_f_witness_with_a_non_matching_edge(tmp_path):
+    def change(entry, g):
+        m = Matching(entry["witness"]["matching"])
+        outside = next(e for e in range(g.m) if e not in m.edge_set)
+        entry["witness"]["edge_set"][0] = outside
+
+    problems = _tampered(tmp_path, "f", change)
+    assert problems == ["f: witness is not a forcing set"]
+
+
+def test_report_replay_rejects_af_witness_with_a_matching_edge(tmp_path):
+    def change(entry, g):
+        entry["witness"]["edge_set"][0] = entry["witness"]["matching"][0]
+
+    problems = _tampered(tmp_path, "af", change)
+    assert problems == ["af: witness is not an anti-forcing set"]
 
 
 # -------------------------------------------------------------------- CLI

@@ -1,0 +1,175 @@
+"""Value-only per-matching functions against the solvers that return witnesses.
+
+Every per-matching value has one library implementation, read from the
+matching's alternating cycles (`antiforcing.VALUE_OF`), plus the value-only
+feedback set and Clar count.  These tests hold each to the size its witness
+solver reports, count the cycle enumerations the verify suites make, and
+check that the recursive searches free what they build without the cyclic
+garbage collector.
+"""
+
+import gc
+import tracemalloc
+
+import pytest
+
+from matchforce import exact, graphs, verify
+from matchforce.antiforcing import (
+    VALUE_OF,
+    antiforcing_number,
+    feedback_value,
+    max_compatible_alternating_set,
+    min_feedback_arc_set,
+)
+from matchforce.forcing import forcing_number, max_disjoint_alternating_cycles
+from matchforce.generators import enumerate_hex_systems, gen_named, glue_preset
+from matchforce.graphs import (
+    enumerate_alternating_cycles,
+    enumerate_directed_cycles,
+    enumerate_perfect_matchings,
+    orient_and_contract,
+)
+from matchforce.hexsys import alternating_hexagons, clar_number
+
+SOLVER_OF = {
+    "f": forcing_number,
+    "af": antiforcing_number,
+    "disjoint": max_disjoint_alternating_cycles,
+    "compatible": max_compatible_alternating_set,
+}
+
+
+def _graphs():
+    out = [
+        (f"polyhex-{n}-{i}", h.graph)
+        for n in range(1, 5)
+        for i, h in enumerate(enumerate_hex_systems(n))
+    ]
+    for name in ("triphenylene", "dodecahedron", "C6"):
+        obj = gen_named(name)
+        out.append((name, obj.graph if hasattr(obj, "cells") else obj))
+    out.append(("glue-preset-1", glue_preset(1).graph))
+    return out
+
+
+def test_value_functions_match_witness_solvers():
+    assert set(VALUE_OF) == set(SOLVER_OF)
+    solved = 0
+    compatible_below_af = 0
+    for name, g in _graphs():
+        for m in enumerate_perfect_matchings(g):
+            cycles = enumerate_alternating_cycles(g, m)
+            values = {}
+            for family, value_fn in VALUE_OF.items():
+                values[family] = value_fn(g, m, cycles)
+                size = SOLVER_OF[family](g, m)[0]
+                assert values[family] == size, (name, m.edge_ids, family)
+            compatible_below_af += values["compatible"] < values["af"]
+            if g.color is not None:
+                d = orient_and_contract(g, m)
+                assert feedback_value(d) == min_feedback_arc_set(d)[0], (name, m.edge_ids)
+            solved += 1
+    assert solved > 300
+    # the dodecahedron is not bipartite: c' < af on six of its matchings
+    assert compatible_below_af == 6
+
+
+def _reference_clar(h):
+    """The strict `>` scan over per-matching witness solves."""
+    best, witness = -1, None
+    for m in enumerate_perfect_matchings(h.graph):
+        alt = alternating_hexagons(h, m)
+        conflicts = [
+            sum(1 << j for j, d in enumerate(alt) if d in h.cell_adjacency[c]) for c in alt
+        ]
+        size, picked = exact.max_independent_indices(conflicts)
+        if size > best:
+            best, witness = size, (m, tuple(h.cells[alt[i]] for i in picked))
+    return best, witness
+
+
+def test_clar_number_matches_the_strict_scan():
+    checked = 0
+    for n in range(1, 6):
+        for h in enumerate_hex_systems(n):
+            if not enumerate_perfect_matchings(h.graph):
+                continue
+            assert clar_number(h) == _reference_clar(h), h.cells
+            checked += 1
+    assert checked > 100
+
+
+def _clear_verify_caches():
+    for value in vars(verify).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def _counted(monkeypatch, mod, attr):
+    calls = []
+    orig = getattr(mod, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_verify_enumerates_each_matchings_cycles_once(monkeypatch):
+    alt_calls = _counted(monkeypatch, verify, "enumerate_alternating_cycles")
+    hitting_set_calls = _counted(monkeypatch, exact, "min_hitting_set")
+    independent_calls = _counted(monkeypatch, exact, "max_independent_indices")
+    _clear_verify_caches()
+    try:
+        assert verify.run_suite("thm9", max_cells=3).ok
+        # af and c' are read from one enumeration per (graph, matching)
+        assert alt_calls and len(alt_calls) == len(set(alt_calls))
+        assert not hitting_set_calls
+        del alt_calls[:]
+        assert verify.run_suite("thm9", max_cells=3).ok
+        assert not alt_calls
+        assert verify.run_suite("cor12", max_cells=3).ok
+        assert not independent_calls
+    finally:
+        _clear_verify_caches()
+
+
+def _held(fn, module):
+    """Bytes allocated in `module` by fn() that stay held with gc disabled."""
+    where = [tracemalloc.Filter(True, module.__file__)]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(where)
+        fn()
+        after = tracemalloc.take_snapshot().filter_traces(where)
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    return sum(max(s.size_diff, 0) for s in after.compare_to(before, "lineno"))
+
+
+def test_directed_cycle_enumeration_frees_its_cycles_without_gc():
+    g = gen_named("triphenylene").graph
+    pms = enumerate_perfect_matchings(g)
+    d = orient_and_contract(g, max(pms, key=lambda m: len(enumerate_alternating_cycles(g, m))))
+    assert len(enumerate_directed_cycles(d)) > 1  # also fills d's cached out_arcs
+    assert _held(lambda: enumerate_directed_cycles(d), graphs) == 0
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: exact.min_hitting_size([{1, 2}, {2, 3}, {3, 4}, {4, 1}]),
+        lambda: exact.min_hitting_set([{1, 2}, {2, 3}, {3, 4}, {4, 1}]),
+        lambda: exact.max_independent_size([0b10, 0b101, 0b1010, 0b100]),
+    ],
+    ids=["min_hitting_size", "min_hitting_set", "max_independent_size"],
+)
+def test_exact_searches_free_their_closures_without_gc(solve):
+    solve()
+    assert _held(solve, exact) == 0
