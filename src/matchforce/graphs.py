@@ -229,28 +229,57 @@ def matching_partner(g: Graph, m: Matching) -> list[int]:
 
 
 def _iter_perfect_matchings(g: Graph) -> Iterator[tuple[int, ...]]:
-    """Backtracking over the lowest-index uncovered vertex, edges in id order."""
-    covered = bytearray(g.n)
-    chosen: list[int] = []
+    """Backtracking over the lowest-index uncovered vertex, edges in id order.
+
+    The search runs on an explicit stack with one frame per matched pair, so
+    its depth is not bounded by the interpreter's recursion limit and a
+    matching is handed out without passing through a chain of generators.
+    """
+    n = g.n
+    if n % 2:
+        return
     adjacency = g.adjacency
-
-    def extend(start: int) -> Iterator[tuple[int, ...]]:
-        v = start
-        while v < g.n and covered[v]:
+    covered = bytearray(n)
+    # frame i matches frame_v[i] by edge chosen[i] (-1 before the first try);
+    # frame_next[i] is the adjacency slot after the one chosen
+    frame_v: list[int] = []
+    frame_next: list[int] = []
+    chosen: list[int] = []
+    v = 0
+    while True:
+        while v < n and covered[v]:
             v += 1
-        if v == g.n:
+        if v == n:
             yield tuple(chosen)
+        else:
+            covered[v] = 1
+            frame_v.append(v)
+            frame_next.append(0)
+            chosen.append(-1)
+        # advance the deepest frame to its next uncovered partner,
+        # dropping frames that have none left
+        while frame_v:
+            u = frame_v[-1]
+            adj = adjacency[u]
+            i = frame_next[-1]
+            if i:
+                covered[adj[i - 1][0]] = 0
+            k = len(adj)
+            while i < k and covered[adj[i][0]]:
+                i += 1
+            if i < k:
+                w, eid = adj[i]
+                covered[w] = 1
+                chosen[-1] = eid
+                frame_next[-1] = i + 1
+                v = u + 1
+                break
+            covered[u] = 0
+            frame_v.pop()
+            frame_next.pop()
+            chosen.pop()
+        else:
             return
-        for w, eid in adjacency[v]:
-            if not covered[w]:
-                covered[v] = covered[w] = 1
-                chosen.append(eid)
-                yield from extend(v + 1)
-                covered[v] = covered[w] = 0
-                chosen.pop()
-
-    if g.n % 2 == 0:
-        yield from extend(0)
 
 
 def enumerate_perfect_matchings(

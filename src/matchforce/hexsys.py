@@ -122,6 +122,16 @@ class HexSystem:
                 adj[b].add(a)
         return tuple(tuple(sorted(a)) for a in adj)
 
+    @cached_property
+    def cell_edge_masks(self) -> tuple[tuple[int, int, int], ...]:
+        """Per cell: bitmasks over edge ids of its even-position, odd-position and all six edges."""
+        out = []
+        for fe in self.face_edges:
+            even = (1 << fe[0]) | (1 << fe[2]) | (1 << fe[4])
+            odd = (1 << fe[1]) | (1 << fe[3]) | (1 << fe[5])
+            out.append((even, odd, even | odd))
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class InnerDual:
@@ -268,14 +278,23 @@ def fused_directions(h: HexSystem) -> tuple[tuple[Cell, ...], ...]:
 
 
 def alternating_hexagons(h: HexSystem, m: Matching) -> tuple[int, ...]:
-    """Cell indices whose six boundary edges alternate in and out of m."""
-    out = []
-    mset = m.edge_set
-    for ci, fe in enumerate(h.face_edges):
-        pattern = [eid in mset for eid in fe]
-        if sum(pattern) == 3 and all(pattern[i] != pattern[(i + 1) % 6] for i in range(6)):
-            out.append(ci)
-    return tuple(out)
+    """Cell indices whose six boundary edges alternate in and out of m.
+
+    A hexagon alternates exactly when m holds all three of its even-position
+    edges and none of its odd-position ones, or the other way round.
+    """
+    ids = m.edge_ids
+    if ids and (ids[0] < 0 or ids[-1] >= h.graph.m):
+        # ids that name no edge of h border no cell
+        ids = [eid for eid in ids if 0 <= eid < h.graph.m]
+    mask = 0
+    for eid in ids:
+        mask |= 1 << eid
+    return tuple(
+        ci
+        for ci, (even, odd, both) in enumerate(h.cell_edge_masks)
+        if (mask & both) in (even, odd)
+    )
 
 
 def hex_labels(h: HexSystem, m: Matching | None = None) -> HexLabels:
@@ -301,47 +320,60 @@ def _hexagon_conflicts(h: HexSystem, cells: tuple[int, ...]) -> list[int]:
     return conflicts
 
 
-def clar_count(h: HexSystem, m: Matching) -> int:
-    """Largest set of pairwise non-adjacent m-alternating hexagons, without a witness."""
-    return exact.max_independent_size(_hexagon_conflicts(h, alternating_hexagons(h, m)))
+def clar_count(h: HexSystem, alt: tuple[int, ...]) -> int:
+    """Largest set of pairwise non-adjacent cells among `alt`, without a witness."""
+    return exact.max_independent_size(_hexagon_conflicts(h, alt))
+
+
+def _hex_matchings(h: HexSystem, max_matchings: int) -> tuple[Matching, ...]:
+    pms = enumerate_perfect_matchings(h.graph, max_matchings)
+    if not pms:
+        raise NoPerfectMatching("hexagonal system has no perfect matching")
+    return pms
+
+
+def _clar_from(
+    h: HexSystem, pms: tuple[Matching, ...], alts: tuple[tuple[int, ...], ...]
+) -> tuple[int, tuple[Matching, tuple[Cell, ...]]]:
+    """Clar number and witness from the matchings and their alternating hexagons."""
+    counts = [clar_count(h, alt) for alt in alts]
+    best = max(counts)
+    # the first matching in canonical order to attain the maximum
+    i = counts.index(best)
+    alt = alts[i]
+    _, picked = exact.max_independent_indices(_hexagon_conflicts(h, alt))
+    return best, (pms[i], tuple(h.cells[alt[j]] for j in picked))
+
+
+def _fries_from(
+    h: HexSystem, pms: tuple[Matching, ...], alts: tuple[tuple[int, ...], ...]
+) -> FriesNumbers:
+    """Fries numbers and witnesses from the matchings and their alternating hexagons."""
+    counts = [len(alt) for alt in alts]
+    # the first matching in canonical order to attain each extreme
+    i, j = counts.index(max(counts)), counts.index(min(counts))
+    return FriesNumbers(
+        counts[i],
+        counts[j],
+        (pms[i], tuple(h.cells[c] for c in alts[i])),
+        (pms[j], tuple(h.cells[c] for c in alts[j])),
+    )
 
 
 def clar_number(
     h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP
 ) -> tuple[int, tuple[Matching, tuple[Cell, ...]]]:
     """Largest set of disjoint simultaneously-alternating hexagons over all PMs."""
-    pms = enumerate_perfect_matchings(h.graph, max_matchings)
-    if not pms:
-        raise NoPerfectMatching("hexagonal system has no perfect matching")
-    counts = [clar_count(h, m) for m in pms]
-    best = max(counts)
-    # the first matching in canonical order to attain the maximum
-    m = pms[counts.index(best)]
-    alt = alternating_hexagons(h, m)
-    _, picked = exact.max_independent_indices(_hexagon_conflicts(h, alt))
-    return best, (m, tuple(h.cells[alt[i]] for i in picked))
+    pms = _hex_matchings(h, max_matchings)
+    return _clar_from(h, pms, tuple(alternating_hexagons(h, m) for m in pms))
 
 
 def fries_numbers(
     h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP
 ) -> FriesNumbers:
     """Max and min count of alternating hexagons over all perfect matchings."""
-    pms = enumerate_perfect_matchings(h.graph, max_matchings)
-    if not pms:
-        raise NoPerfectMatching("hexagonal system has no perfect matching")
-    best_max = -1
-    best_min = None
-    wit_max = wit_min = None
-    for m in pms:
-        alt = alternating_hexagons(h, m)
-        count = len(alt)
-        cells = tuple(h.cells[i] for i in alt)
-        if count > best_max:
-            best_max, wit_max = count, (m, cells)
-        if best_min is None or count < best_min:
-            best_min, wit_min = count, (m, cells)
-    assert wit_max is not None and wit_min is not None and best_min is not None
-    return FriesNumbers(best_max, best_min, wit_max, wit_min)
+    pms = _hex_matchings(h, max_matchings)
+    return _fries_from(h, pms, tuple(alternating_hexagons(h, m) for m in pms))
 
 
 def is_all_kink_catahex(h: HexSystem) -> bool:
@@ -518,9 +550,7 @@ def sachs_cut_check(
     cut = tuple(sorted(set(cut_edges)))
     if cut not in set(parallel_cuts(h)):
         raise NotAValidCut(f"{list(cut)} is not a maximal parallel cut")
-    pms = enumerate_perfect_matchings(h.graph, max_matchings)
-    if not pms:
-        raise NoPerfectMatching("hexagonal system has no perfect matching")
+    pms = _hex_matchings(h, max_matchings)
     cutset = set(cut)
     values = {len(cutset & m.edge_set) for m in pms}
     if len(values) == 1:

@@ -6,6 +6,7 @@ import hashlib
 import json
 import time
 from functools import cached_property
+from itertools import combinations
 from pathlib import Path
 from typing import Any, Callable
 
@@ -15,7 +16,13 @@ from .antiforcing import (
     antiforcing_number,
     is_antiforcing_set,
 )
-from .errors import InapplicableInvariant, IntersectsM, NoPerfectMatching, NotSubsetOfM
+from .errors import (
+    InapplicableInvariant,
+    IntersectsM,
+    NoPerfectMatching,
+    NotPerfect,
+    NotSubsetOfM,
+)
 from .forcing import Spectrum, forcing_number, is_forcing_set
 from .graphs import (
     DEFAULT_CYCLE_CAP,
@@ -25,8 +32,9 @@ from .graphs import (
     count_perfect_matchings,
     enumerate_alternating_cycles,
     enumerate_perfect_matchings,
+    matching_partner,
 )
-from .hexsys import HexSystem, alternating_hexagons, clar_number, fries_numbers
+from .hexsys import HexSystem, _clar_from, _fries_from, alternating_hexagons
 from .io import load_instance, serialize_instance
 
 SCHEMA_VERSION = 1
@@ -48,13 +56,18 @@ _PER_MATCHING = {
     "af_spectrum": ("af", None),
 }
 
+# invariants read from each matching's alternating hexagons
+_HEXAGONS = ("clar", "fries")
+
 
 class _Call:
     """The instance and caps of one compute_report or replay call.
 
-    Each perfect matching is solved once per call: its alternating cycles
-    are enumerated once, every family the call's invariants need is read
-    from them, and only those ints are kept.  Nothing outlives the call.
+    The perfect matchings are enumerated once per call.  Each one is solved
+    once: its alternating cycles are enumerated once, every family the
+    call's invariants need is read from them, and only those ints are kept;
+    its alternating hexagons are found once for clar and fries together.
+    Nothing outlives the call.
     """
 
     def __init__(self, kind: str, obj: Graph | HexSystem, caps: dict[str, int], names) -> None:
@@ -64,13 +77,27 @@ class _Call:
         self.caps = caps
         wanted = {_PER_MATCHING[n][0] for n in names if n in _PER_MATCHING}
         self.families = tuple(f for f in _FAMILIES if f in wanted)
+        # pm_count streams the count unless the matchings are enumerated anyway
+        self.keeps_matchings = any(
+            n in _PER_MATCHING or (kind == "hex" and n in _HEXAGONS) for n in names
+        )
 
     @cached_property
+    def pms(self) -> tuple[Matching, ...]:
+        """Every perfect matching in canonical order, possibly none."""
+        return enumerate_perfect_matchings(self.graph, self.caps["max_matchings"])
+
+    @property
     def matchings(self) -> tuple[Matching, ...]:
-        pms = enumerate_perfect_matchings(self.graph, self.caps["max_matchings"])
-        if not pms:
+        """The perfect matchings of an instance that must have at least one."""
+        if not self.pms:
             raise NoPerfectMatching("graph has no perfect matching")
-        return pms
+        return self.pms
+
+    @cached_property
+    def hexagons(self) -> tuple[tuple[int, ...], ...]:
+        """Each matching's alternating hexagons, in matching order."""
+        return tuple(alternating_hexagons(self.obj, m) for m in self.matchings)
 
     @cached_property
     def values(self) -> dict[str, tuple[int, ...]]:
@@ -103,20 +130,22 @@ def _per_matching(family: str, extreme: Callable | None) -> Callable[[_Call], tu
 
 
 def _inv_pm_count(call: _Call):
+    if call.keeps_matchings:
+        return len(call.pms), None
     return count_perfect_matchings(call.graph, call.caps["max_matchings"]), None
 
 
 def _inv_clar(call: _Call):
     if call.kind != "hex":
         raise InapplicableInvariant("clar needs a hexagonal system")
-    value, (m, cells) = clar_number(call.obj, call.caps["max_matchings"])
+    value, (m, cells) = _clar_from(call.obj, call.matchings, call.hexagons)
     return value, {"matching": list(m.edge_ids), "hexagons": [list(c) for c in cells]}
 
 
 def _inv_fries(call: _Call):
     if call.kind != "hex":
         raise InapplicableInvariant("fries needs a hexagonal system")
-    fr = fries_numbers(call.obj, call.caps["max_matchings"])
+    fr = _fries_from(call.obj, call.matchings, call.hexagons)
     value = {"max": fr.maximum, "min": fr.minimum}
     witness = {
         "max_matching": list(fr.max_witness[0].edge_ids),
@@ -181,32 +210,51 @@ def dumps_report(report: dict[str, Any]) -> str:
     return json.dumps(report, indent=2, sort_keys=False) + "\n"
 
 
+def _perfect(call: _Call, edge_ids) -> Matching | None:
+    """The witness's matching, or None when it is no perfect matching of the instance."""
+    m = Matching(edge_ids)
+    try:
+        matching_partner(call.graph, m)
+    except NotPerfect:
+        return None
+    return m
+
+
 def _check_witness(name: str, value, witness, call: _Call) -> list[str]:
-    problems = []
     obj = call.obj
     if name in _PER_MATCHING:
         _, is_set, what = _FAMILIES[_PER_MATCHING[name][0]]
-        m = Matching(witness["matching"])
+        m = _perfect(call, witness["matching"])
         s = witness["edge_set"]
+        if m is None:
+            return [f"{name}: witness matching is not a perfect matching"]
         if len(s) != value:
-            problems.append(f"{name}: witness size {len(s)} != {value}")
-        else:
-            try:
-                ok = is_set(call.graph, m, s)
-            except (NotSubsetOfM, IntersectsM):  # edges on the wrong side of m
-                ok = False
-            if not ok:
-                problems.append(f"{name}: witness is not {what}")
-    elif name == "clar":
-        m = Matching(witness["matching"])
-        cells = [tuple(c) for c in witness["hexagons"]]
-        alt = {obj.cells[i] for i in alternating_hexagons(obj, m)}
-        if len(cells) != value or not set(cells) <= alt:
-            problems.append("clar: witness hexagons are not all alternating")
-    elif name == "fries":
+            return [f"{name}: witness size {len(s)} != {value}"]
+        try:
+            ok = is_set(call.graph, m, s)
+        except (NotSubsetOfM, IntersectsM):  # edges on the wrong side of m
+            ok = False
+        return [] if ok else [f"{name}: witness is not {what}"]
+    if name == "clar":
+        m = _perfect(call, witness["matching"])
+        cells = [obj.cell_index.get(tuple(c)) for c in witness["hexagons"]]
+        if m is None:
+            return ["clar: witness matching is not a perfect matching"]
+        if None in cells or len(set(cells)) != len(cells):
+            return ["clar: witness hexagons are not distinct cells of the system"]
+        if any(b in obj.cell_adjacency[a] for a, b in combinations(cells, 2)):
+            return ["clar: witness hexagons are not pairwise non-adjacent"]
+        if len(cells) != value or not set(cells) <= set(alternating_hexagons(obj, m)):
+            return ["clar: witness hexagons are not all alternating"]
+        return []
+    problems = []
+    if name == "fries":
         for side in ("max", "min"):
-            m = Matching(witness[f"{side}_matching"])
+            m = _perfect(call, witness[f"{side}_matching"])
             cells = {tuple(c) for c in witness[f"{side}_hexagons"]}
+            if m is None:
+                problems.append(f"fries: {side} witness matching is not a perfect matching")
+                continue
             alt = {obj.cells[i] for i in alternating_hexagons(obj, m)}
             if cells != alt or len(cells) != value[side]:
                 problems.append(f"fries: {side} witness does not re-validate")
@@ -232,5 +280,8 @@ def replay(report: dict[str, Any], path: str | Path) -> list[str]:
         if value != entry["value"]:
             problems.append(f"{name}: recomputed {value!r} != reported {entry['value']!r}")
         if entry.get("witness") is not None:
-            problems += _check_witness(name, entry["value"], entry["witness"], call)
+            try:
+                problems += _check_witness(name, entry["value"], entry["witness"], call)
+            except (KeyError, TypeError):  # a field missing or of the wrong type
+                problems.append(f"{name}: malformed witness")
     return problems

@@ -156,27 +156,43 @@ def _matchings(obj: Graph | HexSystem, caps: Caps) -> tuple[Matching, ...]:
 
 
 @lru_cache(maxsize=None)
+def _value_table(g: Graph, caps: Caps) -> dict[str, tuple[int, ...]]:
+    """The VALUE_OF families computed so far for g, filled in by _values."""
+    return {}
+
+
 def _values(g: Graph, caps: Caps, families: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
     """Per-matching values of each named VALUE_OF family, in matching order.
 
-    Each matching's alternating cycles are enumerated once and every family
-    is read from them; the cycles are dropped before the next matching.
+    Families already computed for g are read back.  For the rest, each
+    matching's alternating cycles are enumerated once and every missing
+    family is read from them; the cycles are dropped before the next matching.
     """
-    rows = []
-    for m in _graph_matchings(g, caps):
-        cycles = enumerate_alternating_cycles(g, m, caps.max_cycles)
-        rows.append(tuple(VALUE_OF[f](g, m, cycles) for f in families))
-    return dict(zip(families, zip(*rows)))
+    table = _value_table(g, caps)
+    missing = tuple(f for f in families if f not in table)
+    if missing:
+        rows = []
+        for m in _graph_matchings(g, caps):
+            cycles = enumerate_alternating_cycles(g, m, caps.max_cycles)
+            rows.append(tuple(VALUE_OF[f](g, m, cycles) for f in missing))
+        for i, f in enumerate(missing):
+            table[f] = tuple(row[i] for row in rows)
+    return table
 
 
 @lru_cache(maxsize=None)
+def _hexagon_table(h: HexSystem, caps: Caps) -> tuple[tuple[int, ...], ...]:
+    """Each matching's alternating hexagons, in matching order."""
+    return tuple(alternating_hexagons(h, m) for m in _matchings(h, caps))
+
+
 def _fries_values(h: HexSystem, caps: Caps) -> tuple[int, ...]:
-    return tuple(len(alternating_hexagons(h, m)) for m in _matchings(h, caps))
+    return tuple(len(alt) for alt in _hexagon_table(h, caps))
 
 
 @lru_cache(maxsize=None)
 def _clar_value(h: HexSystem, caps: Caps) -> int:
-    return max((clar_count(h, m) for m in _matchings(h, caps)), default=0)
+    return max((clar_count(h, alt) for alt in _hexagon_table(h, caps)), default=0)
 
 
 # ------------------------------------------------------------ the suites

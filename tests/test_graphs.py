@@ -1,5 +1,7 @@
 """Graph core: construction, matchings, alternating cycles, contraction."""
 
+import random
+
 import pytest
 
 from matchforce.errors import (
@@ -11,8 +13,14 @@ from matchforce.errors import (
     NotPerfect,
     SelfLoop,
 )
-from matchforce.generators import gen_named, gen_truncated_parallelogram
+from matchforce.generators import (
+    enumerate_hex_systems,
+    gen_named,
+    gen_truncated_parallelogram,
+    glue_preset,
+)
 from matchforce.graphs import (
+    _iter_perfect_matchings,
     FIXED_DOUBLE,
     FREE,
     Matching,
@@ -302,3 +310,68 @@ def test_remove_edges_keeps_colors():
     g = c6()
     g2 = remove_edges(g, [0])
     assert g2.m == 5 and g2.color == g.color
+
+
+# ------------------------------------------- explicit-stack PM enumeration
+
+def _recursive_perfect_matchings(g):
+    """The recursive `yield from` backtracker the explicit stack replaced."""
+    covered = bytearray(g.n)
+    chosen = []
+    adjacency = g.adjacency
+
+    def extend(start):
+        v = start
+        while v < g.n and covered[v]:
+            v += 1
+        if v == g.n:
+            yield tuple(chosen)
+            return
+        for w, eid in adjacency[v]:
+            if not covered[w]:
+                covered[v] = covered[w] = 1
+                chosen.append(eid)
+                yield from extend(v + 1)
+                covered[v] = covered[w] = 0
+                chosen.pop()
+
+    if g.n % 2 == 0:
+        yield from extend(0)
+
+
+def _seeded_graphs(count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((6, 8, 10, 12))
+        edges = set()
+        while len(edges) < 2 * n:
+            u, v = rng.sample(range(n), 2)
+            edges.add((min(u, v), max(u, v)))
+        g = build_graph(n, sorted(edges))
+        if g.color is None:
+            out.append(g)
+    return out
+
+
+def test_explicit_stack_yields_the_recursive_sequence():
+    cases = [h.graph for n in range(1, 6) for h in enumerate_hex_systems(n)]
+    for name in ("triphenylene", "dodecahedron", "C4", "C6"):
+        obj = gen_named(name)
+        cases.append(getattr(obj, "graph", obj))
+    cases += [glue_preset(k).graph for k in (1, 2, 3, 4)]
+    cases += _seeded_graphs(12, seed=7)
+    cases.append(build_graph(3, [(0, 1), (1, 2)]))  # odd order: nothing to yield
+    cases.append(build_graph(0, []))  # the empty matching of the empty graph
+    total = 0
+    for g in cases:
+        got = list(_iter_perfect_matchings(g))
+        assert got == list(_recursive_perfect_matchings(g)), g
+        total += len(got)
+    assert total > 1000
+
+
+def test_long_chain_counts_without_recursion():
+    # a linear chain of n hexagons has n + 1 perfect matchings
+    g = gen_truncated_parallelogram((2000,)).graph
+    assert count_perfect_matchings(g) == 2001

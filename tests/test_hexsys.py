@@ -1,10 +1,12 @@
 """Hexagonal systems: lattice construction, invariants, recognizers."""
 
+import random
+
 import pytest
 
 from matchforce.errors import Disconnected, HasHole, NotATree, NotAValidCut
-from matchforce.generators import gen_named, gen_truncated_parallelogram
-from matchforce.graphs import BLACK, build_graph, enumerate_perfect_matchings
+from matchforce.generators import enumerate_hex_systems, gen_named, gen_truncated_parallelogram
+from matchforce.graphs import BLACK, Matching, build_graph, enumerate_perfect_matchings
 from matchforce.hexsys import (
     alternating_hexagons,
     build_hex_system,
@@ -284,3 +286,38 @@ def test_hex_labels_carry_fusings_and_alternation():
     assert labels.alternating == tuple(
         i in alternating_hexagons(h, m) for i in range(h.n_cells)
     )
+
+
+def _pattern_alternating_hexagons(h, m):
+    """The per-edge pattern test the cached edge bitmasks replaced."""
+    out = []
+    mset = m.edge_set
+    for ci, fe in enumerate(h.face_edges):
+        pattern = [eid in mset for eid in fe]
+        if sum(pattern) == 3 and all(pattern[i] != pattern[(i + 1) % 6] for i in range(6)):
+            out.append(ci)
+    return tuple(out)
+
+
+def test_bitmask_alternating_hexagons_match_the_pattern_test():
+    rng = random.Random(11)
+    matchings = subsets = 0
+    for n in range(1, 6):
+        for h in enumerate_hex_systems(n):
+            for m in enumerate_perfect_matchings(h.graph):
+                assert alternating_hexagons(h, m) == _pattern_alternating_hexagons(h, m)
+                matchings += 1
+            for _ in range(10):
+                m = Matching(e for e in range(h.graph.m) if rng.random() < 0.5)
+                expected = _pattern_alternating_hexagons(h, m)
+                assert alternating_hexagons(h, m) == expected
+                subsets += bool(expected)
+    # subsets with at least one alternating hexagon
+    assert matchings > 1000 and subsets > 100
+
+
+def test_alternating_hexagons_ignore_ids_outside_the_graph():
+    h = gen_named("triphenylene")
+    for m in enumerate_perfect_matchings(h.graph):
+        stray = Matching(m.edge_ids + (-1, h.graph.m, 10**9))
+        assert alternating_hexagons(h, stray) == alternating_hexagons(h, m)

@@ -9,7 +9,8 @@ from matchforce.antiforcing import is_antiforcing_set
 from matchforce.cli import main
 from matchforce.errors import ParseError
 from matchforce.generators import gen_named, gen_truncated_parallelogram
-from matchforce.graphs import Matching
+from matchforce.graphs import Matching, enumerate_perfect_matchings
+from matchforce.hexsys import alternating_hexagons
 from matchforce.io import (
     load_instance,
     parse_graph,
@@ -167,6 +168,99 @@ def test_report_replay_rejects_af_witness_with_a_matching_edge(tmp_path):
     assert problems == ["af: witness is not an anti-forcing set"]
 
 
+def _tampered_hex(tmp_path, name, change):
+    path = tmp_path / "tri.hex"
+    path.write_text(serialize_hex(gen_named("triphenylene")))
+    report = compute_report(path, ["f", "clar", "fries"])
+    entry = next(e for e in report["invariants"] if e["name"] == name)
+    change(entry, load_instance(path)[1])
+    return replay(report, path)
+
+
+def test_report_replay_rejects_adjacent_clar_hexagons(tmp_path):
+    def change(entry, h):
+        # the Fries-maximum matching alternates on every cell, and the
+        # centre touches both others
+        m = max(enumerate_perfect_matchings(h.graph), key=lambda m: len(alternating_hexagons(h, m)))
+        cells = [(-1, 0), (0, 0), (0, 1)]
+        assert {h.cell_index[c] for c in cells} <= set(alternating_hexagons(h, m))
+        entry["witness"] = {"matching": list(m.edge_ids), "hexagons": [list(c) for c in cells]}
+        entry["value"] = 3
+
+    problems = _tampered_hex(tmp_path, "clar", change)
+    assert problems == ["clar: witness hexagons are not pairwise non-adjacent"]
+
+
+def test_report_replay_rejects_repeated_or_foreign_clar_hexagons(tmp_path):
+    def repeat(entry, h):
+        entry["witness"]["hexagons"][1] = entry["witness"]["hexagons"][0]
+
+    def foreign(entry, h):
+        entry["witness"]["hexagons"][0] = [7, 7]
+
+    for change in (repeat, foreign):
+        problems = _tampered_hex(tmp_path, "clar", change)
+        assert problems == ["clar: witness hexagons are not distinct cells of the system"]
+
+
+def test_report_replay_rejects_a_clar_witness_that_is_no_perfect_matching(tmp_path):
+    def change(entry, h):
+        entry["witness"]["matching"] = entry["witness"]["matching"][1:]
+
+    problems = _tampered_hex(tmp_path, "clar", change)
+    assert problems == ["clar: witness matching is not a perfect matching"]
+
+
+def test_report_replay_rejects_a_fries_witness_that_is_no_perfect_matching(tmp_path):
+    def change(entry, h):
+        # the even-position edges of the reported hexagons: no perfect
+        # matching, though on the min side the one hexagon still alternates
+        for side in ("max", "min"):
+            cells = [h.cell_index[tuple(c)] for c in entry["witness"][f"{side}_hexagons"]]
+            entry["witness"][f"{side}_matching"] = sorted(
+                {h.face_edges[c][i] for c in cells for i in (0, 2, 4)}
+            )
+
+    problems = _tampered_hex(tmp_path, "fries", change)
+    assert problems == [
+        "fries: max witness matching is not a perfect matching",
+        "fries: min witness matching is not a perfect matching",
+    ]
+
+
+def test_report_replay_reports_an_f_witness_missing_an_edge(tmp_path):
+    def change(entry, g):
+        del entry["witness"]["matching"][0]
+
+    problems = _tampered(tmp_path, "f", change)
+    assert problems == ["f: witness matching is not a perfect matching"]
+
+
+@pytest.mark.parametrize("name", ["f", "clar", "fries"])
+def test_report_replay_reports_an_empty_witness(tmp_path, name):
+    def change(entry, h):
+        entry["witness"] = {}
+
+    problems = _tampered_hex(tmp_path, name, change)
+    assert problems == [f"{name}: malformed witness"]
+
+
+@pytest.mark.parametrize("bad_id", [-1, 10**6])
+def test_report_replay_reports_edge_ids_outside_the_graph(tmp_path, bad_id):
+    def clar(entry, h):
+        entry["witness"]["matching"][0] = bad_id
+
+    def fries(entry, h):
+        entry["witness"]["max_matching"][0] = bad_id
+
+    assert _tampered_hex(tmp_path, "clar", clar) == [
+        "clar: witness matching is not a perfect matching"
+    ]
+    assert _tampered_hex(tmp_path, "fries", fries) == [
+        "fries: max witness matching is not a perfect matching"
+    ]
+
+
 # -------------------------------------------------------------------- CLI
 
 def run_cli(capsys, *argv):
@@ -216,6 +310,16 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     code, _, _ = run_cli(capsys, "verify", "--suite", "nope")
     assert code == 2
+
+
+def test_cli_compute_kekule_invariants_on_a_long_chain(tmp_path, capsys):
+    path = tmp_path / "tp-600.hex"
+    path.write_text(serialize_hex(gen_truncated_parallelogram((600,))))
+    code, out, _ = run_cli(capsys, "compute", "--in", str(path), "--inv", "pm_count,clar,fries")
+    assert code == 0
+    values = {e["name"]: e["value"] for e in json.loads(out)["invariants"]}
+    assert values["pm_count"] == 601
+    assert values["clar"] == 1
 
 
 def test_cli_compute_writes_out_file(tmp_path, capsys):

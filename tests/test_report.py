@@ -1,8 +1,9 @@
 """Invariant reports against per-matching solves, work counts and memory.
 
-compute_report solves each perfect matching once per call and keeps only
-the values; these tests hold it to the library's per-matching functions,
-count the cycle enumerations it makes, and bound its memory.
+compute_report enumerates the perfect matchings once per call, solves each
+once and keeps only the values; these tests hold it to the library's
+per-matching functions, count the enumerations it makes, and bound its
+memory.
 """
 
 import sys
@@ -10,11 +11,16 @@ import tracemalloc
 
 import pytest
 
-from matchforce import graphs
+from matchforce import graphs, hexsys
 from matchforce.antiforcing import antiforcing_number
 from matchforce.errors import NoPerfectMatching
 from matchforce.forcing import forcing_number
-from matchforce.generators import enumerate_hex_systems, gen_named, glue_preset
+from matchforce.generators import (
+    enumerate_hex_systems,
+    gen_named,
+    gen_truncated_parallelogram,
+    glue_preset,
+)
 from matchforce.graphs import enumerate_alternating_cycles, enumerate_perfect_matchings
 from matchforce.io import serialize_instance
 from matchforce.report import compute_report, replay
@@ -79,14 +85,12 @@ def test_report_matches_per_matching_solves(tmp_path):
         assert got == _expected(_graph(obj)), name
 
 
-@pytest.fixture
-def alt_cycle_calls(monkeypatch):
-    """Count calls of enumerate_alternating_cycles through every module binding."""
+def _count_calls(monkeypatch, orig):
+    """Record the second argument of every call of orig, through every module binding."""
     calls = []
-    orig = graphs.enumerate_alternating_cycles
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[1] if len(args) > 1 else None)
         return orig(*args, **kwargs)
 
     for key, mod in list(sys.modules.items()):
@@ -95,6 +99,11 @@ def alt_cycle_calls(monkeypatch):
                 if value is orig:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+@pytest.fixture
+def alt_cycle_calls(monkeypatch):
+    return _count_calls(monkeypatch, graphs.enumerate_alternating_cycles)
 
 
 def test_report_solves_each_matching_once_and_replay_recomputes(tmp_path, alt_cycle_calls):
@@ -131,3 +140,59 @@ def test_report_memory_does_not_grow_with_cycles_of_all_matchings(tmp_path):
     one = _peak(lambda: enumerate_alternating_cycles(obj, largest))
     whole = _peak(lambda: compute_report(path, SIX))
     assert whole <= 8 * one, (whole, one)
+
+
+@pytest.fixture
+def kekule_calls(monkeypatch):
+    """Calls of the perfect-matching and alternating-hexagon layers."""
+    return {
+        name: _count_calls(monkeypatch, fn)
+        for name, fn in (
+            ("enumerate", graphs.enumerate_perfect_matchings),
+            ("count", graphs.count_perfect_matchings),
+            ("hexagons", hexsys.alternating_hexagons),
+        )
+    }
+
+
+def _reset(calls):
+    for made in calls.values():
+        del made[:]
+
+
+def test_kekule_report_enumerates_matchings_once_per_call(tmp_path, kekule_calls):
+    h = gen_truncated_parallelogram((3, 3, 2))
+    n_pm = len(enumerate_perfect_matchings(h.graph))
+    assert n_pm > 10
+    path = _write(tmp_path, "tp-3-3-2", h)
+    _reset(kekule_calls)
+    report = compute_report(path, ["pm_count", "clar", "fries"])
+    assert report["invariants"][0]["value"] == n_pm
+    assert len(kekule_calls["enumerate"]) == 1 and not kekule_calls["count"]
+    assert len(kekule_calls["hexagons"]) == n_pm
+    _reset(kekule_calls)
+    assert replay(report, path) == []
+    assert len(kekule_calls["enumerate"]) == 1 and not kekule_calls["count"]
+    # plus one witness check for clar and one for each side of fries
+    assert len(kekule_calls["hexagons"]) <= n_pm + 3
+
+
+def test_pm_count_alone_streams_the_count(tmp_path, kekule_calls):
+    path = _write(tmp_path, "triphenylene", gen_named("triphenylene"))
+    _reset(kekule_calls)
+    report = compute_report(path, ["pm_count"])
+    assert report["invariants"][0]["value"] == 9
+    assert replay(report, path) == []
+    assert not kekule_calls["enumerate"] and len(kekule_calls["count"]) == 2
+
+
+def test_pm_count_is_zero_without_a_perfect_matching(tmp_path):
+    h = next(h for h in enumerate_hex_systems(3) if not enumerate_perfect_matchings(h.graph))
+    path = _write(tmp_path, "no-pm", h)
+    report = compute_report(path, ["pm_count"])
+    assert report["invariants"][0]["value"] == 0
+    assert replay(report, path) == []
+    # with other invariants it reads the empty enumeration, which they reject
+    for other in ("f", "clar", "fries"):
+        with pytest.raises(NoPerfectMatching):
+            compute_report(path, ["pm_count", other])

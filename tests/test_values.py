@@ -136,6 +136,25 @@ def test_verify_enumerates_each_matchings_cycles_once(monkeypatch):
         _clear_verify_caches()
 
 
+def test_verify_reads_cached_families_for_a_subset(monkeypatch):
+    alt_calls = _counted(monkeypatch, verify, "enumerate_alternating_cycles")
+    hexagon_calls = _counted(monkeypatch, verify, "alternating_hexagons")
+    _clear_verify_caches()
+    try:
+        assert verify.run_suite("thm5", max_cells=4).ok
+        assert alt_calls
+        del alt_calls[:]
+        # thm3 reads f and thm11 reads af, both filled in by thm5's (f, af)
+        assert verify.run_suite("thm3", max_cells=4).ok
+        assert verify.run_suite("thm11", max_cells=4).ok
+        assert not alt_calls
+        # Clar and Fries read one alternating-hexagon table per (system, matching)
+        assert verify.run_suite("cor12", max_cells=4).ok
+        assert hexagon_calls and len(hexagon_calls) == len(set(hexagon_calls))
+    finally:
+        _clear_verify_caches()
+
+
 def _held(fn, module):
     """Bytes allocated in `module` by fn() that stay held with gc disabled."""
     where = [tracemalloc.Filter(True, module.__file__)]
