@@ -10,17 +10,18 @@ or overlapping only in matching edges.
 from __future__ import annotations
 
 from . import exact
-from .errors import IntersectsM, NoPerfectMatching
+from .errors import IntersectsM
 from .graphs import (
-    AltCycle,
     ContractedDigraph,
     DEFAULT_CYCLE_CAP,
     DEFAULT_MATCHING_CAP,
     Graph,
     Matching,
+    alternating_cycle_masks,
+    directed_cycle_masks,
+    edge_mask,
     enumerate_alternating_cycles,
     enumerate_directed_cycles,
-    enumerate_perfect_matchings,
     has_unique_perfect_matching,
     remove_edges,
 )
@@ -28,9 +29,9 @@ from .forcing import (
     COMPATIBLE,
     CycleFamily,
     Spectrum,
-    compatible_cycles,
     disjoint_value,
     forcing_value,
+    value_spectrum,
 )
 
 
@@ -42,8 +43,8 @@ def is_antiforcing_set(
     overlap = s & m.edge_set
     if overlap:
         raise IntersectsM(f"{sorted(overlap)} are matching edges")
-    cycles = enumerate_alternating_cycles(g, m, max_cycles)
-    return all(c.edge_ids & s for c in cycles)
+    hit = edge_mask(e for e in s if e in range(g.m))  # other ids meet no cycle
+    return all(c & hit for c in alternating_cycle_masks(g, m, max_cycles))
 
 
 def antiforcing_number(
@@ -54,9 +55,10 @@ def antiforcing_number(
     return exact.min_hitting_set(c.edge_ids - m.edge_set for c in cycles)
 
 
-def antiforcing_value(g: Graph, m: Matching, cycles: tuple[AltCycle, ...]) -> int:
-    """Anti-forcing number of m from its alternating cycles, without a witness."""
-    return exact.min_hitting_size(c.edge_ids - m.edge_set for c in cycles)
+def antiforcing_value(g: Graph, m: Matching, masks: tuple[int, ...]) -> int:
+    """Anti-forcing number of m from its alternating cycles' edge masks, without a witness."""
+    side = ~edge_mask(m.edge_ids)
+    return exact.min_hitting_size(c & side for c in masks)
 
 
 def max_compatible_alternating_set(
@@ -64,27 +66,20 @@ def max_compatible_alternating_set(
 ) -> tuple[int, CycleFamily]:
     """Largest cycle family pairwise disjoint or meeting only in m-edges."""
     cycles = enumerate_alternating_cycles(g, m, max_cycles)
-    size, picked = exact.max_independent_indices(_compatible_conflicts(g, m, cycles))
+    masks = [edge_mask(c.edge_ids) for c in cycles]
+    # compatible cycles share no edge off m
+    conflicts = exact.overlap_conflicts(masks, ~edge_mask(m.edge_ids))
+    size, picked = exact.max_independent_indices(conflicts)
     return size, CycleFamily(tuple(cycles[i] for i in picked), COMPATIBLE)
 
 
-def compatible_value(g: Graph, m: Matching, cycles: tuple[AltCycle, ...]) -> int:
-    """Size of max_compatible_alternating_set from m's cycles, without a witness."""
-    return exact.max_independent_size(_compatible_conflicts(g, m, cycles))
+def compatible_value(g: Graph, m: Matching, masks: tuple[int, ...]) -> int:
+    """Size of max_compatible_alternating_set from m's cycle masks, without a witness."""
+    return exact.max_independent_size(exact.overlap_conflicts(masks, ~edge_mask(m.edge_ids)))
 
 
-def _compatible_conflicts(g: Graph, m: Matching, cycles: tuple[AltCycle, ...]) -> list[int]:
-    conflicts = [0] * len(cycles)
-    for i, a in enumerate(cycles):
-        for j in range(i + 1, len(cycles)):
-            if not compatible_cycles(g, m, a, cycles[j]):
-                conflicts[i] |= 1 << j
-                conflicts[j] |= 1 << i
-    return conflicts
-
-
-# family -> its value for one matching, read from that matching's alternating
-# cycles; each equals the size its witness-returning solver reports
+# family -> its value for one matching, read from the edge masks of that
+# matching's alternating cycles; each equals the size its witness solver reports
 VALUE_OF = {
     "f": forcing_value,
     "af": antiforcing_value,
@@ -99,12 +94,7 @@ def antiforcing_spectrum(
     max_cycles: int = DEFAULT_CYCLE_CAP,
 ) -> Spectrum:
     """af per perfect matching; min is af(G), max is Af(G)."""
-    pms = enumerate_perfect_matchings(g, max_matchings)
-    if not pms:
-        raise NoPerfectMatching("graph has no perfect matching")
-    return Spectrum(tuple(
-        antiforcing_value(g, m, enumerate_alternating_cycles(g, m, max_cycles)) for m in pms
-    ))
+    return value_spectrum(antiforcing_value, g, max_matchings, max_cycles)
 
 
 def anti_forcing_edges(g: Graph) -> tuple[int, ...]:
@@ -127,4 +117,4 @@ def min_feedback_arc_set(
 
 def feedback_value(d: ContractedDigraph, max_cycles: int = DEFAULT_CYCLE_CAP) -> int:
     """Size of min_feedback_arc_set, without a witness."""
-    return exact.min_hitting_size(c.arc_ids for c in enumerate_directed_cycles(d, max_cycles))
+    return exact.min_hitting_size(directed_cycle_masks(d, max_cycles))

@@ -1,7 +1,7 @@
 """Command line front end: compute invariants, verify identities, generate files.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
-3 inapplicable invariant, 4 enumeration cap exceeded.
+3 inapplicable invariant or no perfect matching, 4 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from .errors import (
     InapplicableInvariant,
     LimitExceeded,
     MatchforceError,
+    NoPerfectMatching,
     ParseError,
 )
 from .generators import (
@@ -82,7 +83,7 @@ def _cmd_compute(args) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except InapplicableInvariant as exc:
+    except (InapplicableInvariant, NoPerfectMatching) as exc:
         print(f"inapplicable invariant: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
     except LimitExceeded as exc:

@@ -43,8 +43,10 @@ def _greedy_hitting(sets: list[int]) -> int:
 
 
 def _reduce(sets: Iterable[int]) -> list[int]:
-    """Drop duplicates and supersets; a hit on a subset hits the superset."""
+    """Drop duplicates and supersets (a hit on a subset hits them); an empty set is a ValueError."""
     uniq = sorted(set(sets), key=lambda s: (s.bit_count(), s))
+    if uniq[:1] == [0]:
+        raise ValueError("hitting-set instance contains an empty set")
     kept: list[int] = []
     for s in uniq:
         if not any(k & s == k for k in kept):
@@ -103,19 +105,9 @@ def _hit_feasible(sets: list[int], allowed: int, budget: int) -> bool:
     return feasible
 
 
-def _encode(sets: Iterable[Iterable[int]]) -> tuple[list[int], list[int]]:
-    """The sorted elements, and the reduced family as bitmasks over their positions."""
-    family = [frozenset(s) for s in sets]
-    if any(not s for s in family):
-        raise ValueError("hitting-set instance contains an empty set")
-    elements = sorted(set().union(*family))
-    bit_of = {e: 1 << i for i, e in enumerate(elements)}
-    return elements, _reduce(sum(bit_of[e] for e in s) for s in family)
-
-
-def min_hitting_size(sets: Iterable[Iterable[int]]) -> int:
-    """Optimum value of min_hitting_set without witness reconstruction."""
-    return _min_hit_size(_encode(sets)[1])
+def min_hitting_size(masks: Iterable[int]) -> int:
+    """Optimum value of min_hitting_set, for sets given as bitmasks, without a witness."""
+    return _min_hit_size(_reduce(masks))
 
 
 def min_hitting_set(sets: Iterable[Iterable[int]]) -> tuple[int, tuple[int, ...]]:
@@ -125,7 +117,10 @@ def min_hitting_set(sets: Iterable[Iterable[int]]) -> tuple[int, tuple[int, ...]
     optimal hitting set as a sorted tuple.  Raises ValueError on an empty
     member set, which no element could ever hit.
     """
-    elements, masks = _encode(sets)
+    family = [frozenset(s) for s in sets]
+    elements = sorted(set().union(*family))
+    bit_of = {e: 1 << i for i, e in enumerate(elements)}
+    masks = _reduce(sum(bit_of[e] for e in s) for s in family)
     k = _min_hit_size(masks)
 
     # Rebuild the witness greedily: an element enters iff the rest can still
@@ -144,6 +139,18 @@ def min_hitting_set(sets: Iterable[Iterable[int]]) -> tuple[int, tuple[int, ...]
             budget -= 1
     assert not remaining and budget == 0
     return k, tuple(witness)
+
+
+def overlap_conflicts(masks: Iterable[int], within: int) -> list[int]:
+    """Conflict bitmasks for max_independent_*: items whose masks meet within `within`."""
+    masks = [mask & within for mask in masks]
+    conflicts = [0] * len(masks)
+    for i, a in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            if a & masks[j]:
+                conflicts[i] |= 1 << j
+                conflicts[j] |= 1 << i
+    return conflicts
 
 
 def _clique_cover_bound(avail: int, conflicts: Sequence[int]) -> int:

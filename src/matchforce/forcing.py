@@ -20,6 +20,8 @@ from .graphs import (
     DEFAULT_MATCHING_CAP,
     Graph,
     Matching,
+    alternating_cycle_masks,
+    edge_mask,
     enumerate_alternating_cycles,
     enumerate_perfect_matchings,
 )
@@ -45,7 +47,7 @@ class CycleFamily:
 
     def is_valid(self, g: Graph, m: Matching) -> bool:
         if self.mode == DISJOINT:
-            return not any(_vertex_conflicts(self.cycles))
+            return all(not a.vertex_set & b.vertex_set for a, b in combinations(self.cycles, 2))
         return all(compatible_cycles(g, m, a, b) for a, b in combinations(self.cycles, 2))
 
 
@@ -89,8 +91,8 @@ def is_forcing_set(
     s = frozenset(edge_ids)
     if not s <= m.edge_set:
         raise NotSubsetOfM(f"{sorted(s - m.edge_set)} are not matching edges")
-    cycles = enumerate_alternating_cycles(g, m, max_cycles)
-    return all(c.edge_ids & s for c in cycles)
+    hit = edge_mask(s)
+    return all(c & hit for c in alternating_cycle_masks(g, m, max_cycles))
 
 
 def forcing_number(
@@ -101,9 +103,10 @@ def forcing_number(
     return exact.min_hitting_set(c.edge_ids & m.edge_set for c in cycles)
 
 
-def forcing_value(g: Graph, m: Matching, cycles: tuple[AltCycle, ...]) -> int:
-    """Forcing number of m from its alternating cycles, without a witness."""
-    return exact.min_hitting_size(c.edge_ids & m.edge_set for c in cycles)
+def forcing_value(g: Graph, m: Matching, masks: tuple[int, ...]) -> int:
+    """Forcing number of m from its alternating cycles' edge masks, without a witness."""
+    side = edge_mask(m.edge_ids)
+    return exact.min_hitting_size(c & side for c in masks)
 
 
 def max_disjoint_alternating_cycles(
@@ -111,24 +114,16 @@ def max_disjoint_alternating_cycles(
 ) -> tuple[int, CycleFamily]:
     """Largest family of pairwise vertex-disjoint alternating cycles."""
     cycles = enumerate_alternating_cycles(g, m, max_cycles)
-    conflicts = _vertex_conflicts(cycles)
+    masks = [edge_mask(c.edge_ids) for c in cycles]
+    # disjoint cycles share no m-edge
+    conflicts = exact.overlap_conflicts(masks, edge_mask(m.edge_ids))
     size, picked = exact.max_independent_indices(conflicts)
     return size, CycleFamily(tuple(cycles[i] for i in picked), DISJOINT)
 
 
-def disjoint_value(g: Graph, m: Matching, cycles: tuple[AltCycle, ...]) -> int:
-    """Size of max_disjoint_alternating_cycles from m's cycles, without a witness."""
-    return exact.max_independent_size(_vertex_conflicts(cycles))
-
-
-def _vertex_conflicts(cycles: tuple[AltCycle, ...]) -> list[int]:
-    conflicts = [0] * len(cycles)
-    for i, a in enumerate(cycles):
-        for j in range(i + 1, len(cycles)):
-            if a.vertex_set & cycles[j].vertex_set:
-                conflicts[i] |= 1 << j
-                conflicts[j] |= 1 << i
-    return conflicts
+def disjoint_value(g: Graph, m: Matching, masks: tuple[int, ...]) -> int:
+    """Size of max_disjoint_alternating_cycles from m's cycle masks, without a witness."""
+    return exact.max_independent_size(exact.overlap_conflicts(masks, edge_mask(m.edge_ids)))
 
 
 def forcing_spectrum(
@@ -137,9 +132,12 @@ def forcing_spectrum(
     max_cycles: int = DEFAULT_CYCLE_CAP,
 ) -> Spectrum:
     """f per perfect matching; min is f(G), max is F(G)."""
+    return value_spectrum(forcing_value, g, max_matchings, max_cycles)
+
+
+def value_spectrum(value_fn, g: Graph, max_matchings: int, max_cycles: int) -> Spectrum:
+    """value_fn(g, m, masks) of every perfect matching m, from its cycles' edge masks."""
     pms = enumerate_perfect_matchings(g, max_matchings)
     if not pms:
         raise NoPerfectMatching("graph has no perfect matching")
-    return Spectrum(tuple(
-        forcing_value(g, m, enumerate_alternating_cycles(g, m, max_cycles)) for m in pms
-    ))
+    return Spectrum(tuple(value_fn(g, m, alternating_cycle_masks(g, m, max_cycles)) for m in pms))

@@ -114,14 +114,6 @@ class ContractedDigraph:
     arcs: tuple[tuple[int, int], ...]
     arc_edges: tuple[int, ...]
 
-    @cached_property
-    def out_arcs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per node: (head, arc id) pairs in arc order."""
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count)]
-        for aid, (tail, head) in enumerate(self.arcs):
-            out[tail].append((head, aid))
-        return tuple(tuple(o) for o in out)
-
 
 class DirectedCycle(NamedTuple):
     node_seq: tuple[int, ...]
@@ -396,69 +388,111 @@ def _canonical_rotation(seq: list[int]) -> tuple[int, ...]:
     return tuple(seq[i::-1] + seq[:i:-1])
 
 
+def _simple_cycles(succ, starts, max_cycles: int, what: str) -> Iterator[tuple[list[int], int]]:
+    """The one cycle walk behind both enumerations, on an explicit stack.
+
+    A path is a list of ends.  `succ[u]` lists the steps out of end u as
+    (target, end, bit): the path leaves u toward `target` and goes on from
+    `end`, and `bit` holds the edges the step adds.  Each start (root, first
+    end, first bit) walks the cycles whose least vertex is the root: a step
+    closes one when its target is the root, and otherwise needs its target
+    and end above the root and off the path.  Before the walk, a backward
+    search from the first end marks every end that can still close through
+    vertices above the root, ignoring the path; the walk enters no other end
+    and skips a root whose first end is unmarked, so only branches holding
+    no cycle are cut.  Yields each cycle's ends (a live list, valid until
+    the next cycle is drawn) and its bitmask, in discovery order.
+    """
+    pred: list[list[int]] = [[] for _ in succ]
+    low = [-1] * len(succ)  # per end, the least vertex of its pair (or node)
+    for x, steps in enumerate(succ):
+        for target, end, _ in steps:
+            pred[end].append(x)
+            low[end] = target if target < end else end
+    mark = [-1] * len(succ)
+    on_path = bytearray(len(succ))
+    found = 0
+    for root, first, first_bit in starts:
+        frontier = [first]
+        while frontier:
+            for x in pred[frontier.pop()]:
+                if mark[x] != root and (low[x] > root or x == first):
+                    mark[x] = root
+                    frontier.append(x)
+        if mark[first] != root:
+            continue
+        on_path[root] = 1  # root is low[first]
+        ends, masks = [first], [first_bit]
+        todo = [iter(succ[first])]
+        while todo:
+            for target, end, bit in todo[-1]:
+                if target == root:
+                    found += 1
+                    if found > max_cycles:
+                        raise LimitExceeded(f"more than {max_cycles} {what}")
+                    yield ends, masks[-1] | bit
+                elif mark[end] == root and not on_path[low[end]]:
+                    on_path[low[end]] = 1
+                    ends.append(end)
+                    masks.append(masks[-1] | bit)
+                    todo.append(iter(succ[end]))
+                    break
+            else:
+                todo.pop()
+                masks.pop()
+                on_path[low[ends.pop()]] = 0
+
+
+def _bit_ids(mask: int) -> frozenset[int]:
+    return frozenset(i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
+
+
+def edge_mask(edge_ids: Iterable[int]) -> int:
+    """Bitmask with bit e set for every id e."""
+    mask = 0
+    for eid in edge_ids:
+        mask |= 1 << eid
+    return mask
+
+
+def _alternating_walk(g: Graph, m: Matching, max_cycles: int) -> tuple[list[int], Iterator]:
+    """The partners, and the kernel over m's alternating cycles.
+
+    A cycle holds the matching edge of each of its vertices, so it is found
+    once, from its least vertex's partner.  A step leaves its end by a
+    non-matching edge to w and goes on from w's partner, adding both edges.
+    """
+    partner = matching_partner(g, m)
+    match_bit = [0] * g.n
+    for eid in m.edge_ids:
+        u, v = g.edges[eid]
+        match_bit[u] = match_bit[v] = 1 << eid
+    succ: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    in_m = m.edge_set
+    for eid, (u, v) in enumerate(g.edges):
+        if eid not in in_m:
+            succ[u].append((v, partner[v], 1 << eid | match_bit[v]))
+            succ[v].append((u, partner[u], 1 << eid | match_bit[u]))
+    starts = [(s, partner[s], match_bit[s]) for s in range(g.n) if partner[s] > s]
+    return partner, _simple_cycles(succ, starts, max_cycles, "alternating cycles")
+
+
+def alternating_cycle_masks(
+    g: Graph, m: Matching, max_cycles: int = DEFAULT_CYCLE_CAP
+) -> tuple[int, ...]:
+    """The edge bitmask of every alternating cycle, in discovery order."""
+    return tuple(mask for _, mask in _alternating_walk(g, m, max_cycles)[1])
+
+
 def enumerate_alternating_cycles(
     g: Graph, m: Matching, max_cycles: int = DEFAULT_CYCLE_CAP
 ) -> tuple[AltCycle, ...]:
-    """All cycles alternating between matching and non-matching edges.
-
-    Every such cycle contains the matching edge of each of its vertices, so
-    each one is discovered exactly once: rooted at its smallest vertex and
-    walked starting along that vertex's matching edge.
-    """
-    partner = matching_partner(g, m)
-    match_edge = [-1] * g.n
-    for eid in m.edge_ids:
-        u, v = g.edges[eid]
-        match_edge[u] = eid
-        match_edge[v] = eid
-    non_m_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid, (u, v) in enumerate(g.edges):
-        if eid not in m.edge_set:
-            non_m_adj[u].append((v, eid))
-            non_m_adj[v].append((u, eid))
-
-    cycles: list[AltCycle] = []
-    on_path = bytearray(g.n)
-    path: list[int] = []
-    path_edges: list[int] = []
-
-    def walk(root: int, u: int) -> None:
-        # u is matched within the path; the next edge must avoid the matching
-        for w, eid in non_m_adj[u]:
-            if w == root:
-                vs = _canonical_rotation(path)
-                cycles.append(AltCycle(vs, frozenset(path_edges + [eid])))
-                if len(cycles) > max_cycles:
-                    raise LimitExceeded(f"more than {max_cycles} alternating cycles")
-            elif w > root and not on_path[w]:
-                pw = partner[w]
-                if pw > root and not on_path[pw]:
-                    on_path[w] = on_path[pw] = 1
-                    path.extend((w, pw))
-                    path_edges.extend((eid, match_edge[w]))
-                    walk(root, pw)
-                    path_edges.pop()
-                    path_edges.pop()
-                    path.pop()
-                    path.pop()
-                    on_path[w] = on_path[pw] = 0
-
-    for s in range(g.n):
-        t = partner[s]
-        if t < s:
-            continue
-        on_path[s] = on_path[t] = 1
-        path.extend((s, t))
-        path_edges.append(match_edge[s])
-        walk(s, t)
-        path_edges.pop()
-        path.pop()
-        path.pop()
-        on_path[s] = on_path[t] = 0
-
-    # walk refers to itself; unbinding it lets the cycles die with the caller's
-    # tuple instead of waiting for the garbage collector
-    del walk
+    """All cycles alternating between matching and non-matching edges."""
+    partner, walk = _alternating_walk(g, m, max_cycles)
+    cycles = [
+        AltCycle(_canonical_rotation([v for e in ends for v in (partner[e], e)]), _bit_ids(mask))
+        for ends, mask in walk
+    ]
     cycles.sort(key=lambda c: (len(c.vertex_seq), c.vertex_seq))
     return tuple(cycles)
 
@@ -544,37 +578,28 @@ def orient_and_contract(g: Graph, m: Matching) -> ContractedDigraph:
     return ContractedDigraph(len(m), tuple(arcs), tuple(provenance))
 
 
+def _directed_walk(d: ContractedDigraph, max_cycles: int) -> Iterator[tuple[list[int], int]]:
+    """The kernel over d's cycles: each step follows one arc and adds its bit."""
+    succ: list[list[tuple[int, int, int]]] = [[] for _ in range(d.node_count)]
+    for aid, (tail, head) in enumerate(d.arcs):
+        if head != tail:  # a loop closes no cycle
+            succ[tail].append((head, head, 1 << aid))
+    starts = [(root, root, 0) for root in range(d.node_count)]
+    return _simple_cycles(succ, starts, max_cycles, "directed cycles")
+
+
+def directed_cycle_masks(
+    d: ContractedDigraph, max_cycles: int = DEFAULT_CYCLE_CAP
+) -> tuple[int, ...]:
+    """The arc bitmask of every directed cycle, in discovery order."""
+    return tuple(mask for _, mask in _directed_walk(d, max_cycles))
+
+
 def enumerate_directed_cycles(
     d: ContractedDigraph, max_cycles: int = DEFAULT_CYCLE_CAP
 ) -> tuple[DirectedCycle, ...]:
     """All node-simple directed cycles; parallel arcs yield distinct cycles."""
-    cycles: list[DirectedCycle] = []
-    on_path = bytearray(d.node_count)
-    path: list[int] = []
-    arc_path: list[int] = []
-
-    def walk(root: int, u: int) -> None:
-        for head, aid in d.out_arcs[u]:
-            if head == root and len(path) >= 2:
-                cycles.append(DirectedCycle(tuple(path), frozenset(arc_path + [aid])))
-                if len(cycles) > max_cycles:
-                    raise LimitExceeded(f"more than {max_cycles} directed cycles")
-            elif head > root and not on_path[head]:
-                on_path[head] = 1
-                path.append(head)
-                arc_path.append(aid)
-                walk(root, head)
-                arc_path.pop()
-                path.pop()
-                on_path[head] = 0
-
-    for root in range(d.node_count):
-        on_path[root] = 1
-        path.append(root)
-        walk(root, root)
-        path.pop()
-        on_path[root] = 0
-
-    del walk  # as in enumerate_alternating_cycles
+    walk = _directed_walk(d, max_cycles)
+    cycles = [DirectedCycle(tuple(nodes), _bit_ids(mask)) for nodes, mask in walk]
     cycles.sort(key=lambda c: (len(c.node_seq), c.node_seq, sorted(c.arc_ids)))
     return tuple(cycles)

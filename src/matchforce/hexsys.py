@@ -35,6 +35,7 @@ from .graphs import (
     WHITE,
     build_graph,
     edge_fixedness,
+    edge_mask,
     enumerate_perfect_matchings,
     normal_components,
 )
@@ -127,8 +128,7 @@ class HexSystem:
         """Per cell: bitmasks over edge ids of its even-position, odd-position and all six edges."""
         out = []
         for fe in self.face_edges:
-            even = (1 << fe[0]) | (1 << fe[2]) | (1 << fe[4])
-            odd = (1 << fe[1]) | (1 << fe[3]) | (1 << fe[5])
+            even, odd = edge_mask(fe[0::2]), edge_mask(fe[1::2])
             out.append((even, odd, even | odd))
         return tuple(out)
 
@@ -287,9 +287,7 @@ def alternating_hexagons(h: HexSystem, m: Matching) -> tuple[int, ...]:
     if ids and (ids[0] < 0 or ids[-1] >= h.graph.m):
         # ids that name no edge of h border no cell
         ids = [eid for eid in ids if 0 <= eid < h.graph.m]
-    mask = 0
-    for eid in ids:
-        mask |= 1 << eid
+    mask = edge_mask(ids)
     return tuple(
         ci
         for ci, (even, odd, both) in enumerate(h.cell_edge_masks)

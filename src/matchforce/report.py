@@ -29,8 +29,8 @@ from .graphs import (
     DEFAULT_MATCHING_CAP,
     Graph,
     Matching,
+    alternating_cycle_masks,
     count_perfect_matchings,
-    enumerate_alternating_cycles,
     enumerate_perfect_matchings,
     matching_partner,
 )
@@ -64,9 +64,9 @@ class _Call:
     """The instance and caps of one compute_report or replay call.
 
     The perfect matchings are enumerated once per call.  Each one is solved
-    once: its alternating cycles are enumerated once, every family the
-    call's invariants need is read from them, and only those ints are kept;
-    its alternating hexagons are found once for clar and fries together.
+    once: its alternating cycles' edge masks are enumerated once, every family
+    the call's invariants need is read from them, and only those ints are
+    kept; its alternating hexagons are found once for clar and fries together.
     Nothing outlives the call.
     """
 
@@ -103,8 +103,8 @@ class _Call:
     def values(self) -> dict[str, tuple[int, ...]]:
         rows = []
         for m in self.matchings:
-            cycles = enumerate_alternating_cycles(self.graph, m, self.caps["max_cycles"])
-            rows.append(tuple(VALUE_OF[f](self.graph, m, cycles) for f in self.families))
+            masks = alternating_cycle_masks(self.graph, m, self.caps["max_cycles"])
+            rows.append(tuple(VALUE_OF[f](self.graph, m, masks) for f in self.families))
         return dict(zip(self.families, zip(*rows)))
 
 

@@ -28,8 +28,9 @@ from .graphs import (
     FIXED_SINGLE,
     Graph,
     Matching,
+    alternating_cycle_masks,
     edge_fixedness,
-    enumerate_alternating_cycles,
+    enumerate_alternating_cycles,  # noqa: F401  (perfbench traces it in every namespace)
     enumerate_perfect_matchings,
     orient_and_contract,
 )
@@ -164,17 +165,17 @@ def _value_table(g: Graph, caps: Caps) -> dict[str, tuple[int, ...]]:
 def _values(g: Graph, caps: Caps, families: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
     """Per-matching values of each named VALUE_OF family, in matching order.
 
-    Families already computed for g are read back.  For the rest, each
-    matching's alternating cycles are enumerated once and every missing
-    family is read from them; the cycles are dropped before the next matching.
+    Families already computed for g are read back.  For the rest, the edge
+    masks of each matching's alternating cycles are enumerated once and every
+    missing family is read from them; they are dropped before the next matching.
     """
     table = _value_table(g, caps)
     missing = tuple(f for f in families if f not in table)
     if missing:
         rows = []
         for m in _graph_matchings(g, caps):
-            cycles = enumerate_alternating_cycles(g, m, caps.max_cycles)
-            rows.append(tuple(VALUE_OF[f](g, m, cycles) for f in missing))
+            masks = alternating_cycle_masks(g, m, caps.max_cycles)
+            rows.append(tuple(VALUE_OF[f](g, m, masks) for f in missing))
         for i, f in enumerate(missing):
             table[f] = tuple(row[i] for row in rows)
     return table
@@ -197,6 +198,34 @@ def _clar_value(h: HexSystem, caps: Caps) -> int:
 
 # ------------------------------------------------------------ the suites
 
+def _pair_checks(corpus, caps: Caps, families, shown: str, holds) -> list[CheckResult]:
+    """One check per instance with a matching: holds(g, a, b) on each matching's two values."""
+    checks = []
+    for name, obj in corpus:
+        g = obj.graph if isinstance(obj, HexSystem) else obj
+        if not _graph_matchings(g, caps):
+            continue
+        v = _values(g, caps, families)
+        bad = [
+            f"matching {i}: " + shown.format(a, b)
+            for i, (a, b) in enumerate(zip(*(v[f] for f in families)))
+            if not holds(g, a, b)
+        ]
+        checks.append(CheckResult(name, not bad, "; ".join(bad)))
+    return checks
+
+
+def _polyhex_checks(max_cells, caps: Caps, problem, keep=lambda h: True) -> list[CheckResult]:
+    """One check per kept polyhex with a perfect matching; problem(h) is "" when it holds."""
+    mc = max_cells if max_cells is not None else MAX_ENUMERATED_CELLS
+    checks = []
+    for name, h in polyhex_corpus(mc):
+        if _matchings(h, caps) and keep(h):
+            detail = problem(h)
+            checks.append(CheckResult(name, not detail, detail))
+    return checks
+
+
 def _suite_thm2(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """f(G,M) equals the maximum disjoint cycle packing (bipartite planar)."""
     mc = max_cells if max_cells is not None else 8
@@ -204,34 +233,17 @@ def _suite_thm2(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     corpus += polyhex_corpus(mc)
     corpus += tp_corpus(min(mc, 8))
     corpus += [(n, g) for n, g in named_corpus() if n in ("named-C4", "named-C6")]
-    checks = []
-    for name, obj in corpus:
-        g = obj.graph if isinstance(obj, HexSystem) else obj
-        if not _graph_matchings(g, caps):
-            continue
-        v = _values(g, caps, ("f", "disjoint"))
-        bad = [
-            f"matching {i}: f={f} c={c}"
-            for i, (f, c) in enumerate(zip(v["f"], v["disjoint"]))
-            if f != c
-        ]
-        checks.append(CheckResult(name, not bad, "; ".join(bad)))
-    return checks
+    return _pair_checks(corpus, caps, ("f", "disjoint"), "f={} c={}", lambda g, f, c: f == c)
 
 
 def _suite_thm3(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """Maximum forcing number equals the Clar number on hexagonal systems."""
-    mc = max_cells if max_cells is not None else MAX_ENUMERATED_CELLS
-    checks = []
-    for name, h in polyhex_corpus(mc):
-        if not _matchings(h, caps):
-            continue
-        big_f = max(_values(h.graph, caps, ("f",))["f"])
-        cl = _clar_value(h, caps)
-        checks.append(
-            CheckResult(name, big_f == cl, "" if big_f == cl else f"F={big_f} cl={cl}")
-        )
-    return checks
+
+    def problem(h: HexSystem) -> str:
+        big_f, cl = max(_values(h.graph, caps, ("f",))["f"]), _clar_value(h, caps)
+        return "" if big_f == cl else f"F={big_f} cl={cl}"
+
+    return _polyhex_checks(max_cells, caps, problem)
 
 
 def _sandwich_corpus(max_cells: int | None):
@@ -245,37 +257,18 @@ def _sandwich_corpus(max_cells: int | None):
 
 def _suite_thm5(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """f(G,M) <= af(G,M) <= (max degree - 1) * f(G,M) for every matching."""
-    checks = []
-    for name, obj in _sandwich_corpus(max_cells):
-        g = obj.graph if isinstance(obj, HexSystem) else obj
-        if not _graph_matchings(g, caps):
-            continue
-        v = _values(g, caps, ("f", "af"))
-        slack = g.max_degree - 1
-        bad = [
-            f"matching {i}: f={f} af={af}"
-            for i, (f, af) in enumerate(zip(v["f"], v["af"]))
-            if not f <= af <= slack * f
-        ]
-        checks.append(CheckResult(name, not bad, "; ".join(bad)))
-    return checks
+    return _pair_checks(
+        _sandwich_corpus(max_cells), caps, ("f", "af"), "f={} af={}",
+        lambda g, f, af: f <= af <= (g.max_degree - 1) * f,
+    )
 
 
 def _suite_lem8(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """af(G,M) is at least the maximum compatible alternating set size."""
-    checks = []
-    for name, obj in _sandwich_corpus(max_cells):
-        g = obj.graph if isinstance(obj, HexSystem) else obj
-        if not _graph_matchings(g, caps):
-            continue
-        v = _values(g, caps, ("af", "compatible"))
-        bad = [
-            f"matching {i}: af={af} c'={cp}"
-            for i, (af, cp) in enumerate(zip(v["af"], v["compatible"]))
-            if af < cp
-        ]
-        checks.append(CheckResult(name, not bad, "; ".join(bad)))
-    return checks
+    return _pair_checks(
+        _sandwich_corpus(max_cells), caps, ("af", "compatible"), "af={} c'={}",
+        lambda g, af, cp: af >= cp,
+    )
 
 
 def _suite_thm9(max_cells: int | None, caps: Caps) -> list[CheckResult]:
@@ -303,48 +296,33 @@ def _suite_thm9(max_cells: int | None, caps: Caps) -> list[CheckResult]:
 
 def _suite_thm11(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """Maximum anti-forcing number equals the Fries number."""
-    mc = max_cells if max_cells is not None else MAX_ENUMERATED_CELLS
-    checks = []
-    for name, h in polyhex_corpus(mc):
-        if not _matchings(h, caps):
-            continue
-        big_af = max(_values(h.graph, caps, ("af",))["af"])
-        fries = max(_fries_values(h, caps))
-        ok = big_af == fries
-        checks.append(CheckResult(name, ok, "" if ok else f"Af={big_af} Fries={fries}"))
-    return checks
+
+    def problem(h: HexSystem) -> str:
+        big_af, fries = max(_values(h.graph, caps, ("af",))["af"]), max(_fries_values(h, caps))
+        return "" if big_af == fries else f"Af={big_af} Fries={fries}"
+
+    return _polyhex_checks(max_cells, caps, problem)
 
 
 def _suite_cor12(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """cl(H) <= Fries(H) <= 2 cl(H)."""
-    mc = max_cells if max_cells is not None else MAX_ENUMERATED_CELLS
-    checks = []
-    for name, h in polyhex_corpus(mc):
-        if not _matchings(h, caps):
-            continue
-        cl = _clar_value(h, caps)
-        fries = max(_fries_values(h, caps))
-        ok = cl <= fries <= 2 * cl
-        checks.append(CheckResult(name, ok, "" if ok else f"cl={cl} Fries={fries}"))
-    return checks
+
+    def problem(h: HexSystem) -> str:
+        cl, fries = _clar_value(h, caps), max(_fries_values(h, caps))
+        return "" if cl <= fries <= 2 * cl else f"cl={cl} Fries={fries}"
+
+    return _polyhex_checks(max_cells, caps, problem)
 
 
 def _suite_thm13(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """Fries(H) = n exactly for all-kink catahexes; otherwise strictly below."""
-    mc = max_cells if max_cells is not None else MAX_ENUMERATED_CELLS
-    checks = []
-    for name, h in polyhex_corpus(mc):
-        if not _matchings(h, caps):
-            continue
-        fries = max(_fries_values(h, caps))
-        all_kink = is_all_kink_catahex(h)
+
+    def problem(h: HexSystem) -> str:
+        fries, all_kink = max(_fries_values(h, caps)), is_all_kink_catahex(h)
         ok = (fries == h.n_cells) == all_kink and fries <= h.n_cells
-        checks.append(
-            CheckResult(
-                name, ok, "" if ok else f"Fries={fries} n={h.n_cells} all-kink={all_kink}"
-            )
-        )
-    return checks
+        return "" if ok else f"Fries={fries} n={h.n_cells} all-kink={all_kink}"
+
+    return _polyhex_checks(max_cells, caps, problem)
 
 
 def _tree_matching_number(g: Graph) -> int:
@@ -377,11 +355,8 @@ def _independence_number(g: Graph) -> int:
 
 def _suite_thm14(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """All-kink catahex: Af = 2F exactly when the inner dual has a PM."""
-    mc = max_cells if max_cells is not None else MAX_ENUMERATED_CELLS
-    checks = []
-    for name, h in polyhex_corpus(mc):
-        if not _matchings(h, caps) or not is_all_kink_catahex(h):
-            continue
+
+    def problem(h: HexSystem) -> str:
         dual = inner_dual(h)
         v = _values(h.graph, caps, ("f", "af"))
         big_af = max(v["af"])
@@ -396,8 +371,9 @@ def _suite_thm14(max_cells: int | None, caps: Caps) -> list[CheckResult]:
             bad.append(f"nu+alpha={nu + alpha} != n={dual.graph.n}")
         if dual_pm != (2 * nu == dual.graph.n):
             bad.append(f"dual PM flag inconsistent with nu={nu}")
-        checks.append(CheckResult(name, not bad, "; ".join(bad)))
-    return checks
+        return "; ".join(bad)
+
+    return _polyhex_checks(max_cells, caps, problem, keep=is_all_kink_catahex)
 
 
 def _brute_independent_domination(g: Graph) -> int:
@@ -421,11 +397,8 @@ def _brute_independent_domination(g: Graph) -> int:
 
 def _suite_thm15(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """All-kink catahex: f(H) = i(inner dual) = minimum Fries count."""
-    mc = max_cells if max_cells is not None else MAX_ENUMERATED_CELLS
-    checks = []
-    for name, h in polyhex_corpus(mc):
-        if not _matchings(h, caps) or not is_all_kink_catahex(h):
-            continue
+
+    def problem(h: HexSystem) -> str:
         dual = inner_dual(h)
         f_min = min(_values(h.graph, caps, ("f",))["f"])
         fries_min = min(_fries_values(h, caps))
@@ -447,8 +420,9 @@ def _suite_thm15(max_cells: int | None, caps: Caps) -> list[CheckResult]:
                 dominated.add(u)
         if len(dominated) != dual.graph.n or len(wset) != i_dp:
             bad.append("witness does not dominate at optimal size")
-        checks.append(CheckResult(name, not bad, "; ".join(bad)))
-    return checks
+        return "; ".join(bad)
+
+    return _polyhex_checks(max_cells, caps, problem, keep=is_all_kink_catahex)
 
 
 _THM16_EXTRAS: tuple[tuple[tuple[int, ...], int], ...] = (

@@ -39,6 +39,8 @@ def test_hitting_set_trivial():
 def test_hitting_set_rejects_empty_member():
     with pytest.raises(ValueError):
         exact.min_hitting_set([[1, 2], []])
+    with pytest.raises(ValueError):
+        exact.min_hitting_size([0b110, 0])
 
 
 def test_hitting_set_matches_brute_force():
@@ -55,7 +57,7 @@ def test_hitting_set_matches_brute_force():
         assert size == brute_size, (sets, size, brute_size)
         assert len(witness) == size
         assert all(set(witness) & s for s in sets)
-        assert exact.min_hitting_size(sets) == size
+        assert exact.min_hitting_size(sum(1 << e for e in s) for s in sets) == size
 
 
 def test_hitting_set_witness_is_lex_least():

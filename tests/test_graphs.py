@@ -19,18 +19,27 @@ from matchforce.generators import (
     gen_truncated_parallelogram,
     glue_preset,
 )
+from matchforce.antiforcing import antiforcing_number
+from matchforce.forcing import compatible_cycles, forcing_number
 from matchforce.graphs import (
+    _canonical_rotation,
     _iter_perfect_matchings,
     FIXED_DOUBLE,
     FREE,
+    AltCycle,
+    DirectedCycle,
     Matching,
+    alternating_cycle_masks,
     build_graph,
+    directed_cycle_masks,
+    edge_mask,
     count_perfect_matchings,
     edge_fixedness,
     enumerate_alternating_cycles,
     enumerate_directed_cycles,
     enumerate_perfect_matchings,
     has_unique_perfect_matching,
+    matching_partner,
     normal_components,
     orient_and_contract,
     relabel_graph,
@@ -375,3 +384,171 @@ def test_long_chain_counts_without_recursion():
     # a linear chain of n hexagons has n + 1 perfect matchings
     g = gen_truncated_parallelogram((2000,)).graph
     assert count_perfect_matchings(g) == 2001
+
+
+# --------------------------------------------- explicit-stack cycle kernel
+
+def _recursive_alternating_cycles(g, m, max_cycles):
+    """The recursive walk the cycle kernel replaced, in discovery order."""
+    partner = matching_partner(g, m)
+    match_edge = [-1] * g.n
+    for eid in m.edge_ids:
+        u, v = g.edges[eid]
+        match_edge[u] = eid
+        match_edge[v] = eid
+    non_m_adj = [[] for _ in range(g.n)]
+    for eid, (u, v) in enumerate(g.edges):
+        if eid not in m.edge_set:
+            non_m_adj[u].append((v, eid))
+            non_m_adj[v].append((u, eid))
+
+    cycles = []
+    on_path = bytearray(g.n)
+    path = []
+    path_edges = []
+
+    def walk(root, u):
+        for w, eid in non_m_adj[u]:
+            if w == root:
+                vs = _canonical_rotation(path)
+                cycles.append(AltCycle(vs, frozenset(path_edges + [eid])))
+                if len(cycles) > max_cycles:
+                    raise LimitExceeded(f"more than {max_cycles} alternating cycles")
+            elif w > root and not on_path[w]:
+                pw = partner[w]
+                if pw > root and not on_path[pw]:
+                    on_path[w] = on_path[pw] = 1
+                    path.extend((w, pw))
+                    path_edges.extend((eid, match_edge[w]))
+                    walk(root, pw)
+                    path_edges.pop()
+                    path_edges.pop()
+                    path.pop()
+                    path.pop()
+                    on_path[w] = on_path[pw] = 0
+
+    for s in range(g.n):
+        t = partner[s]
+        if t < s:
+            continue
+        on_path[s] = on_path[t] = 1
+        path.extend((s, t))
+        path_edges.append(match_edge[s])
+        walk(s, t)
+        path_edges.pop()
+        path.pop()
+        path.pop()
+        on_path[s] = on_path[t] = 0
+    return cycles
+
+
+def _recursive_directed_cycles(d, max_cycles):
+    """The recursive walk the cycle kernel replaced, in discovery order."""
+    out_arcs = [[] for _ in range(d.node_count)]
+    for aid, (tail, head) in enumerate(d.arcs):
+        out_arcs[tail].append((head, aid))
+    cycles = []
+    on_path = bytearray(d.node_count)
+    path = []
+    arc_path = []
+
+    def walk(root, u):
+        for head, aid in out_arcs[u]:
+            if head == root and len(path) >= 2:
+                cycles.append(DirectedCycle(tuple(path), frozenset(arc_path + [aid])))
+                if len(cycles) > max_cycles:
+                    raise LimitExceeded(f"more than {max_cycles} directed cycles")
+            elif head > root and not on_path[head]:
+                on_path[head] = 1
+                path.append(head)
+                arc_path.append(aid)
+                walk(root, head)
+                arc_path.pop()
+                path.pop()
+                on_path[head] = 0
+
+    for root in range(d.node_count):
+        on_path[root] = 1
+        path.append(root)
+        walk(root, root)
+        path.pop()
+        on_path[root] = 0
+    return cycles
+
+
+def _cycle_corpus():
+    cases = [h.graph for n in range(1, 6) for h in enumerate_hex_systems(n)]
+    for name in ("triphenylene", "dodecahedron", "C4", "C6"):
+        obj = gen_named(name)
+        cases.append(getattr(obj, "graph", obj))
+    cases += [glue_preset(k).graph for k in (1, 2, 3, 4)]
+    cases += _seeded_graphs(12, seed=7)
+    cases.append(build_graph(4, [(0, 1), (1, 2), (2, 3)]))  # a unique matching: no cycle
+    return [(g, m) for g in cases for m in enumerate_perfect_matchings(g)]
+
+
+CAPS = (0, 1, 3, 20)  # 20 splits the dodecahedron's matchings (20 or 24 cycles)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the LimitExceeded it raised as a marker."""
+    try:
+        return fn(*args)
+    except LimitExceeded:
+        return LimitExceeded
+
+
+def test_cycle_kernel_matches_the_recursive_walks():
+    alternating = directed = 0
+    caps_hit = set()
+    for g, m in _cycle_corpus():
+        ref = _recursive_alternating_cycles(g, m, 10**6)
+        ordered = sorted(ref, key=lambda c: (len(c.vertex_seq), c.vertex_seq))
+        assert enumerate_alternating_cycles(g, m) == tuple(ordered), (g, m)
+        assert alternating_cycle_masks(g, m) == tuple(edge_mask(c.edge_ids) for c in ref)
+        alternating += len(ref)
+        for cap in CAPS:
+            ref_raises = _outcome(_recursive_alternating_cycles, g, m, cap) is LimitExceeded
+            for fn in (enumerate_alternating_cycles, alternating_cycle_masks):
+                assert (_outcome(fn, g, m, cap) is LimitExceeded) == ref_raises, (g, m, cap)
+            caps_hit.add((cap, ref_raises))
+        if g.color is None:
+            continue
+        d = orient_and_contract(g, m)
+        ref = _recursive_directed_cycles(d, 10**6)
+        ordered = sorted(ref, key=lambda c: (len(c.node_seq), c.node_seq, sorted(c.arc_ids)))
+        assert enumerate_directed_cycles(d) == tuple(ordered), (g, m)
+        assert directed_cycle_masks(d) == tuple(edge_mask(c.arc_ids) for c in ref)
+        directed += len(ref)
+        for cap in CAPS:
+            ref_raises = _outcome(_recursive_directed_cycles, d, cap) is LimitExceeded
+            for fn in (enumerate_directed_cycles, directed_cycle_masks):
+                assert (_outcome(fn, d, cap) is LimitExceeded) == ref_raises, (g, m, cap)
+    assert alternating > 10_000 and directed > 5_000
+    # every cap both fires and holds somewhere in the corpus
+    assert caps_hit == {(cap, raises) for cap in CAPS for raises in (False, True)}
+
+
+def test_cycle_masks_decide_disjointness_and_compatibility():
+    pairs = 0
+    for g, m in _cycle_corpus():
+        in_m = edge_mask(m.edge_ids)
+        cycles = enumerate_alternating_cycles(g, m)
+        masks = [edge_mask(c.edge_ids) for c in cycles]
+        for i, a in enumerate(cycles):
+            for j in range(i + 1, len(cycles)):
+                b = cycles[j]
+                assert compatible_cycles(g, m, a, b) == (not masks[i] & masks[j] & ~in_m)
+                assert (not a.vertex_set & b.vertex_set) == (not masks[i] & masks[j] & in_m)
+                pairs += 1
+    assert pairs > 40_000
+
+
+def test_long_chain_cycles_without_recursion():
+    # the first matching of a linear chain of 600 hexagons has one cycle per
+    # run of consecutive hexagons ending at the last, 600 in all
+    g = gen_truncated_parallelogram((600,)).graph
+    m = enumerate_perfect_matchings(g)[0]
+    assert forcing_number(g, m)[0] == 1
+    assert antiforcing_number(g, m)[0] == 1
+    assert len(enumerate_directed_cycles(orient_and_contract(g, m))) == 600

@@ -8,7 +8,7 @@ import pytest
 from matchforce.antiforcing import is_antiforcing_set
 from matchforce.cli import main
 from matchforce.errors import ParseError
-from matchforce.generators import gen_named, gen_truncated_parallelogram
+from matchforce.generators import enumerate_hex_systems, gen_named, gen_truncated_parallelogram
 from matchforce.graphs import Matching, enumerate_perfect_matchings
 from matchforce.hexsys import alternating_hexagons
 from matchforce.io import (
@@ -310,6 +310,17 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     code, _, _ = run_cli(capsys, "verify", "--suite", "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("inv", ["f", "clar", "fries"])
+def test_cli_compute_without_a_perfect_matching_is_inapplicable(tmp_path, capsys, inv):
+    h = next(h for h in enumerate_hex_systems(3) if h.graph.n == 13)
+    path = tmp_path / "no-pm.hex"
+    path.write_text(serialize_hex(h))
+    code, out, err = run_cli(capsys, "compute", "--in", str(path), "--inv", inv)
+    assert code == 3
+    assert out == ""
+    assert err == "inapplicable invariant: graph has no perfect matching\n"
 
 
 def test_cli_compute_kekule_invariants_on_a_long_chain(tmp_path, capsys):

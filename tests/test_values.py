@@ -1,11 +1,11 @@
 """Value-only per-matching functions against the solvers that return witnesses.
 
 Every per-matching value has one library implementation, read from the
-matching's alternating cycles (`antiforcing.VALUE_OF`), plus the value-only
-feedback set and Clar count.  These tests hold each to the size its witness
-solver reports, count the cycle enumerations the verify suites make, and
-check that the recursive searches free what they build without the cyclic
-garbage collector.
+edge masks of the matching's alternating cycles (`antiforcing.VALUE_OF`),
+plus the value-only feedback set and Clar count.  These tests hold each to
+the size its witness solver reports, count the cycle enumerations the
+verify suites make, and check that the searches free what they build
+without the cyclic garbage collector.
 """
 
 import gc
@@ -24,6 +24,7 @@ from matchforce.antiforcing import (
 from matchforce.forcing import forcing_number, max_disjoint_alternating_cycles
 from matchforce.generators import enumerate_hex_systems, gen_named, glue_preset
 from matchforce.graphs import (
+    alternating_cycle_masks,
     enumerate_alternating_cycles,
     enumerate_directed_cycles,
     enumerate_perfect_matchings,
@@ -58,10 +59,10 @@ def test_value_functions_match_witness_solvers():
     compatible_below_af = 0
     for name, g in _graphs():
         for m in enumerate_perfect_matchings(g):
-            cycles = enumerate_alternating_cycles(g, m)
+            masks = alternating_cycle_masks(g, m)
             values = {}
             for family, value_fn in VALUE_OF.items():
-                values[family] = value_fn(g, m, cycles)
+                values[family] = value_fn(g, m, masks)
                 size = SOLVER_OF[family](g, m)[0]
                 assert values[family] == size, (name, m.edge_ids, family)
             compatible_below_af += values["compatible"] < values["af"]
@@ -118,7 +119,7 @@ def _counted(monkeypatch, mod, attr):
 
 
 def test_verify_enumerates_each_matchings_cycles_once(monkeypatch):
-    alt_calls = _counted(monkeypatch, verify, "enumerate_alternating_cycles")
+    alt_calls = _counted(monkeypatch, verify, "alternating_cycle_masks")
     hitting_set_calls = _counted(monkeypatch, exact, "min_hitting_set")
     independent_calls = _counted(monkeypatch, exact, "max_independent_indices")
     _clear_verify_caches()
@@ -137,7 +138,7 @@ def test_verify_enumerates_each_matchings_cycles_once(monkeypatch):
 
 
 def test_verify_reads_cached_families_for_a_subset(monkeypatch):
-    alt_calls = _counted(monkeypatch, verify, "enumerate_alternating_cycles")
+    alt_calls = _counted(monkeypatch, verify, "alternating_cycle_masks")
     hexagon_calls = _counted(monkeypatch, verify, "alternating_hexagons")
     _clear_verify_caches()
     try:
@@ -176,14 +177,14 @@ def test_directed_cycle_enumeration_frees_its_cycles_without_gc():
     g = gen_named("triphenylene").graph
     pms = enumerate_perfect_matchings(g)
     d = orient_and_contract(g, max(pms, key=lambda m: len(enumerate_alternating_cycles(g, m))))
-    assert len(enumerate_directed_cycles(d)) > 1  # also fills d's cached out_arcs
+    assert len(enumerate_directed_cycles(d)) > 1
     assert _held(lambda: enumerate_directed_cycles(d), graphs) == 0
 
 
 @pytest.mark.parametrize(
     "solve",
     [
-        lambda: exact.min_hitting_size([{1, 2}, {2, 3}, {3, 4}, {4, 1}]),
+        lambda: exact.min_hitting_size([0b110, 0b1100, 0b11000, 0b10010]),
         lambda: exact.min_hitting_set([{1, 2}, {2, 3}, {3, 4}, {4, 1}]),
         lambda: exact.max_independent_size([0b10, 0b101, 0b1010, 0b100]),
     ],
