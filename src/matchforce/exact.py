@@ -2,9 +2,22 @@
 
 Two solvers live here: a minimum hitting set (smallest element set meeting
 every input set) and a maximum independent family (largest subfamily with no
-pairwise conflict).  Both are branch-and-bound over bitmask-encoded
-instances, both are exact, and both return the lexicographically least
-optimal witness so repeated runs produce identical output.
+pairwise conflict).  Each rests on one depth-first feasibility test over
+bitmasks, run on an explicit stack, so no search depth meets the recursion
+limit and no function here calls itself.
+
+- Hitting set: `_hit_feasible` asks whether a budget of k elements can hit
+  every set, branching on the elements of a smallest unhit set and pruning
+  where a greedy packing of pairwise disjoint sets exceeds the budget.  The
+  optimum counts up from that packing bound, the natural lower bound of the
+  minimax between hitting sets and disjoint packings.
+- Independent set: `_independent_feasible` asks whether k items can be
+  picked, branching on the lowest item and pruning with a greedy clique
+  cover.  The optimum counts down from that cover bound.
+
+Both witnesses are the lexicographically least optimal ones, rebuilt item
+by item with the same feasibility tests, so repeated runs give identical
+output.
 """
 
 from __future__ import annotations
@@ -23,57 +36,24 @@ def _greedy_disjoint(sets: list[int]) -> int:
     return count
 
 
-def _greedy_hitting(sets: list[int]) -> int:
-    """Size of a greedy hitting set (upper bound)."""
-    remaining = sets
-    size = 0
-    while remaining:
-        counts: dict[int, int] = {}
-        for s in remaining:
-            m = s
-            while m:
-                b = m & -m
-                counts[b] = counts.get(b, 0) + 1
-                m ^= b
-        # most frequently hitting element, lowest bit on ties
-        bit = max(counts, key=lambda b: (counts[b], -b))
-        remaining = [s for s in remaining if not s & bit]
-        size += 1
-    return size
-
-
 def _reduce(sets: Iterable[int]) -> list[int]:
-    """Drop duplicates and supersets (a hit on a subset hits them); an empty set is a ValueError."""
-    uniq = sorted(set(sets), key=lambda s: (s.bit_count(), s))
+    """Distinct sets, smallest first; an empty set is a ValueError.
+
+    Supersets stay: each sorts after its subset, the packing bound skips it
+    whether or not it takes the subset, and it is hit wherever the subset is.
+    """
+    uniq = sorted(set(sets))
+    uniq.sort(key=int.bit_count)  # stable, so equal sizes stay in value order
     if uniq[:1] == [0]:
         raise ValueError("hitting-set instance contains an empty set")
-    kept: list[int] = []
-    for s in uniq:
-        if not any(k & s == k for k in kept):
-            kept.append(s)
-    return kept
+    return uniq
 
 
 def _min_hit_size(sets: list[int]) -> int:
-    best = _greedy_hitting(sets)
-
-    def descend(remaining: list[int], size: int) -> None:
-        nonlocal best
-        if not remaining:
-            best = min(best, size)
-            return
-        if size + _greedy_disjoint(remaining) >= best:
-            return
-        pivot = min(remaining, key=lambda s: (s.bit_count(), s))
-        m = pivot
-        while m:
-            b = m & -m
-            m ^= b
-            descend([s for s in remaining if not s & b], size + 1)
-
-    descend(sets, 0)
-    del descend  # it refers to itself; unbinding it frees it without the collector
-    return best
+    k = _greedy_disjoint(sets)
+    while not _hit_feasible(sets, -1, k):
+        k += 1
+    return k
 
 
 def _hit_feasible(sets: list[int], allowed: int, budget: int) -> bool:
@@ -84,25 +64,25 @@ def _hit_feasible(sets: list[int], allowed: int, budget: int) -> bool:
         if not s:
             return False
         masked.append(s)
-    masked = _reduce(masked)
-
-    def descend(remaining: list[int], left: int) -> bool:
-        if not remaining:
+    node, left = _reduce(masked), budget
+    # open nodes: (sets left unhit, budget after one more pick, untried pivot elements)
+    stack: list[tuple[list[int], int, int]] = []
+    while True:
+        if not node:
             return True
-        if left <= 0 or _greedy_disjoint(remaining) > left:
+        if left > 0 and _greedy_disjoint(node) <= left:
+            # every list stays smallest-first, so node[0] is a smallest set
+            stack.append((node, left - 1, node[0]))
+        while stack:
+            parent, left, untried = stack[-1]
+            if untried:
+                b = untried & -untried
+                stack[-1] = (parent, left, untried ^ b)
+                node = [s for s in parent if not s & b]
+                break
+            stack.pop()
+        else:
             return False
-        pivot = min(remaining, key=lambda s: (s.bit_count(), s))
-        m = pivot
-        while m:
-            b = m & -m
-            m ^= b
-            if descend([s for s in remaining if not s & b], left - 1):
-                return True
-        return False
-
-    feasible = descend(masked, budget)
-    del descend  # as in _min_hit_size
-    return feasible
 
 
 def min_hitting_size(masks: Iterable[int]) -> int:
@@ -171,37 +151,26 @@ def _clique_cover_bound(avail: int, conflicts: Sequence[int]) -> int:
 
 
 def _max_independent_size(conflicts: Sequence[int], avail: int) -> int:
-    best = 0
-
-    def descend(count: int, pool: int) -> None:
-        nonlocal best
-        if pool == 0:
-            best = max(best, count)
-            return
-        if count + _clique_cover_bound(pool, conflicts) <= best:
-            return
-        b = pool & -pool
-        v = b.bit_length() - 1
-        descend(count + 1, pool & ~conflicts[v] & ~b)
-        descend(count, pool & ~b)
-
-    descend(0, avail)
-    del descend  # as in _min_hit_size
-    return best
+    k = _clique_cover_bound(avail, conflicts)
+    while not _independent_feasible(conflicts, avail, k):
+        k -= 1
+    return k
 
 
 def _independent_feasible(conflicts: Sequence[int], pool: int, target: int) -> bool:
-    if target <= 0:
-        return True
-    if pool.bit_count() < target:
-        return False
-    if _clique_cover_bound(pool, conflicts) < target:
-        return False
-    b = pool & -pool
-    v = b.bit_length() - 1
-    if _independent_feasible(conflicts, pool & ~conflicts[v] & ~b, target - 1):
-        return True
-    return _independent_feasible(conflicts, pool & ~b, target)
+    """True iff `pool` holds ≥ target pairwise non-conflicting items."""
+    stack = [(pool, target)]
+    while stack:
+        pool, target = stack.pop()
+        if target <= 0:
+            return True
+        if pool.bit_count() < target or _clique_cover_bound(pool, conflicts) < target:
+            continue
+        b = pool & -pool
+        v = b.bit_length() - 1
+        stack.append((pool & ~b, target))
+        stack.append((pool & ~conflicts[v] & ~b, target - 1))  # taking v is tried first
+    return False
 
 
 def max_independent_size(conflicts: Sequence[int]) -> int:

@@ -323,6 +323,18 @@ def clar_count(h: HexSystem, alt: tuple[int, ...]) -> int:
     return exact.max_independent_size(_hexagon_conflicts(h, alt))
 
 
+def _clar_best(h: HexSystem, alts: Iterable[tuple[int, ...]]) -> tuple[int, int]:
+    """Largest clar_count over `alts` and the index of the first to attain it (0, 0 if none)."""
+    best = first = 0
+    for i, alt in enumerate(alts):
+        # a packing among len(alt) cells cannot beat best when len(alt) <= best
+        if len(alt) > best:
+            count = clar_count(h, alt)
+            if count > best:
+                best, first = count, i
+    return best, first
+
+
 def _hex_matchings(h: HexSystem, max_matchings: int) -> tuple[Matching, ...]:
     pms = enumerate_perfect_matchings(h.graph, max_matchings)
     if not pms:
@@ -334,10 +346,7 @@ def _clar_from(
     h: HexSystem, pms: tuple[Matching, ...], alts: tuple[tuple[int, ...], ...]
 ) -> tuple[int, tuple[Matching, tuple[Cell, ...]]]:
     """Clar number and witness from the matchings and their alternating hexagons."""
-    counts = [clar_count(h, alt) for alt in alts]
-    best = max(counts)
-    # the first matching in canonical order to attain the maximum
-    i = counts.index(best)
+    best, i = _clar_best(h, alts)
     alt = alts[i]
     _, picked = exact.max_independent_indices(_hexagon_conflicts(h, alt))
     return best, (pms[i], tuple(h.cells[alt[j]] for j in picked))

@@ -36,9 +36,9 @@ from .graphs import (
 )
 from .hexsys import (
     HexSystem,
+    _clar_best,
     alternating_hexagons,
     build_hex_system,
-    clar_count,
     inner_dual,
     is_all_kink_catahex,
     is_truncated_parallelogram,
@@ -193,7 +193,7 @@ def _fries_values(h: HexSystem, caps: Caps) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _clar_value(h: HexSystem, caps: Caps) -> int:
-    return max((clar_count(h, alt) for alt in _hexagon_table(h, caps)), default=0)
+    return _clar_best(h, _hexagon_table(h, caps))[0]
 
 
 # ------------------------------------------------------------ the suites

@@ -1,11 +1,18 @@
-"""Exact solver checks against brute-force oracles."""
+"""Exact solver checks against brute-force oracles and the recursive solvers."""
 
+import ast
 import random
+import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchforce import exact
+from matchforce.antiforcing import antiforcing_number, max_compatible_alternating_set
+from matchforce.forcing import forcing_number, max_disjoint_alternating_cycles
+from matchforce.graphs import Matching, alternating_cycle_masks, build_graph, edge_mask
+from test_graphs import _cycle_corpus
 
 
 def brute_min_hitting(sets):
@@ -101,3 +108,239 @@ def test_max_independent_matches_brute_force():
         for i in witness:
             for j in witness:
                 assert i == j or not conflicts[i] >> j & 1
+
+
+@st.composite
+def families_with_repeats(draw):
+    """Sets over 0..7 plus copies and proper or improper supersets of some of them."""
+    small_sets = st.frozensets(st.integers(0, 7), min_size=1, max_size=3)
+    base = draw(st.lists(small_sets, min_size=1, max_size=6))
+    sets = list(base)
+    grow = st.tuples(st.integers(0, 5), st.frozensets(st.integers(0, 9), max_size=3))
+    for i, more in draw(st.lists(grow, min_size=1, max_size=5)):
+        sets.append(base[i % len(base)] | more)  # a copy when `more` adds nothing
+    return draw(st.permutations(sets))
+
+
+@settings(max_examples=200, deadline=None)
+@given(families_with_repeats())
+def test_hitting_set_with_copies_and_supersets_matches_brute_force(sets):
+    # brute_min_hitting tries combinations in lexicographic order, so its
+    # witness is the lexicographically least optimal one
+    expected = brute_min_hitting(sets)
+    assert exact.min_hitting_set(sets) == expected
+    assert exact.min_hitting_size(sum(1 << e for e in s) for s in sets) == expected[0]
+
+
+# ------------------------------------------- the recursive solvers, as reference
+# The hitting-set and independent-set searches as they were before the
+# explicit-stack feasibility tests: a superset filter, a greedy upper bound and
+# recursive branch-and-bound.  The witness loops of min_hitting_set and
+# max_independent_indices are unchanged, so running them over these gives the
+# earlier public results.
+
+def _ref_greedy_hitting(sets):
+    remaining = sets
+    size = 0
+    while remaining:
+        counts = {}
+        for s in remaining:
+            m = s
+            while m:
+                b = m & -m
+                counts[b] = counts.get(b, 0) + 1
+                m ^= b
+        bit = max(counts, key=lambda b: (counts[b], -b))
+        remaining = [s for s in remaining if not s & bit]
+        size += 1
+    return size
+
+
+def _ref_reduce(sets):
+    uniq = sorted(set(sets), key=lambda s: (s.bit_count(), s))
+    if uniq[:1] == [0]:
+        raise ValueError("hitting-set instance contains an empty set")
+    kept = []
+    for s in uniq:
+        if not any(k & s == k for k in kept):
+            kept.append(s)
+    return kept
+
+
+def _ref_min_hit_size(sets):
+    best = _ref_greedy_hitting(sets)
+
+    def descend(remaining, size):
+        nonlocal best
+        if not remaining:
+            best = min(best, size)
+            return
+        if size + exact._greedy_disjoint(remaining) >= best:
+            return
+        pivot = min(remaining, key=lambda s: (s.bit_count(), s))
+        m = pivot
+        while m:
+            b = m & -m
+            m ^= b
+            descend([s for s in remaining if not s & b], size + 1)
+
+    descend(sets, 0)
+    return best
+
+
+def _ref_hit_feasible(sets, allowed, budget):
+    masked = []
+    for s in sets:
+        s &= allowed
+        if not s:
+            return False
+        masked.append(s)
+    masked = _ref_reduce(masked)
+
+    def descend(remaining, left):
+        if not remaining:
+            return True
+        if left <= 0 or exact._greedy_disjoint(remaining) > left:
+            return False
+        pivot = min(remaining, key=lambda s: (s.bit_count(), s))
+        m = pivot
+        while m:
+            b = m & -m
+            m ^= b
+            if descend([s for s in remaining if not s & b], left - 1):
+                return True
+        return False
+
+    return descend(masked, budget)
+
+
+def _ref_max_independent_size(conflicts, avail):
+    best = 0
+
+    def descend(count, pool):
+        nonlocal best
+        if pool == 0:
+            best = max(best, count)
+            return
+        if count + exact._clique_cover_bound(pool, conflicts) <= best:
+            return
+        b = pool & -pool
+        v = b.bit_length() - 1
+        descend(count + 1, pool & ~conflicts[v] & ~b)
+        descend(count, pool & ~b)
+
+    descend(0, avail)
+    return best
+
+
+def _ref_independent_feasible(conflicts, pool, target):
+    if target <= 0:
+        return True
+    if pool.bit_count() < target:
+        return False
+    if exact._clique_cover_bound(pool, conflicts) < target:
+        return False
+    b = pool & -pool
+    v = b.bit_length() - 1
+    if _ref_independent_feasible(conflicts, pool & ~conflicts[v] & ~b, target - 1):
+        return True
+    return _ref_independent_feasible(conflicts, pool & ~b, target)
+
+
+REFERENCE = {
+    "_reduce": _ref_reduce,
+    "_min_hit_size": _ref_min_hit_size,
+    "_hit_feasible": _ref_hit_feasible,
+    "_max_independent_size": _ref_max_independent_size,
+    "_independent_feasible": _ref_independent_feasible,
+}
+
+
+def _bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _solve_all(families):
+    out = []
+    for kind, family in families:
+        if kind == "hit":
+            out.append((exact.min_hitting_size(family), exact.min_hitting_set(map(_bits, family))))
+        else:
+            out.append((exact.max_independent_size(family), exact.max_independent_indices(family)))
+    return out
+
+
+def test_feasibility_searches_match_the_recursive_solvers(monkeypatch):
+    families = []
+    for g, m in _cycle_corpus():
+        masks = alternating_cycle_masks(g, m)
+        in_m = edge_mask(m.edge_ids)
+        families.append(("hit", [c & in_m for c in masks]))  # f
+        families.append(("hit", [c & ~in_m for c in masks]))  # af
+        families.append(("independent", exact.overlap_conflicts(masks, in_m)))  # disjoint
+        families.append(("independent", exact.overlap_conflicts(masks, ~in_m)))  # compatible
+    with monkeypatch.context() as patch:
+        for name, fn in REFERENCE.items():
+            patch.setattr(exact, name, fn)
+        assert exact._reduce([0b11, 0b1, 0b1]) == [0b1]  # the reference drops supersets
+        expected = _solve_all(families)
+    assert exact._reduce([0b11, 0b1, 0b1]) == [0b1, 0b11]
+    got = _solve_all(families)
+    assert got == expected
+    assert len(families) > 7_000
+    # the corpus reaches past the trivial optima on both sides
+    assert max(size for size, _ in got) >= 4
+
+
+def _disjoint_squares(k):
+    """k disjoint 4-cycles 4i..4i+3, each matched by (4i, 4i+1) and (4i+2, 4i+3)."""
+    edges = []
+    for i in range(k):
+        a = 4 * i
+        edges += [(a, a + 1), (a + 2, a + 3), (a + 1, a + 2), (a, a + 3)]
+    return build_graph(4 * k, edges), Matching(eid for i in range(k) for eid in (4 * i, 4 * i + 1))
+
+
+def test_deep_optima_need_no_recursion():
+    g, m = _disjoint_squares(150)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        assert forcing_number(g, m)[0] == 150
+        assert antiforcing_number(g, m)[0] == 150
+        assert max_compatible_alternating_set(g, m)[0] == 150
+        assert max_disjoint_alternating_cycles(g, m)[0] == 150
+        assert exact.min_hitting_set([[i] for i in range(150)])[0] == 150
+        assert exact.max_independent_indices([0] * 150)[0] == 150
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_solvers_hold_no_recursion():
+    # a nested function or a call cycle among exact's functions would bring
+    # back a search depth bounded by the interpreter's recursion limit
+    with open(exact.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    calls = {}
+    for name, node in functions.items():
+        nested = [
+            n.name
+            for n in ast.walk(node)
+            if n is not node and isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        assert not nested, (name, nested)
+        calls[name] = {
+            n.func.id
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in functions
+        }
+    assert {"_hit_feasible", "_independent_feasible"} <= calls.keys()
+    for name in functions:
+        reached, frontier = set(), [name]
+        while frontier:
+            for callee in calls[frontier.pop()]:
+                if callee not in reached:
+                    reached.add(callee)
+                    frontier.append(callee)
+        assert name not in reached, name

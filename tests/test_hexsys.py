@@ -8,8 +8,10 @@ from matchforce.errors import Disconnected, HasHole, NotATree, NotAValidCut
 from matchforce.generators import enumerate_hex_systems, gen_named, gen_truncated_parallelogram
 from matchforce.graphs import BLACK, Matching, build_graph, enumerate_perfect_matchings
 from matchforce.hexsys import (
+    _clar_best,
     alternating_hexagons,
     build_hex_system,
+    clar_count,
     clar_number,
     fries_numbers,
     inner_dual,
@@ -90,6 +92,19 @@ def test_h22_clar_equals_max_forcing():
     h = gen_truncated_parallelogram((2, 2))
     value, _ = clar_number(h)
     assert value == forcing_spectrum(h.graph).max == 2
+
+
+def test_clar_best_is_the_first_maximum():
+    # the size cut skips matchings but not the value or the first index attaining it
+    ties = 0
+    for h in (h for n in range(1, 6) for h in enumerate_hex_systems(n)):
+        alts = [alternating_hexagons(h, m) for m in enumerate_perfect_matchings(h.graph)]
+        counts = [clar_count(h, alt) for alt in alts]
+        best = max(counts, default=0)
+        assert _clar_best(h, alts) == (best, counts.index(best) if counts else 0)
+        ties += counts.count(best) > 1
+    assert _clar_best(build_hex_system([(0, 0)]), []) == (0, 0)
+    assert ties > 0
 
 
 def test_alternating_hexagons_flags():
