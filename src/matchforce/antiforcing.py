@@ -17,13 +17,12 @@ from .graphs import (
     DEFAULT_MATCHING_CAP,
     Graph,
     Matching,
+    _unique_matching,
     alternating_cycle_masks,
     directed_cycle_masks,
     edge_mask,
     enumerate_alternating_cycles,
     enumerate_directed_cycles,
-    has_unique_perfect_matching,
-    remove_edges,
 )
 from .forcing import (
     COMPATIBLE,
@@ -98,13 +97,11 @@ def antiforcing_spectrum(
 
 
 def anti_forcing_edges(g: Graph) -> tuple[int, ...]:
-    """Edges whose sole deletion leaves a unique perfect matching."""
-    out = []
-    for eid in range(g.m):
-        unique, _ = has_unique_perfect_matching(remove_edges(g, [eid]))
-        if unique:
-            out.append(eid)
-    return tuple(out)
+    """Edges whose sole deletion leaves a unique perfect matching.
+
+    Each edge costs one pendant reduction of g with that edge left out.
+    """
+    return tuple(e for e in range(g.m) if _unique_matching(g, e) is not None)
 
 
 def min_feedback_arc_set(

@@ -6,13 +6,15 @@ pairwise conflict).  Each rests on one depth-first feasibility test over
 bitmasks, run on an explicit stack, so no search depth meets the recursion
 limit and no function here calls itself.
 
-- Hitting set: `_hit_feasible` asks whether a budget of k elements can hit
+- Hitting set: `_hit_search` asks whether a budget of k elements can hit
   every set, branching on the elements of a smallest unhit set and pruning
   where a greedy packing of pairwise disjoint sets exceeds the budget.  The
   optimum counts up from that packing bound, the natural lower bound of the
-  minimax between hitting sets and disjoint packings.
+  minimax between hitting sets and disjoint packings, on the family reduced
+  once; `_hit_feasible` masks and reduces a family for the witness rebuild.
 - Independent set: `_independent_feasible` asks whether k items can be
-  picked, branching on the lowest item and pruning with a greedy clique
+  picked.  A greedy pick answers yes at once when it reaches k; otherwise
+  the search branches on the lowest item and prunes with a greedy clique
   cover.  The optimum counts down from that cover bound.
 
 Both witnesses are the lexicographically least optimal ones, rebuilt item
@@ -50,8 +52,9 @@ def _reduce(sets: Iterable[int]) -> list[int]:
 
 
 def _min_hit_size(sets: list[int]) -> int:
+    """Optimum for a family already through _reduce, counting up from the packing bound."""
     k = _greedy_disjoint(sets)
-    while not _hit_feasible(sets, -1, k):
+    while not _hit_search(sets, k):
         k += 1
     return k
 
@@ -64,7 +67,11 @@ def _hit_feasible(sets: list[int], allowed: int, budget: int) -> bool:
         if not s:
             return False
         masked.append(s)
-    node, left = _reduce(masked), budget
+    return _hit_search(_reduce(masked), budget)
+
+
+def _hit_search(node: list[int], left: int) -> bool:
+    """True iff the reduced family `node` can be hit with ≤ left elements."""
     # open nodes: (sets left unhit, budget after one more pick, untried pivot elements)
     stack: list[tuple[list[int], int, int]] = []
     while True:
@@ -159,6 +166,14 @@ def _max_independent_size(conflicts: Sequence[int], avail: int) -> int:
 
 def _independent_feasible(conflicts: Sequence[int], pool: int, target: int) -> bool:
     """True iff `pool` holds ≥ target pairwise non-conflicting items."""
+    # a greedy pick (lowest item, drop its conflicts, repeat) often suffices
+    rest, count = pool, 0
+    while rest and count < target:
+        b = rest & -rest
+        rest &= ~conflicts[b.bit_length() - 1] & ~b
+        count += 1
+    if count >= target:
+        return True
     stack = [(pool, target)]
     while stack:
         pool, target = stack.pop()

@@ -193,17 +193,6 @@ def remove_edges(g: Graph, edge_ids: Iterable[int]) -> Graph:
     return Graph(n=g.n, edges=kept, color=g.color)
 
 
-def relabel_graph(g: Graph, perm: list[int]) -> Graph:
-    """Graph with vertex i renamed to perm[i]; edge order re-canonicalized."""
-    edges = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges)
-    color: list[int] | None = None
-    if g.color is not None:
-        color = [0] * g.n
-        for v, c in enumerate(g.color):
-            color[perm[v]] = c
-    return Graph(n=g.n, edges=tuple(edges), color=tuple(color) if color else None)
-
-
 def matching_partner(g: Graph, m: Matching) -> list[int]:
     """partner[v] for a perfect matching; raises NotPerfect otherwise."""
     partner = [-1] * g.n
@@ -220,18 +209,27 @@ def matching_partner(g: Graph, m: Matching) -> list[int]:
     return partner
 
 
-def _iter_perfect_matchings(g: Graph) -> Iterator[tuple[int, ...]]:
+def _iter_perfect_matchings(
+    g: Graph, covered: bytearray | None = None, without: int = -1
+) -> Iterator[tuple[int, ...]]:
     """Backtracking over the lowest-index uncovered vertex, edges in id order.
 
     The search runs on an explicit stack with one frame per matched pair, so
     its depth is not bounded by the interpreter's recursion limit and a
     matching is handed out without passing through a chain of generators.
+    Vertices flagged in `covered` are taken as already matched, and edge
+    `without` as deleted; each matching then lists only the edges it adds.
     """
     n = g.n
     if n % 2:
         return
     adjacency = g.adjacency
-    covered = bytearray(n)
+    if without >= 0:
+        adjacency = list(adjacency)
+        for x in g.edges[without]:
+            adjacency[x] = tuple(a for a in adjacency[x] if a[1] != without)
+    if covered is None:
+        covered = bytearray(n)
     # frame i matches frame_v[i] by edge chosen[i] (-1 before the first try);
     # frame_next[i] is the adjacency slot after the one chosen
     frame_v: list[int] = []
@@ -296,44 +294,78 @@ def count_perfect_matchings(g: Graph, max_matchings: int = DEFAULT_MATCHING_CAP)
     return count
 
 
-def _pendant_reduction(g: Graph) -> tuple[str, list[int], list[int]]:
-    """Iteratively take pendant edges as forced.
+def _pendant_reduction(g: Graph, without: int = -1) -> tuple[list[int], bytearray] | None:
+    """Take pendant edges as forced, one after another, on g.adjacency in place.
 
-    Returns (status, forced edge ids, alive vertices) where status is one of
-    'consumed' (everything matched), 'dead' (an uncovered vertex ran out of
-    edges, so no perfect matching), or 'stalled' (min degree ≥ 2 remains).
+    Edge `without` counts as deleted; no graph is built.  Returns None when an
+    uncovered vertex runs out of edges (no perfect matching), else the forced
+    edge ids and a flag per vertex that is set where it is covered.  Every
+    uncovered vertex then keeps at least two edges to uncovered vertices.
     """
-    alive_v = bytearray(b"\x01" * g.n)
-    alive_e = bytearray(b"\x01" * g.m)
-    deg = [g.degree(v) for v in range(g.n)]
+    adjacency = g.adjacency
+    deg = [len(a) for a in adjacency]
+    if without >= 0:
+        for x in g.edges[without]:
+            deg[x] -= 1
+    covered = bytearray(g.n)
     forced: list[int] = []
-    queue = [v for v in range(g.n) if deg[v] <= 1]
-
-    def drop_vertex(v: int) -> None:
-        alive_v[v] = 0
-        for w, eid in g.adjacency[v]:
-            if alive_e[eid]:
-                alive_e[eid] = 0
-                deg[w] -= 1
-                if alive_v[w] and deg[w] <= 1:
-                    queue.append(w)
-
+    # degrees only fall, so a vertex is queued once it has at most one edge left
+    queue = [v for v, d in enumerate(deg) if d <= 1]
     while queue:
         v = queue.pop()
-        if not alive_v[v]:
+        if covered[v]:
             continue
-        if deg[v] == 0:
-            return "dead", forced, [u for u in range(g.n) if alive_v[u]]
-        if deg[v] != 1:
-            continue
-        u, eid = next((w, e) for w, e in g.adjacency[v] if alive_e[e])
+        if not deg[v]:
+            return None
+        u, eid = next((w, e) for w, e in adjacency[v] if not covered[w] and e != without)
         forced.append(eid)
-        drop_vertex(v)
-        drop_vertex(u)
+        for x in (v, u):
+            covered[x] = 1
+            for w, e in adjacency[x]:
+                if not covered[w] and e != without:
+                    deg[w] -= 1
+                    if deg[w] <= 1:
+                        queue.append(w)
+    return forced, covered
 
-    remaining = [u for u in range(g.n) if alive_v[u]]
-    status = "consumed" if not remaining else "stalled"
-    return status, forced, remaining
+
+def _unique_matching(g: Graph, without: int = -1) -> Matching | None:
+    """The perfect matching of g minus edge `without` if it is the only one, else None.
+
+    A pendant edge lies in every perfect matching, so the pendant reduction
+    keeps the set of perfect matchings.  When it stalls, every vertex left
+    has degree ≥ 2.  On bipartite input that remainder has no perfect
+    matching, or it has one, M, whose contraction (each M edge a node, each
+    other edge an arc from its black end's node to its white end's node)
+    gives every node an out-arc: its black vertex has a second edge.  A
+    finite digraph in which every node has an out-arc holds a directed
+    cycle, that is an M-alternating cycle, and switching M along it gives a
+    second perfect matching.  So a stalled bipartite remainder has no unique
+    perfect matching, and nothing is enumerated.  A non-bipartite remainder
+    is enumerated, capped at two matchings.
+    """
+    reduced = _pendant_reduction(g, without)
+    if reduced is None:
+        return None
+    forced, covered = reduced
+    if 2 * len(forced) == g.n:
+        return Matching(forced)
+    if g.color is not None:
+        return None
+    first_two = list(islice(_iter_perfect_matchings(g, covered, without), 2))
+    if len(first_two) != 1:
+        return None
+    return Matching(forced + list(first_two[0]))
+
+
+def has_unique_perfect_matching(g: Graph) -> tuple[bool, Matching | None]:
+    """Uniqueness test with the unique matching; near-linear on bipartite input.
+
+    Pendant reduction decides bipartite input alone; a non-bipartite
+    remainder with minimum degree ≥ 2 is enumerated, capped at two matchings.
+    """
+    m = _unique_matching(g)
+    return m is not None, m
 
 
 def _induced(g: Graph, vertices: list[int], edge_ids: list[int]) -> InducedSubgraph:
@@ -342,40 +374,6 @@ def _induced(g: Graph, vertices: list[int], edge_ids: list[int]) -> InducedSubgr
     color = tuple(g.color[v] for v in vertices) if g.color is not None else None
     sub = Graph(n=len(vertices), edges=tuple(tuple(sorted(e)) for e in edges), color=color)
     return InducedSubgraph(sub, tuple(vertices), tuple(edge_ids))
-
-
-def has_unique_perfect_matching(g: Graph) -> tuple[bool, Matching | None]:
-    """Uniqueness test; near-linear on bipartite input via pendant reduction.
-
-    On bipartite graphs pendant edges are forced one after another; a stall
-    with minimum degree ≥ 2 leaves 0 or ≥ 2 perfect matchings, settled by an
-    enumeration capped at two.  Non-bipartite input goes straight to the
-    capped enumeration.
-    """
-    if g.color is None:
-        first_two = list(islice(_iter_perfect_matchings(g), 2))
-        if len(first_two) == 1:
-            return True, Matching(first_two[0])
-        return False, None
-
-    status, forced, remaining = _pendant_reduction(g)
-    if status == "consumed":
-        return True, Matching(forced)
-    if status == "dead":
-        return False, None
-
-    alive = set(remaining)
-    # forced edges always lose both endpoints, so alive edges are exactly
-    # those with both ends still standing
-    sub_edges = [
-        eid for eid, (u, v) in enumerate(g.edges) if u in alive and v in alive
-    ]
-    sub = _induced(g, remaining, sub_edges)
-    first_two = list(islice(_iter_perfect_matchings(sub.graph), 2))
-    if len(first_two) == 1:
-        full = list(forced) + [sub.edge_ids[e] for e in first_two[0]]
-        return True, Matching(full)
-    return False, None
 
 
 def _canonical_rotation(seq: list[int]) -> tuple[int, ...]:

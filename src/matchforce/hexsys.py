@@ -145,19 +145,6 @@ class InnerDual:
         return self.graph.m == self.graph.n - 1 and _connected_nodes(self.graph)
 
 
-@dataclass(frozen=True)
-class HexLabels:
-    """Per-cell structure labels for a system and, optionally, a matching.
-
-    `fused_directions[i]` lists the neighbor offsets along which cell i is
-    fused to another cell; `alternating[i]` says whether the i-th hexagon
-    alternates with respect to the supplied matching.
-    """
-
-    fused_directions: tuple[tuple[Cell, ...], ...]
-    alternating: tuple[bool, ...] | None
-
-
 class FriesNumbers(NamedTuple):
     maximum: int
     minimum: int
@@ -293,16 +280,6 @@ def alternating_hexagons(h: HexSystem, m: Matching) -> tuple[int, ...]:
         for ci, (even, odd, both) in enumerate(h.cell_edge_masks)
         if (mask & both) in (even, odd)
     )
-
-
-def hex_labels(h: HexSystem, m: Matching | None = None) -> HexLabels:
-    alt = None
-    if m is not None:
-        flags = [False] * h.n_cells
-        for ci in alternating_hexagons(h, m):
-            flags[ci] = True
-        alt = tuple(flags)
-    return HexLabels(fused_directions=fused_directions(h), alternating=alt)
 
 
 def _hexagon_conflicts(h: HexSystem, cells: tuple[int, ...]) -> list[int]:

@@ -1,6 +1,7 @@
 """Anti-forcing numbers, spectra, compatible sets, anti-forcing edges."""
 
 import itertools
+import random
 
 import pytest
 
@@ -14,13 +15,21 @@ from matchforce.antiforcing import (
 )
 from matchforce.errors import IntersectsM
 from matchforce.forcing import forcing_number
-from matchforce.generators import gen_named, gen_truncated_parallelogram
+from matchforce.generators import (
+    enumerate_hex_systems,
+    gen_named,
+    gen_truncated_parallelogram,
+    glue_preset,
+)
 from matchforce.graphs import (
+    build_graph,
     enumerate_perfect_matchings,
     has_unique_perfect_matching,
     orient_and_contract,
     remove_edges,
 )
+from matchforce.verify import _THM16_EXTRAS
+from test_graphs import _seeded_graphs
 
 
 def test_hexagon_single_non_matching_edge_antiforces():
@@ -102,6 +111,42 @@ def test_anti_forcing_edge_counts_for_parallelogram_families():
     assert len(anti_forcing_edges(gen_truncated_parallelogram((3, 3)).graph)) == 2
     assert len(anti_forcing_edges(gen_truncated_parallelogram((5, 5, 3, 2)).graph)) == 1
     assert len(anti_forcing_edges(gen_named("triphenylene").graph)) == 0
+
+
+def _edge_deletion_corpus():
+    polyhexes = [h.graph for n in range(1, 6) for h in enumerate_hex_systems(n)]
+    general = _seeded_graphs(12, seed=11)
+    # two triangles joined by an edge have one perfect matching and no pendant
+    # vertex; a pendant path on vertex 0 adds a forced edge before the stall
+    triangles = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]
+    general.append(build_graph(6, triangles))
+    general.append(build_graph(8, triangles + [(0, 6), (6, 7)]))
+    cases = polyhexes + general
+    for name in ("triphenylene", "dodecahedron", "C4", "C6"):
+        obj = gen_named(name)
+        cases.append(getattr(obj, "graph", obj))
+    cases += [glue_preset(k).graph for k in (1, 2, 3, 4)]
+    cases += [gen_truncated_parallelogram(params).graph for params, _ in _THM16_EXTRAS]
+    # deleting a few edges leaves pendant vertices for the reduction to take
+    rng = random.Random(5)
+    for g in polyhexes + general:
+        cases.append(remove_edges(g, rng.sample(range(g.m), rng.randint(1, min(4, g.m)))))
+    return cases
+
+
+def test_anti_forcing_edges_match_the_definition():
+    cases = _edge_deletion_corpus()
+    found = 0
+    for g in cases:
+        pms = enumerate_perfect_matchings(g)
+        assert has_unique_perfect_matching(g) == ((True, pms[0]) if len(pms) == 1 else (False, None))
+        expected = tuple(
+            e for e in range(g.m) if len(enumerate_perfect_matchings(remove_edges(g, [e]))) == 1
+        )
+        assert anti_forcing_edges(g) == expected, g
+        found += len(expected)
+    assert sum(g.color is None for g in cases) >= 20 and found > 500
+    assert sum(len(anti_forcing_edges(g)) for g in cases if g.color is None) >= 15
 
 
 def test_truncated_parallelogram_unique_after_deleting_its_edge():

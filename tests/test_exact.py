@@ -316,6 +316,36 @@ def test_deep_optima_need_no_recursion():
         sys.setrecursionlimit(limit)
 
 
+def test_greedy_pick_settles_feasible_independent_sets(monkeypatch):
+    calls = []
+    cover = exact._clique_cover_bound
+
+    def counted(avail, conflicts):
+        calls.append(avail)
+        return cover(avail, conflicts)
+
+    monkeypatch.setattr(exact, "_clique_cover_bound", counted)
+    assert exact.max_independent_indices([0] * 150) == (150, tuple(range(150)))
+    # the starting bound only: the value and every witness step end in a greedy pick
+    assert len(calls) == 1
+
+
+def test_deepening_reduces_the_family_once(monkeypatch):
+    calls = []
+    reduce = exact._reduce
+
+    def counted(sets):
+        calls.append(1)
+        return reduce(sets)
+
+    monkeypatch.setattr(exact, "_reduce", counted)
+    # the Fano plane's lines pairwise meet: packing bound 1, optimum 3
+    lines = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+    assert brute_min_hitting([set(line) for line in lines])[0] == 3
+    assert exact.min_hitting_size(edge_mask(line) for line in lines) == 3
+    assert len(calls) == 1
+
+
 def test_solvers_hold_no_recursion():
     # a nested function or a call cycle among exact's functions would bring
     # back a search depth bounded by the interpreter's recursion limit

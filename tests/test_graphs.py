@@ -19,7 +19,8 @@ from matchforce.generators import (
     gen_truncated_parallelogram,
     glue_preset,
 )
-from matchforce.antiforcing import antiforcing_number
+from matchforce import graphs
+from matchforce.antiforcing import anti_forcing_edges, antiforcing_number
 from matchforce.forcing import compatible_cycles, forcing_number
 from matchforce.graphs import (
     _canonical_rotation,
@@ -28,6 +29,7 @@ from matchforce.graphs import (
     FREE,
     AltCycle,
     DirectedCycle,
+    Graph,
     Matching,
     alternating_cycle_masks,
     build_graph,
@@ -42,7 +44,6 @@ from matchforce.graphs import (
     matching_partner,
     normal_components,
     orient_and_contract,
-    relabel_graph,
     remove_edges,
 )
 
@@ -136,6 +137,17 @@ def test_triphenylene_count_matches_permanent_oracle():
     assert len(pms) == permanent_count(g) == 9
 
 
+def relabel_graph(g, perm):
+    """Graph with vertex i renamed to perm[i]; edge order re-canonicalized."""
+    edges = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges)
+    color = None
+    if g.color is not None:
+        color = [0] * g.n
+        for v, c in enumerate(g.color):
+            color[perm[v]] = c
+    return Graph(n=g.n, edges=tuple(edges), color=tuple(color) if color else None)
+
+
 def test_dodecahedron_count_is_order_independent():
     g = gen_named("dodecahedron")
     reversed_g = relabel_graph(g, [g.n - 1 - v for v in range(g.n)])
@@ -184,6 +196,17 @@ def test_pendant_chain_is_unique():
 def test_odd_graph_has_no_matching():
     g = build_graph(3, [(0, 1), (1, 2)])
     assert has_unique_perfect_matching(g) == (False, None)
+
+
+def test_stalled_bipartite_graphs_enumerate_nothing(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("perfect matchings enumerated")
+
+    monkeypatch.setattr(graphs, "_iter_perfect_matchings", no_enumeration)
+    # both have minimum degree 2, so the pendant reduction stalls at once
+    for g in (c6(), gen_truncated_parallelogram((2,)).graph):
+        assert has_unique_perfect_matching(g) == (False, None)
+    assert len(anti_forcing_edges(gen_truncated_parallelogram((2,)).graph)) == 4
 
 
 # ------------------------------------------------------- alternating cycles

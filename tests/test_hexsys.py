@@ -283,26 +283,6 @@ def test_normal_system_has_single_component():
     assert len(comps) == 1 and comps[0].n_cells == h.n_cells
 
 
-def test_hex_labels_carry_fusings_and_alternation():
-    from matchforce.hexsys import hex_labels
-
-    h = gen_named("triphenylene")
-    labels = hex_labels(h)
-    assert labels.alternating is None
-    center = h.cell_index[(0, 0)]
-    assert len(labels.fused_directions[center]) == 3
-    # fusing directions of an all-kink system are pairwise non-opposite
-    for dirs in labels.fused_directions:
-        assert all((-dq, -dr) not in dirs for dq, dr in dirs)
-
-    m = enumerate_perfect_matchings(h.graph)[0]
-    labels = hex_labels(h, m)
-    assert labels.alternating is not None
-    assert labels.alternating == tuple(
-        i in alternating_hexagons(h, m) for i in range(h.n_cells)
-    )
-
-
 def _pattern_alternating_hexagons(h, m):
     """The per-edge pattern test the cached edge bitmasks replaced."""
     out = []
