@@ -272,26 +272,25 @@ def _iter_perfect_matchings(
             return
 
 
+def _capped(g: Graph, max_matchings: int) -> Iterator[tuple[int, ...]]:
+    """The perfect matchings' edge ids; LimitExceeded once there are more than max_matchings."""
+    for count, chosen in enumerate(_iter_perfect_matchings(g), 1):
+        if count > max_matchings:
+            raise LimitExceeded(f"more than {max_matchings} perfect matchings")
+        yield chosen
+
+
 def enumerate_perfect_matchings(
     g: Graph, max_matchings: int = DEFAULT_MATCHING_CAP
 ) -> tuple[Matching, ...]:
     """Every perfect matching exactly once, sorted by edge-id sequence."""
-    found: list[tuple[int, ...]] = []
-    for chosen in _iter_perfect_matchings(g):
-        found.append(tuple(sorted(chosen)))
-        if len(found) > max_matchings:
-            raise LimitExceeded(f"more than {max_matchings} perfect matchings")
-    found.sort()
-    return tuple(Matching(ids) for ids in found)
+    found = [Matching(chosen) for chosen in _capped(g, max_matchings)]
+    found.sort(key=lambda m: m.edge_ids)
+    return tuple(found)
 
 
 def count_perfect_matchings(g: Graph, max_matchings: int = DEFAULT_MATCHING_CAP) -> int:
-    count = 0
-    for _ in _iter_perfect_matchings(g):
-        count += 1
-        if count > max_matchings:
-            raise LimitExceeded(f"more than {max_matchings} perfect matchings")
-    return count
+    return sum(1 for _ in _capped(g, max_matchings))
 
 
 def _pendant_reduction(g: Graph, without: int = -1) -> tuple[list[int], bytearray] | None:
@@ -501,10 +500,7 @@ def edge_fixedness(
     """Label every edge fixed-single / fixed-double / free by PM membership."""
     counts = [0] * g.m
     total = 0
-    for chosen in _iter_perfect_matchings(g):
-        total += 1
-        if total > max_matchings:
-            raise LimitExceeded(f"more than {max_matchings} perfect matchings")
+    for total, chosen in enumerate(_capped(g, max_matchings), 1):
         for eid in chosen:
             counts[eid] += 1
     if total == 0:

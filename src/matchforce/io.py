@@ -103,8 +103,8 @@ def load_instance(path: str | Path) -> tuple[str, Graph | HexSystem]:
     """Load a file by extension; returns ("graph", Graph) or ("hex", HexSystem)."""
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
     if p.suffix == ".graph":
         return "graph", parse_graph(text)

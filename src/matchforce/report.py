@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
@@ -34,7 +35,7 @@ from .graphs import (
     enumerate_perfect_matchings,
     matching_partner,
 )
-from .hexsys import HexSystem, _clar_from, _fries_from, alternating_hexagons
+from .hexsys import HexSystem, _clar_best, _clar_from, _fries_from, alternating_hexagons
 from .io import load_instance, serialize_instance
 
 SCHEMA_VERSION = 1
@@ -60,32 +61,34 @@ _PER_MATCHING = {
 _HEXAGONS = ("clar", "fries")
 
 
-class _Call:
-    """The instance and caps of one compute_report or replay call.
+@dataclass(frozen=True)
+class Caps:
+    """LimitExceeded past this many perfect matchings, or cycles of one matching."""
 
-    The perfect matchings are enumerated once per call.  Each one is solved
-    once: its alternating cycles' edge masks are enumerated once, every family
-    the call's invariants need is read from them, and only those ints are
-    kept; its alternating hexagons are found once for clar and fries together.
-    Nothing outlives the call.
+    max_matchings: int = DEFAULT_MATCHING_CAP
+    max_cycles: int = DEFAULT_CYCLE_CAP
+
+
+class Profile:
+    """The per-instance facts that every invariant and identity is read from.
+
+    Each fact is computed once, when first asked for: the perfect matchings,
+    each matching's alternating hexagons, each matching's value of each
+    VALUE_OF family, and the Clar count.  A matching's alternating cycles are
+    never kept: their edge masks are enumerated once per call of `values` and
+    every family it still misses is read from them, so only ints are kept.
     """
 
-    def __init__(self, kind: str, obj: Graph | HexSystem, caps: dict[str, int], names) -> None:
-        self.kind = kind
+    def __init__(self, obj: Graph | HexSystem, caps: Caps) -> None:
         self.obj = obj
-        self.graph = obj.graph if kind == "hex" else obj
+        self.graph = obj.graph if isinstance(obj, HexSystem) else obj
         self.caps = caps
-        wanted = {_PER_MATCHING[n][0] for n in names if n in _PER_MATCHING}
-        self.families = tuple(f for f in _FAMILIES if f in wanted)
-        # pm_count streams the count unless the matchings are enumerated anyway
-        self.keeps_matchings = any(
-            n in _PER_MATCHING or (kind == "hex" and n in _HEXAGONS) for n in names
-        )
+        self._values: dict[str, tuple[int, ...]] = {}
 
     @cached_property
     def pms(self) -> tuple[Matching, ...]:
         """Every perfect matching in canonical order, possibly none."""
-        return enumerate_perfect_matchings(self.graph, self.caps["max_matchings"])
+        return enumerate_perfect_matchings(self.graph, self.caps.max_matchings)
 
     @property
     def matchings(self) -> tuple[Matching, ...]:
@@ -100,19 +103,29 @@ class _Call:
         return tuple(alternating_hexagons(self.obj, m) for m in self.matchings)
 
     @cached_property
-    def values(self) -> dict[str, tuple[int, ...]]:
-        rows = []
-        for m in self.matchings:
-            masks = alternating_cycle_masks(self.graph, m, self.caps["max_cycles"])
-            rows.append(tuple(VALUE_OF[f](self.graph, m, masks) for f in self.families))
-        return dict(zip(self.families, zip(*rows)))
+    def clar(self) -> tuple[int, int]:
+        """The Clar number and the index of the first matching to attain it."""
+        return _clar_best(self.obj, self.hexagons)
+
+    def values(self, families: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
+        """Per-matching values of each named VALUE_OF family, in matching order."""
+        missing = [f for f in families if f not in self._values]
+        if missing:
+            rows = []
+            for m in self.matchings:
+                masks = alternating_cycle_masks(self.graph, m, self.caps.max_cycles)
+                rows.append(tuple(VALUE_OF[f](self.graph, m, masks) for f in missing))
+            self._values.update(zip(missing, zip(*rows)))
+        return self._values
 
 
-def _per_matching(family: str, extreme: Callable | None) -> Callable[[_Call], tuple]:
+def _per_matching(family: str, extreme: Callable | None) -> Callable[[Profile, Any], tuple]:
     number_fn = _FAMILIES[family][0]
 
-    def invariant(call: _Call):
-        values = call.values[family]
+    def invariant(p: Profile, names):
+        # one pass over the matchings fills in every family the call reads
+        wanted = {_PER_MATCHING[n][0] for n in names if n in _PER_MATCHING}
+        values = p.values(tuple(f for f in _FAMILIES if f in wanted))[family]
         if extreme is None:
             s = Spectrum(values)
             return {
@@ -122,30 +135,32 @@ def _per_matching(family: str, extreme: Callable | None) -> Callable[[_Call], tu
                 "value_set": list(s.value_set),
             }, None
         # the first matching in canonical order to attain the extreme
-        m = call.matchings[values.index(extreme(values))]
-        value, witness = number_fn(call.graph, m, call.caps["max_cycles"])
+        m = p.matchings[values.index(extreme(values))]
+        value, witness = number_fn(p.graph, m, p.caps.max_cycles)
         return value, {"matching": list(m.edge_ids), "edge_set": list(witness)}
 
     return invariant
 
 
-def _inv_pm_count(call: _Call):
-    if call.keeps_matchings:
-        return len(call.pms), None
-    return count_perfect_matchings(call.graph, call.caps["max_matchings"]), None
+def _inv_pm_count(p: Profile, names):
+    # the count is streamed unless the call enumerates the matchings anyway
+    hexagons = isinstance(p.obj, HexSystem) and any(n in _HEXAGONS for n in names)
+    if hexagons or any(n in _PER_MATCHING for n in names):
+        return len(p.pms), None
+    return count_perfect_matchings(p.graph, p.caps.max_matchings), None
 
 
-def _inv_clar(call: _Call):
-    if call.kind != "hex":
+def _inv_clar(p: Profile, names):
+    if not isinstance(p.obj, HexSystem):
         raise InapplicableInvariant("clar needs a hexagonal system")
-    value, (m, cells) = _clar_from(call.obj, call.matchings, call.hexagons)
+    value, (m, cells) = _clar_from(p.obj, p.matchings, p.hexagons)
     return value, {"matching": list(m.edge_ids), "hexagons": [list(c) for c in cells]}
 
 
-def _inv_fries(call: _Call):
-    if call.kind != "hex":
+def _inv_fries(p: Profile, names):
+    if not isinstance(p.obj, HexSystem):
         raise InapplicableInvariant("fries needs a hexagonal system")
-    fr = _fries_from(call.obj, call.matchings, call.hexagons)
+    fr = _fries_from(p.obj, p.matchings, p.hexagons)
     value = {"max": fr.maximum, "min": fr.minimum}
     witness = {
         "max_matching": list(fr.max_witness[0].edge_ids),
@@ -156,11 +171,12 @@ def _inv_fries(call: _Call):
     return value, witness
 
 
-def _inv_anti_forcing_edges(call: _Call):
-    return list(anti_forcing_edges(call.graph)), None
+def _inv_anti_forcing_edges(p: Profile, names):
+    return list(anti_forcing_edges(p.graph)), None
 
 
-REGISTRY: dict[str, Callable[[_Call], tuple]] = {
+# name -> invariant(profile, names of every invariant in the call)
+REGISTRY: dict[str, Callable[[Profile, Any], tuple]] = {
     "pm_count": _inv_pm_count,
     **{name: _per_matching(*spec) for name, spec in _PER_MATCHING.items()},
     "clar": _inv_clar,
@@ -176,16 +192,15 @@ def compute_report(
     max_cycles: int = DEFAULT_CYCLE_CAP,
 ) -> dict[str, Any]:
     kind, obj = load_instance(path)
-    call = _Call(
-        kind, obj, {"max_matchings": max_matchings, "max_cycles": max_cycles}, invariants
-    )
+    # a fresh profile per call: nothing is reused across calls or kept after one
+    profile = Profile(obj, Caps(max_matchings, max_cycles))
     canonical = serialize_instance(obj)
     entries = []
     for name in invariants:
         if name not in REGISTRY:
             raise InapplicableInvariant(f"unknown invariant {name!r}")
         start = time.perf_counter()
-        value, witness = REGISTRY[name](call)
+        value, witness = REGISTRY[name](profile, invariants)
         entries.append(
             {
                 "name": name,
@@ -210,33 +225,33 @@ def dumps_report(report: dict[str, Any]) -> str:
     return json.dumps(report, indent=2, sort_keys=False) + "\n"
 
 
-def _perfect(call: _Call, edge_ids) -> Matching | None:
+def _perfect(p: Profile, edge_ids) -> Matching | None:
     """The witness's matching, or None when it is no perfect matching of the instance."""
     m = Matching(edge_ids)
     try:
-        matching_partner(call.graph, m)
+        matching_partner(p.graph, m)
     except NotPerfect:
         return None
     return m
 
 
-def _check_witness(name: str, value, witness, call: _Call) -> list[str]:
-    obj = call.obj
+def _check_witness(name: str, value, witness, p: Profile) -> list[str]:
+    obj = p.obj
     if name in _PER_MATCHING:
         _, is_set, what = _FAMILIES[_PER_MATCHING[name][0]]
-        m = _perfect(call, witness["matching"])
+        m = _perfect(p, witness["matching"])
         s = witness["edge_set"]
         if m is None:
             return [f"{name}: witness matching is not a perfect matching"]
         if len(s) != value:
             return [f"{name}: witness size {len(s)} != {value}"]
         try:
-            ok = is_set(call.graph, m, s)
+            ok = is_set(p.graph, m, s)
         except (NotSubsetOfM, IntersectsM):  # edges on the wrong side of m
             ok = False
         return [] if ok else [f"{name}: witness is not {what}"]
     if name == "clar":
-        m = _perfect(call, witness["matching"])
+        m = _perfect(p, witness["matching"])
         cells = [obj.cell_index.get(tuple(c)) for c in witness["hexagons"]]
         if m is None:
             return ["clar: witness matching is not a perfect matching"]
@@ -250,7 +265,7 @@ def _check_witness(name: str, value, witness, call: _Call) -> list[str]:
     problems = []
     if name == "fries":
         for side in ("max", "min"):
-            m = _perfect(call, witness[f"{side}_matching"])
+            m = _perfect(p, witness[f"{side}_matching"])
             cells = {tuple(c) for c in witness[f"{side}_hexagons"]}
             if m is None:
                 problems.append(f"fries: {side} witness matching is not a perfect matching")
@@ -263,25 +278,25 @@ def _check_witness(name: str, value, witness, call: _Call) -> list[str]:
 
 def replay(report: dict[str, Any], path: str | Path) -> list[str]:
     """Recompute a report against its instance; returns mismatch descriptions."""
-    kind, obj = load_instance(path)
+    _, obj = load_instance(path)
     problems = []
     canonical = serialize_instance(obj)
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     if digest != report["instance"]["sha256"]:
         problems.append("instance hash differs from the report")
-    caps = {"max_matchings": DEFAULT_MATCHING_CAP, "max_cycles": DEFAULT_CYCLE_CAP}
-    call = _Call(kind, obj, caps, [e["name"] for e in report["invariants"]])
+    profile = Profile(obj, Caps())
+    names = [e["name"] for e in report["invariants"]]
     for entry in report["invariants"]:
         name = entry["name"]
         if name not in REGISTRY:
             problems.append(f"unknown invariant {name!r}")
             continue
-        value, _ = REGISTRY[name](call)
+        value, _ = REGISTRY[name](profile, names)
         if value != entry["value"]:
             problems.append(f"{name}: recomputed {value!r} != reported {entry['value']!r}")
         if entry.get("witness") is not None:
             try:
-                problems += _check_witness(name, entry["value"], entry["witness"], call)
+                problems += _check_witness(name, entry["value"], entry["witness"], profile)
             except (KeyError, TypeError):  # a field missing or of the wrong type
                 problems.append(f"{name}: malformed witness")
     return problems

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .antiforcing import VALUE_OF, anti_forcing_edges, feedback_value
+from .antiforcing import anti_forcing_edges, feedback_value
 from .errors import UnknownSuite
 from .generators import (
     GLUE_PRESETS,
@@ -27,8 +27,6 @@ from .graphs import (
     DEFAULT_MATCHING_CAP,
     FIXED_SINGLE,
     Graph,
-    Matching,
-    alternating_cycle_masks,
     edge_fixedness,
     enumerate_alternating_cycles,  # noqa: F401  (perfbench traces it in every namespace)
     enumerate_perfect_matchings,
@@ -36,8 +34,6 @@ from .graphs import (
 )
 from .hexsys import (
     HexSystem,
-    _clar_best,
-    alternating_hexagons,
     build_hex_system,
     inner_dual,
     is_all_kink_catahex,
@@ -46,6 +42,7 @@ from .hexsys import (
     parallel_cuts,
     tree_independent_domination,
 )
+from .report import Caps, Profile
 
 SUITE_IDS = (
     "thm2",
@@ -62,12 +59,6 @@ SUITE_IDS = (
     "thm20",
     "lem19",
 )
-
-
-@dataclass(frozen=True)
-class Caps:
-    max_matchings: int = DEFAULT_MATCHING_CAP
-    max_cycles: int = DEFAULT_CYCLE_CAP
 
 
 @dataclass(frozen=True)
@@ -148,52 +139,15 @@ def named_corpus() -> list[tuple[str, Graph | HexSystem]]:
 # ------------------------------------------------------- cached profiles
 
 @lru_cache(maxsize=None)
-def _graph_matchings(g: Graph, caps: Caps) -> tuple[Matching, ...]:
-    return enumerate_perfect_matchings(g, caps.max_matchings)
+def _profile(obj: Graph | HexSystem, caps: Caps) -> Profile:
+    """The one profile of an instance, shared by every suite that reads it.
 
-
-def _matchings(obj: Graph | HexSystem, caps: Caps) -> tuple[Matching, ...]:
-    return _graph_matchings(obj.graph if isinstance(obj, HexSystem) else obj, caps)
-
-
-@lru_cache(maxsize=None)
-def _value_table(g: Graph, caps: Caps) -> dict[str, tuple[int, ...]]:
-    """The VALUE_OF families computed so far for g, filled in by _values."""
-    return {}
-
-
-def _values(g: Graph, caps: Caps, families: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
-    """Per-matching values of each named VALUE_OF family, in matching order.
-
-    Families already computed for g are read back.  For the rest, the edge
-    masks of each matching's alternating cycles are enumerated once and every
-    missing family is read from them; they are dropped before the next matching.
+    thm3 and thm11 read the f and af values thm5 filled in.  The cache is not
+    bounded: an entry holds only the instance's matchings and ints, never its
+    cycles; the corpora are capped by MAX_ENUMERATED_CELLS; and the benchmark
+    and the tests clear it wherever a run has to start cold.
     """
-    table = _value_table(g, caps)
-    missing = tuple(f for f in families if f not in table)
-    if missing:
-        rows = []
-        for m in _graph_matchings(g, caps):
-            masks = alternating_cycle_masks(g, m, caps.max_cycles)
-            rows.append(tuple(VALUE_OF[f](g, m, masks) for f in missing))
-        for i, f in enumerate(missing):
-            table[f] = tuple(row[i] for row in rows)
-    return table
-
-
-@lru_cache(maxsize=None)
-def _hexagon_table(h: HexSystem, caps: Caps) -> tuple[tuple[int, ...], ...]:
-    """Each matching's alternating hexagons, in matching order."""
-    return tuple(alternating_hexagons(h, m) for m in _matchings(h, caps))
-
-
-def _fries_values(h: HexSystem, caps: Caps) -> tuple[int, ...]:
-    return tuple(len(alt) for alt in _hexagon_table(h, caps))
-
-
-@lru_cache(maxsize=None)
-def _clar_value(h: HexSystem, caps: Caps) -> int:
-    return _clar_best(h, _hexagon_table(h, caps))[0]
+    return Profile(obj, caps)
 
 
 # ------------------------------------------------------------ the suites
@@ -202,26 +156,27 @@ def _pair_checks(corpus, caps: Caps, families, shown: str, holds) -> list[CheckR
     """One check per instance with a matching: holds(g, a, b) on each matching's two values."""
     checks = []
     for name, obj in corpus:
-        g = obj.graph if isinstance(obj, HexSystem) else obj
-        if not _graph_matchings(g, caps):
+        p = _profile(obj, caps)
+        if not p.pms:
             continue
-        v = _values(g, caps, families)
+        v = p.values(families)
         bad = [
             f"matching {i}: " + shown.format(a, b)
             for i, (a, b) in enumerate(zip(*(v[f] for f in families)))
-            if not holds(g, a, b)
+            if not holds(p.graph, a, b)
         ]
         checks.append(CheckResult(name, not bad, "; ".join(bad)))
     return checks
 
 
 def _polyhex_checks(max_cells, caps: Caps, problem, keep=lambda h: True) -> list[CheckResult]:
-    """One check per kept polyhex with a perfect matching; problem(h) is "" when it holds."""
+    """One check per kept polyhex with a perfect matching; problem(h, p) is "" when it holds."""
     mc = max_cells if max_cells is not None else MAX_ENUMERATED_CELLS
     checks = []
     for name, h in polyhex_corpus(mc):
-        if _matchings(h, caps) and keep(h):
-            detail = problem(h)
+        p = _profile(h, caps)
+        if p.pms and keep(h):
+            detail = problem(h, p)
             checks.append(CheckResult(name, not detail, detail))
     return checks
 
@@ -239,8 +194,8 @@ def _suite_thm2(max_cells: int | None, caps: Caps) -> list[CheckResult]:
 def _suite_thm3(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """Maximum forcing number equals the Clar number on hexagonal systems."""
 
-    def problem(h: HexSystem) -> str:
-        big_f, cl = max(_values(h.graph, caps, ("f",))["f"]), _clar_value(h, caps)
+    def problem(h: HexSystem, p: Profile) -> str:
+        big_f, cl = max(p.values(("f",))["f"]), p.clar[0]
         return "" if big_f == cl else f"F={big_f} cl={cl}"
 
     return _polyhex_checks(max_cells, caps, problem)
@@ -280,14 +235,14 @@ def _suite_thm9(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     corpus += preset_corpus(mc)
     checks = []
     for name, h in corpus:
-        g = h.graph
-        if not _graph_matchings(g, caps):
+        p = _profile(h, caps)
+        if not p.pms:
             continue
-        v = _values(g, caps, ("af", "compatible"))
+        v = p.values(("af", "compatible"))
         bad = []
-        for i, m in enumerate(_graph_matchings(g, caps)):
+        for i, m in enumerate(p.pms):
             af, cp = v["af"][i], v["compatible"][i]
-            fb = feedback_value(orient_and_contract(g, m), caps.max_cycles)
+            fb = feedback_value(orient_and_contract(h.graph, m), caps.max_cycles)
             if not af == cp == fb:
                 bad.append(f"matching {i}: af={af} c'={cp} feedback={fb}")
         checks.append(CheckResult(name, not bad, "; ".join(bad)))
@@ -297,8 +252,8 @@ def _suite_thm9(max_cells: int | None, caps: Caps) -> list[CheckResult]:
 def _suite_thm11(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """Maximum anti-forcing number equals the Fries number."""
 
-    def problem(h: HexSystem) -> str:
-        big_af, fries = max(_values(h.graph, caps, ("af",))["af"]), max(_fries_values(h, caps))
+    def problem(h: HexSystem, p: Profile) -> str:
+        big_af, fries = max(p.values(("af",))["af"]), max(map(len, p.hexagons))
         return "" if big_af == fries else f"Af={big_af} Fries={fries}"
 
     return _polyhex_checks(max_cells, caps, problem)
@@ -307,8 +262,8 @@ def _suite_thm11(max_cells: int | None, caps: Caps) -> list[CheckResult]:
 def _suite_cor12(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """cl(H) <= Fries(H) <= 2 cl(H)."""
 
-    def problem(h: HexSystem) -> str:
-        cl, fries = _clar_value(h, caps), max(_fries_values(h, caps))
+    def problem(h: HexSystem, p: Profile) -> str:
+        cl, fries = p.clar[0], max(map(len, p.hexagons))
         return "" if cl <= fries <= 2 * cl else f"cl={cl} Fries={fries}"
 
     return _polyhex_checks(max_cells, caps, problem)
@@ -317,8 +272,8 @@ def _suite_cor12(max_cells: int | None, caps: Caps) -> list[CheckResult]:
 def _suite_thm13(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """Fries(H) = n exactly for all-kink catahexes; otherwise strictly below."""
 
-    def problem(h: HexSystem) -> str:
-        fries, all_kink = max(_fries_values(h, caps)), is_all_kink_catahex(h)
+    def problem(h: HexSystem, p: Profile) -> str:
+        fries, all_kink = max(map(len, p.hexagons)), is_all_kink_catahex(h)
         ok = (fries == h.n_cells) == all_kink and fries <= h.n_cells
         return "" if ok else f"Fries={fries} n={h.n_cells} all-kink={all_kink}"
 
@@ -356,11 +311,10 @@ def _independence_number(g: Graph) -> int:
 def _suite_thm14(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """All-kink catahex: Af = 2F exactly when the inner dual has a PM."""
 
-    def problem(h: HexSystem) -> str:
+    def problem(h: HexSystem, p: Profile) -> str:
         dual = inner_dual(h)
-        v = _values(h.graph, caps, ("f", "af"))
-        big_af = max(v["af"])
-        big_f = max(v["f"])
+        v = p.values(("f", "af"))
+        big_af, big_f = max(v["af"]), max(v["f"])
         dual_pm = bool(enumerate_perfect_matchings(dual.graph, caps.max_matchings))
         nu = _tree_matching_number(dual.graph)
         alpha = _independence_number(dual.graph)
@@ -398,10 +352,9 @@ def _brute_independent_domination(g: Graph) -> int:
 def _suite_thm15(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """All-kink catahex: f(H) = i(inner dual) = minimum Fries count."""
 
-    def problem(h: HexSystem) -> str:
+    def problem(h: HexSystem, p: Profile) -> str:
         dual = inner_dual(h)
-        f_min = min(_values(h.graph, caps, ("f",))["f"])
-        fries_min = min(_fries_values(h, caps))
+        f_min, fries_min = min(p.values(("f",))["f"]), min(map(len, p.hexagons))
         i_dp, witness = tree_independent_domination(dual)
         i_brute = _brute_independent_domination(dual.graph)
         bad = []
@@ -441,8 +394,8 @@ _THM16_EXTRAS: tuple[tuple[tuple[int, ...], int], ...] = (
 )
 
 
-def _af_is_one(h: HexSystem, caps: Caps) -> bool:
-    if len(_matchings(h, caps)) < 2:
+def _af_is_one(h: HexSystem, p: Profile) -> bool:
+    if len(p.pms) < 2:
         return False  # a unique matching needs no deletions at all
     return bool(anti_forcing_edges(h.graph))
 
@@ -453,13 +406,14 @@ def _suite_thm16(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     checks = []
     for name, h in polyhex_corpus(mc):
         is_tp, _ = is_truncated_parallelogram(h)
-        if not _matchings(h, caps):
+        p = _profile(h, caps)
+        if not p.pms:
             ok = not is_tp
             checks.append(
                 CheckResult(name, ok, "" if ok else "recognized TP has no perfect matching")
             )
             continue
-        af1 = _af_is_one(h, caps)
+        af1 = _af_is_one(h, p)
         checks.append(
             CheckResult(
                 name, af1 == is_tp, "" if af1 == is_tp else f"af==1 is {af1}, TP is {is_tp}"
@@ -498,12 +452,13 @@ def _suite_thm20(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     corpus += [(name, build_hex_system(cells)) for name, cells in _THM20_CONSTRUCTED]
     checks = []
     for name, h in corpus:
-        if not _matchings(h, caps):
+        p = _profile(h, caps)
+        if not p.pms:
             continue
         labels = edge_fixedness(h.graph, caps.max_matchings)
         if FIXED_SINGLE not in labels:
             continue
-        af_min = min(_values(h.graph, caps, ("af",))["af"])
+        af_min = min(p.values(("af",))["af"])
         comps = normal_hex_components(h, caps.max_matchings)
         both_tp = len(comps) == 2 and all(is_truncated_parallelogram(c)[0] for c in comps)
         ok = (af_min == 2) == both_tp
@@ -526,7 +481,7 @@ def _suite_lem19(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     corpus += preset_corpus()
     checks = []
     for name, h in corpus:
-        pms = _matchings(h, caps)
+        pms = _profile(h, caps).pms
         if not pms:
             continue
         bad = []

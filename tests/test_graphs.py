@@ -159,6 +159,19 @@ def test_matching_cap_raises():
         enumerate_perfect_matchings(c6(), max_matchings=1)
 
 
+@pytest.mark.parametrize(
+    "fn", [enumerate_perfect_matchings, count_perfect_matchings, edge_fixedness]
+)
+@pytest.mark.parametrize("name", ["C6", "triphenylene", "dodecahedron"])
+def test_matching_walks_raise_just_past_the_pm_count(fn, name):
+    obj = gen_named(name)
+    g = obj.graph if hasattr(obj, "cells") else obj
+    k = len(enumerate_perfect_matchings(g))
+    with pytest.raises(LimitExceeded):
+        fn(g, k - 1)
+    assert fn(g, k) == fn(g)
+
+
 def test_every_enumerated_matching_is_perfect():
     g = gen_truncated_parallelogram((2, 1)).graph
     for m in enumerate_perfect_matchings(g):

@@ -312,6 +312,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_compute_rejects_an_instance_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bin.graph"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run_cli(capsys, "compute", "--in", str(path), "--inv", "pm_count")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"parse error: cannot read {path}: ")
+
+
 @pytest.mark.parametrize("inv", ["f", "clar", "fries"])
 def test_cli_compute_without_a_perfect_matching_is_inapplicable(tmp_path, capsys, inv):
     h = next(h for h in enumerate_hex_systems(3) if h.graph.n == 13)

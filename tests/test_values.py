@@ -8,12 +8,13 @@ verify suites make, and check that the searches free what they build
 without the cyclic garbage collector.
 """
 
+import ast
 import gc
 import tracemalloc
 
 import pytest
 
-from matchforce import exact, graphs, verify
+from matchforce import exact, graphs, report, verify
 from matchforce.antiforcing import (
     VALUE_OF,
     antiforcing_number,
@@ -119,7 +120,8 @@ def _counted(monkeypatch, mod, attr):
 
 
 def test_verify_enumerates_each_matchings_cycles_once(monkeypatch):
-    alt_calls = _counted(monkeypatch, verify, "alternating_cycle_masks")
+    # verify reads every per-instance fact through report.Profile
+    alt_calls = _counted(monkeypatch, report, "alternating_cycle_masks")
     hitting_set_calls = _counted(monkeypatch, exact, "min_hitting_set")
     independent_calls = _counted(monkeypatch, exact, "max_independent_indices")
     _clear_verify_caches()
@@ -138,8 +140,8 @@ def test_verify_enumerates_each_matchings_cycles_once(monkeypatch):
 
 
 def test_verify_reads_cached_families_for_a_subset(monkeypatch):
-    alt_calls = _counted(monkeypatch, verify, "alternating_cycle_masks")
-    hexagon_calls = _counted(monkeypatch, verify, "alternating_hexagons")
+    alt_calls = _counted(monkeypatch, report, "alternating_cycle_masks")
+    hexagon_calls = _counted(monkeypatch, report, "alternating_hexagons")
     _clear_verify_caches()
     try:
         assert verify.run_suite("thm5", max_cells=4).ok
@@ -154,6 +156,25 @@ def test_verify_reads_cached_families_for_a_subset(monkeypatch):
         assert hexagon_calls and len(hexagon_calls) == len(set(hexagon_calls))
     finally:
         _clear_verify_caches()
+
+
+def test_verify_reads_every_instance_fact_through_one_cached_profile():
+    # a second cache or a direct enumeration in verify would bring back a
+    # second implementation of the facts report.Profile computes
+    with open(verify.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    cached = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any("cache" in ast.unparse(d) for d in node.decorator_list)
+    ]
+    assert cached == ["_profile"]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    used |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    banned = {"alternating_cycle_masks", "alternating_hexagons", "VALUE_OF", "_clar_best"}
+    assert not used & banned
 
 
 def _held(fn, module):
