@@ -37,6 +37,14 @@ EXIT_INAPPLICABLE = 3
 EXIT_CAP = 4
 
 
+def _count(text: str) -> int:
+    """argparse type for caps and cell counts: a non-negative int."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchforce",
@@ -52,14 +60,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated invariants: " + ",".join(sorted(REGISTRY)),
     )
     p_compute.add_argument("--out", help="write the report here instead of stdout")
-    p_compute.add_argument("--max-matchings", type=int, default=DEFAULT_MATCHING_CAP)
-    p_compute.add_argument("--max-cycles", type=int, default=DEFAULT_CYCLE_CAP)
+    p_compute.add_argument("--max-matchings", type=_count, default=DEFAULT_MATCHING_CAP)
+    p_compute.add_argument("--max-cycles", type=_count, default=DEFAULT_CYCLE_CAP)
 
     p_verify = sub.add_parser("verify", help="run one verification suite")
     p_verify.add_argument("--suite", required=True, choices=SUITE_IDS)
-    p_verify.add_argument("--max-cells", type=int, default=None)
-    p_verify.add_argument("--max-matchings", type=int, default=DEFAULT_MATCHING_CAP)
-    p_verify.add_argument("--max-cycles", type=int, default=DEFAULT_CYCLE_CAP)
+    p_verify.add_argument("--max-cells", type=_count, default=None)
+    p_verify.add_argument("--max-matchings", type=_count, default=DEFAULT_MATCHING_CAP)
+    p_verify.add_argument("--max-cycles", type=_count, default=DEFAULT_CYCLE_CAP)
     p_verify.add_argument("--out", help="also write the check results as JSON")
 
     p_gen = sub.add_parser("generate", help="write instance files")

@@ -193,19 +193,21 @@ def max_independent_size(conflicts: Sequence[int]) -> int:
     return _max_independent_size(conflicts, (1 << len(conflicts)) - 1)
 
 
-def max_independent_indices(conflicts: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum independent subfamily of items 0..n-1.
+def max_independent_indices(
+    conflicts: Sequence[int], pool: int | None = None
+) -> tuple[int, tuple[int, ...]]:
+    """Exact maximum independent subfamily of the items in `pool` (default 0..n-1).
 
     `conflicts[i]` is a bitmask of the items conflicting with item i (bit i
-    itself must be clear).  Returns (size, witness) with the witness the
-    lexicographically least optimal index tuple.
+    itself must be clear); `pool` is a bitmask of the items to pick from.
+    Returns (size, witness) with the witness the lexicographically least
+    optimal index tuple.
     """
     n = len(conflicts)
-    full = (1 << n) - 1
-    k = _max_independent_size(conflicts, full)
+    pool = (1 << n) - 1 if pool is None else pool
+    k = _max_independent_size(conflicts, pool)
 
     witness: list[int] = []
-    pool = full
     need = k
     for v in range(n):
         if need == 0:

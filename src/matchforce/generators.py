@@ -14,7 +14,7 @@ from .errors import (
     TooLarge,
     UnknownName,
 )
-from .graphs import Graph, build_graph
+from .graphs import Graph, _reach, build_graph
 from .hexsys import (
     Cell,
     HexSystem,
@@ -154,15 +154,7 @@ def _is_simple_path(edges: set[tuple[VertexKey, VertexKey]]) -> bool:
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    seen = {ends[0]}
-    stack = [ends[0]]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(degree)
+    return len(_reach(ends[0], adj.__getitem__)) == len(degree)
 
 
 def glue_af2(spec: GlueSpec) -> HexSystem:

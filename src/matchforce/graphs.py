@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadColoring,
@@ -151,6 +151,18 @@ def two_coloring(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...] | 
     return tuple(color)
 
 
+def _reach(start, neighbours: Callable[[Any], Iterable]) -> set:
+    """Every node reachable from start, where neighbours(u) lists the nodes next to u."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in neighbours(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def build_graph(
     n: int,
     edge_list: Iterable[tuple[int, int]],
@@ -210,8 +222,9 @@ def matching_partner(g: Graph, m: Matching) -> list[int]:
 
 
 def _iter_perfect_matchings(
-    g: Graph, covered: bytearray | None = None, without: int = -1
-) -> Iterator[tuple[int, ...]]:
+    g: Graph, covered: bytearray | None = None, without: int = -1,
+    weight: Sequence[int] | None = None,
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """Backtracking over the lowest-index uncovered vertex, edges in id order.
 
     The search runs on an explicit stack with one frame per matched pair, so
@@ -219,6 +232,9 @@ def _iter_perfect_matchings(
     matching is handed out without passing through a chain of generators.
     Vertices flagged in `covered` are taken as already matched, and edge
     `without` as deleted; each matching then lists only the edges it adds.
+    Each matching comes with the sum of `weight[e]` over those edges (0
+    without weights), kept as a running sum: one add per try, one subtract
+    per undo.
     """
     n = g.n
     if n % 2:
@@ -230,17 +246,20 @@ def _iter_perfect_matchings(
             adjacency[x] = tuple(a for a in adjacency[x] if a[1] != without)
     if covered is None:
         covered = bytearray(n)
+    if weight is None:
+        weight = bytes(g.m)
     # frame i matches frame_v[i] by edge chosen[i] (-1 before the first try);
     # frame_next[i] is the adjacency slot after the one chosen
     frame_v: list[int] = []
     frame_next: list[int] = []
     chosen: list[int] = []
+    total = 0
     v = 0
     while True:
         while v < n and covered[v]:
             v += 1
         if v == n:
-            yield tuple(chosen)
+            yield tuple(chosen), total
         else:
             covered[v] = 1
             frame_v.append(v)
@@ -254,6 +273,7 @@ def _iter_perfect_matchings(
             i = frame_next[-1]
             if i:
                 covered[adj[i - 1][0]] = 0
+                total -= weight[chosen[-1]]
             k = len(adj)
             while i < k and covered[adj[i][0]]:
                 i += 1
@@ -261,6 +281,7 @@ def _iter_perfect_matchings(
                 w, eid = adj[i]
                 covered[w] = 1
                 chosen[-1] = eid
+                total += weight[eid]
                 frame_next[-1] = i + 1
                 v = u + 1
                 break
@@ -272,21 +293,41 @@ def _iter_perfect_matchings(
             return
 
 
-def _capped(g: Graph, max_matchings: int) -> Iterator[tuple[int, ...]]:
-    """The perfect matchings' edge ids; LimitExceeded once there are more than max_matchings."""
-    for count, chosen in enumerate(_iter_perfect_matchings(g), 1):
+def _capped(
+    g: Graph, max_matchings: int, weight: Sequence[int] | None = None
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """_iter_perfect_matchings of g; LimitExceeded once there are more than max_matchings."""
+    for count, found in enumerate(_iter_perfect_matchings(g, weight=weight), 1):
         if count > max_matchings:
             raise LimitExceeded(f"more than {max_matchings} perfect matchings")
-        yield chosen
+        yield found
+
+
+def _sorted_matching(edge_ids: tuple[int, ...]) -> Matching:
+    """A Matching of ids that are already sorted and distinct, without sorting them again."""
+    m = object.__new__(Matching)
+    object.__setattr__(m, "edge_ids", edge_ids)
+    return m
+
+
+def weighted_perfect_matchings(
+    g: Graph, weight: Sequence[int] | None, max_matchings: int = DEFAULT_MATCHING_CAP
+) -> tuple[tuple[Matching, ...], tuple[int, ...]]:
+    """Every perfect matching, sorted by edge-id sequence, and each one's sum of weight[e]."""
+    ids: list[tuple[int, ...]] = []
+    sums: list[int] = []
+    for chosen, total in _capped(g, max_matchings, weight):
+        ids.append(tuple(sorted(chosen)))
+        sums.append(total)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return tuple(_sorted_matching(ids[i]) for i in order), tuple(sums[i] for i in order)
 
 
 def enumerate_perfect_matchings(
     g: Graph, max_matchings: int = DEFAULT_MATCHING_CAP
 ) -> tuple[Matching, ...]:
     """Every perfect matching exactly once, sorted by edge-id sequence."""
-    found = [Matching(chosen) for chosen in _capped(g, max_matchings)]
-    found.sort(key=lambda m: m.edge_ids)
-    return tuple(found)
+    return weighted_perfect_matchings(g, None, max_matchings)[0]
 
 
 def count_perfect_matchings(g: Graph, max_matchings: int = DEFAULT_MATCHING_CAP) -> int:
@@ -354,7 +395,7 @@ def _unique_matching(g: Graph, without: int = -1) -> Matching | None:
     first_two = list(islice(_iter_perfect_matchings(g, covered, without), 2))
     if len(first_two) != 1:
         return None
-    return Matching(forced + list(first_two[0]))
+    return Matching(forced + list(first_two[0][0]))
 
 
 def has_unique_perfect_matching(g: Graph) -> tuple[bool, Matching | None]:
@@ -465,11 +506,11 @@ def _alternating_walk(g: Graph, m: Matching, max_cycles: int) -> tuple[list[int]
         u, v = g.edges[eid]
         match_bit[u] = match_bit[v] = 1 << eid
     succ: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-    in_m = m.edge_set
     for eid, (u, v) in enumerate(g.edges):
-        if eid not in in_m:
-            succ[u].append((v, partner[v], 1 << eid | match_bit[v]))
-            succ[v].append((u, partner[u], 1 << eid | match_bit[u]))
+        bit = 1 << eid
+        if match_bit[u] != bit:  # not a matching edge
+            succ[u].append((v, partner[v], bit | match_bit[v]))
+            succ[v].append((u, partner[u], bit | match_bit[u]))
     starts = [(s, partner[s], match_bit[s]) for s in range(g.n) if partner[s] > s]
     return partner, _simple_cycles(succ, starts, max_cycles, "alternating cycles")
 
@@ -494,57 +535,48 @@ def enumerate_alternating_cycles(
     return tuple(cycles)
 
 
+def _fixedness(g: Graph, matchings: Iterable[Sequence[int]]) -> tuple[str, ...]:
+    """Each edge's label, from the edge ids of every perfect matching of g."""
+    counts = [0] * g.m
+    total = 0
+    for total, ids in enumerate(matchings, 1):
+        for eid in ids:
+            counts[eid] += 1
+    if total == 0:
+        raise NoPerfectMatching("graph has no perfect matching")
+    return tuple(FIXED_SINGLE if c == 0 else FIXED_DOUBLE if c == total else FREE for c in counts)
+
+
 def edge_fixedness(
     g: Graph, max_matchings: int = DEFAULT_MATCHING_CAP
 ) -> tuple[str, ...]:
     """Label every edge fixed-single / fixed-double / free by PM membership."""
-    counts = [0] * g.m
-    total = 0
-    for total, chosen in enumerate(_capped(g, max_matchings), 1):
-        for eid in chosen:
-            counts[eid] += 1
-    if total == 0:
-        raise NoPerfectMatching("graph has no perfect matching")
-    labels = []
-    for c in counts:
-        if c == 0:
-            labels.append(FIXED_SINGLE)
-        elif c == total:
-            labels.append(FIXED_DOUBLE)
-        else:
-            labels.append(FREE)
-    return tuple(labels)
+    return _fixedness(g, (chosen for chosen, _ in _capped(g, max_matchings)))
 
 
 def normal_components(
-    g: Graph, max_matchings: int = DEFAULT_MATCHING_CAP
+    g: Graph, max_matchings: int = DEFAULT_MATCHING_CAP, labels: tuple[str, ...] | None = None
 ) -> tuple[InducedSubgraph, ...]:
-    """Connected components of the subgraph spanned by the free edges."""
-    labels = edge_fixedness(g, max_matchings)
-    free_ids = [eid for eid, lab in enumerate(labels) if lab == FREE]
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for eid in free_ids:
-        u, v = g.edges[eid]
-        adj.setdefault(u, []).append((v, eid))
-        adj.setdefault(v, []).append((u, eid))
+    """Connected components of the subgraph spanned by the free edges.
 
+    `labels` are g's edge_fixedness labels; they are computed when not given.
+    """
+    if labels is None:
+        labels = edge_fixedness(g, max_matchings)
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for eid, lab in enumerate(labels):
+        if lab == FREE:
+            u, v = g.edges[eid]
+            adj.setdefault(u, []).append((v, eid))
+            adj.setdefault(v, []).append((u, eid))
     seen: set[int] = set()
     comps: list[InducedSubgraph] = []
     for start in sorted(adj):
-        if start in seen:
-            continue
-        stack = [start]
-        verts: set[int] = {start}
-        edges: set[int] = set()
-        while stack:
-            u = stack.pop()
-            for w, eid in adj[u]:
-                edges.add(eid)
-                if w not in verts:
-                    verts.add(w)
-                    stack.append(w)
-        seen |= verts
-        comps.append(_induced(g, sorted(verts), sorted(edges)))
+        if start not in seen:
+            verts = _reach(start, lambda u: (w for w, _ in adj[u]))
+            seen |= verts
+            edges = {eid for u in verts for _, eid in adj[u]}
+            comps.append(_induced(g, sorted(verts), sorted(edges)))
     return tuple(comps)
 
 
@@ -556,7 +588,7 @@ def orient_and_contract(g: Graph, m: Matching) -> ContractedDigraph:
     """
     if g.color is None:
         raise NotBipartite("orientation requires a 2-coloring")
-    matching_partner(g, m)  # raises NotPerfect on bad input
+    partner = matching_partner(g, m)  # raises NotPerfect on bad input
     node_of = [-1] * g.n
     for i, eid in enumerate(m.edge_ids):
         u, v = g.edges[eid]
@@ -564,7 +596,7 @@ def orient_and_contract(g: Graph, m: Matching) -> ContractedDigraph:
     arcs: list[tuple[int, int]] = []
     provenance: list[int] = []
     for eid, (u, v) in enumerate(g.edges):
-        if eid in m.edge_set:
+        if partner[u] == v:  # a matching edge
             continue
         black, white = (u, v) if g.color[u] == BLACK else (v, u)
         arcs.append((node_of[black], node_of[white]))

@@ -33,11 +33,12 @@ from .graphs import (
     Graph,
     Matching,
     WHITE,
+    _reach,
     build_graph,
     edge_fixedness,
     edge_mask,
-    enumerate_perfect_matchings,
     normal_components,
+    weighted_perfect_matchings,
 )
 
 Cell = tuple[int, int]
@@ -65,24 +66,19 @@ def cell_corners(cell: Cell) -> tuple[VertexKey, ...]:
     return tuple((cx + dx, cy + dy) for dx, dy in CORNER_OFFSETS)
 
 
-def _axial_to_cube(cell: Cell) -> tuple[int, int, int]:
-    q, r = cell
-    return (q, -q - r, r)
-
-
-def _cube_to_axial(cube: tuple[int, int, int]) -> Cell:
-    x, _, z = cube
-    return (x, z)
-
-
 def transform_cell(cell: Cell, symmetry: int) -> Cell:
-    """Apply one of the 12 lattice symmetries (0-5 rotations, 6-11 mirrored)."""
-    x, y, z = _axial_to_cube(cell)
+    """Apply one of the 12 lattice symmetries (0-5 rotations, 6-11 mirrored).
+
+    The cell goes to cube coordinates (q, -q - r, r), turns there, and comes
+    back as the first and last of them.
+    """
+    q, r = cell
+    x, y, z = q, -q - r, r
     if symmetry >= 6:
-        x, y, z = x, z, y
+        y, z = z, y
     for _ in range(symmetry % 6):
         x, y, z = -z, -x, -y
-    return _cube_to_axial((x, y, z))
+    return (x, z)
 
 
 @dataclass(frozen=True)
@@ -124,6 +120,14 @@ class HexSystem:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
+    def cell_conflicts(self) -> tuple[int, ...]:
+        """Per bit 2c: the bits 2d of the cells d adjacent to cell c (0 at odd bits)."""
+        out = [0] * (2 * self.n_cells)
+        for c, nbrs in enumerate(self.cell_adjacency):
+            out[2 * c] = sum(1 << 2 * d for d in nbrs)
+        return tuple(out)
+
+    @cached_property
     def cell_edge_masks(self) -> tuple[tuple[int, int, int], ...]:
         """Per cell: bitmasks over edge ids of its even-position, odd-position and all six edges."""
         out = []
@@ -153,30 +157,15 @@ class FriesNumbers(NamedTuple):
 
 
 def _connected_nodes(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w, _ in g.adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    return g.n > 0 and len(_reach(0, lambda u: (w for w, _ in g.adjacency[u]))) == g.n
 
 
 def _check_cells_connected(cells: set[Cell]) -> None:
-    start = next(iter(sorted(cells)))
-    seen = {start}
-    stack = [start]
-    while stack:
-        q, r = stack.pop()
-        for dq, dr in NEIGHBOR_OFFSETS:
-            nb = (q + dq, r + dr)
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
+    def neighbours(cell: Cell) -> list[Cell]:
+        q, r = cell
+        return [nb for dq, dr in NEIGHBOR_OFFSETS if (nb := (q + dq, r + dr)) in cells]
+
+    seen = _reach(min(cells), neighbours)
     if len(seen) != len(cells):
         missing = sorted(cells - seen)
         raise Disconnected(f"cell set is not edge-connected; unreachable: {missing}")
@@ -254,21 +243,13 @@ def inner_dual(h: HexSystem) -> InnerDual:
     return InnerDual(graph=build_graph(len(h.cells), edges), cells=h.cells)
 
 
-def fused_directions(h: HexSystem) -> tuple[tuple[Cell, ...], ...]:
-    """Per cell: neighbor offsets toward the cells it shares an edge with."""
-    cellset = set(h.cells)
-    out = []
-    for q, r in h.cells:
-        dirs = tuple(d for d in NEIGHBOR_OFFSETS if (q + d[0], r + d[1]) in cellset)
-        out.append(dirs)
-    return tuple(out)
-
-
 def alternating_hexagons(h: HexSystem, m: Matching) -> tuple[int, ...]:
     """Cell indices whose six boundary edges alternate in and out of m.
 
     A hexagon alternates exactly when m holds all three of its even-position
-    edges and none of its odd-position ones, or the other way round.
+    edges and none of its odd-position ones, or the other way round.  This
+    checks one matching, such as a witness; resonant_matchings reads every
+    matching's resonant cells off the search itself.
     """
     ids = m.edge_ids
     if ids and (ids[0] < 0 or ids[-1] >= h.graph.m):
@@ -282,65 +263,78 @@ def alternating_hexagons(h: HexSystem, m: Matching) -> tuple[int, ...]:
     )
 
 
-def _hexagon_conflicts(h: HexSystem, cells: tuple[int, ...]) -> list[int]:
-    """Adjacency among the given cell indices, as bitmasks over their positions."""
-    conflicts = []
-    pos = {c: i for i, c in enumerate(cells)}
-    for c in cells:
-        mask = 0
-        for nb in h.cell_adjacency[c]:
-            if nb in pos:
-                mask |= 1 << pos[nb]
-        conflicts.append(mask)
-    return conflicts
+def edge_weights(h: HexSystem) -> list[int]:
+    """Per edge id: the sum of 4**c over the cells c it borders.
+
+    Summed over a matching's edges, this holds in bits 2c and 2c + 1 how
+    many of cell c's six edges the matching contains.
+    """
+    weight = [0] * h.graph.m
+    for c, eids in enumerate(h.face_edges):
+        for eid in eids:
+            weight[eid] += 1 << 2 * c
+    return weight
 
 
-def clar_count(h: HexSystem, alt: tuple[int, ...]) -> int:
-    """Largest set of pairwise non-adjacent cells among `alt`, without a witness."""
-    return exact.max_independent_size(_hexagon_conflicts(h, alt))
+def resonant_matchings(
+    h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP
+) -> tuple[tuple[Matching, ...], tuple[int, ...]]:
+    """Every perfect matching in canonical order, and each one's resonant cells.
+
+    One search gives both.  Each edge weighs edge_weights (4**c summed over
+    its cells), so a matching's weight sum keeps each cell's matched-edge
+    count in its own 2-bit field.  A perfect matching holds at most three of
+    a hexagon's six edges, and exactly three only when they alternate, so
+    the fields that read 3 are the resonant cells: a cell c is resonant when
+    bit 2c of `s & s >> 1 & low` is set, and that is the mask returned.
+    """
+    pms, sums = weighted_perfect_matchings(h.graph, edge_weights(h), max_matchings)
+    low = (4**h.n_cells - 1) // 3  # bit 2c for every cell c
+    return pms, tuple(s & s >> 1 & low for s in sums)
 
 
-def _clar_best(h: HexSystem, alts: Iterable[tuple[int, ...]]) -> tuple[int, int]:
-    """Largest clar_count over `alts` and the index of the first to attain it (0, 0 if none)."""
+def _mask_cells(h: HexSystem, mask: int) -> tuple[Cell, ...]:
+    """The cells c whose bit 2c is set in `mask`, in cell order."""
+    return tuple(cell for c, cell in enumerate(h.cells) if mask >> 2 * c & 1)
+
+
+def _clar_best(h: HexSystem, masks: Iterable[int]) -> tuple[int, int]:
+    """Largest packing over the resonant masks, and the first index to attain it (0, 0 if none)."""
     best = first = 0
-    for i, alt in enumerate(alts):
-        # a packing among len(alt) cells cannot beat best when len(alt) <= best
-        if len(alt) > best:
-            count = clar_count(h, alt)
+    for i, mask in enumerate(masks):
+        # a packing among k resonant cells cannot beat best when k <= best
+        if mask.bit_count() > best:
+            count = exact._max_independent_size(h.cell_conflicts, mask)
             if count > best:
                 best, first = count, i
     return best, first
 
 
-def _hex_matchings(h: HexSystem, max_matchings: int) -> tuple[Matching, ...]:
-    pms = enumerate_perfect_matchings(h.graph, max_matchings)
-    if not pms:
+def _clar_packing(h: HexSystem, mask: int) -> tuple[Cell, ...]:
+    """The lexicographically least largest set of pairwise non-adjacent cells in `mask`."""
+    _, picked = exact.max_independent_indices(h.cell_conflicts, mask)
+    return tuple(h.cells[bit >> 1] for bit in picked)
+
+
+def _hex_matchings(
+    h: HexSystem, max_matchings: int
+) -> tuple[tuple[Matching, ...], tuple[int, ...]]:
+    found = resonant_matchings(h, max_matchings)
+    if not found[0]:
         raise NoPerfectMatching("hexagonal system has no perfect matching")
-    return pms
+    return found
 
 
-def _clar_from(
-    h: HexSystem, pms: tuple[Matching, ...], alts: tuple[tuple[int, ...], ...]
-) -> tuple[int, tuple[Matching, tuple[Cell, ...]]]:
-    """Clar number and witness from the matchings and their alternating hexagons."""
-    best, i = _clar_best(h, alts)
-    alt = alts[i]
-    _, picked = exact.max_independent_indices(_hexagon_conflicts(h, alt))
-    return best, (pms[i], tuple(h.cells[alt[j]] for j in picked))
-
-
-def _fries_from(
-    h: HexSystem, pms: tuple[Matching, ...], alts: tuple[tuple[int, ...], ...]
-) -> FriesNumbers:
-    """Fries numbers and witnesses from the matchings and their alternating hexagons."""
-    counts = [len(alt) for alt in alts]
+def _fries_from(h: HexSystem, pms: tuple[Matching, ...], masks: tuple[int, ...]) -> FriesNumbers:
+    """Fries numbers and witnesses from the matchings and their resonant masks."""
+    counts = [mask.bit_count() for mask in masks]
     # the first matching in canonical order to attain each extreme
     i, j = counts.index(max(counts)), counts.index(min(counts))
     return FriesNumbers(
         counts[i],
         counts[j],
-        (pms[i], tuple(h.cells[c] for c in alts[i])),
-        (pms[j], tuple(h.cells[c] for c in alts[j])),
+        (pms[i], _mask_cells(h, masks[i])),
+        (pms[j], _mask_cells(h, masks[j])),
     )
 
 
@@ -348,27 +342,29 @@ def clar_number(
     h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP
 ) -> tuple[int, tuple[Matching, tuple[Cell, ...]]]:
     """Largest set of disjoint simultaneously-alternating hexagons over all PMs."""
-    pms = _hex_matchings(h, max_matchings)
-    return _clar_from(h, pms, tuple(alternating_hexagons(h, m) for m in pms))
+    pms, masks = _hex_matchings(h, max_matchings)
+    best, i = _clar_best(h, masks)
+    return best, (pms[i], _clar_packing(h, masks[i]))
 
 
 def fries_numbers(
     h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP
 ) -> FriesNumbers:
     """Max and min count of alternating hexagons over all perfect matchings."""
-    pms = _hex_matchings(h, max_matchings)
-    return _fries_from(h, pms, tuple(alternating_hexagons(h, m) for m in pms))
+    return _fries_from(h, *_hex_matchings(h, max_matchings))
 
 
 def is_all_kink_catahex(h: HexSystem) -> bool:
     """Catacondensed (tree inner dual) with no cell fused along parallel edges."""
     if not inner_dual(h).is_tree:
         return False
-    for dirs in fused_directions(h):
-        dirset = set(dirs)
-        if any((-dq, -dr) in dirset for dq, dr in dirs):
-            return False
-    return True
+    # a cell fused on two opposite edges has neighbours at offsets d and -d
+    cellset = set(h.cells)
+    return not any(
+        (q + dq, r + dr) in cellset and (q - dq, r - dr) in cellset
+        for q, r in h.cells
+        for dq, dr in NEIGHBOR_OFFSETS
+    )
 
 
 def _row_params(cells: Iterable[Cell]) -> tuple[int, ...] | None:
@@ -419,7 +415,7 @@ def tree_independent_domination(
 
     States per vertex: chosen into the set; unchosen but dominated inside its
     subtree; unchosen and still waiting for its parent.  Linear time, with a
-    witness reconstruction.
+    witness reconstruction that breaks ties toward the first-listed option.
     """
     g = t.graph if isinstance(t, InnerDual) else t
     if g.n == 0 or g.m != g.n - 1 or not _connected_nodes(g):
@@ -427,72 +423,37 @@ def tree_independent_domination(
 
     IN, DOM, WAIT = 0, 1, 2
     INF = g.n + 1
-
-    order: list[int] = []
-    parent = [-1] * g.n
-    stack = [0]
-    seen = bytearray(g.n)
-    seen[0] = 1
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w, _ in g.adjacency[u]:
-            if not seen[w]:
-                seen[w] = 1
-                parent[w] = u
-                stack.append(w)
-
-    cost = [[0, 0, 0] for _ in range(g.n)]
-    choice: list[list[dict[int, int]]] = [[{}, {}, {}] for _ in range(g.n)]
-    for u in reversed(order):
-        children = [w for w, _ in g.adjacency[u] if parent[w] == u]
-        c_in, c_dom, c_wait = 1, 0, 0
-        ch_in: dict[int, int] = {}
-        ch_dom: dict[int, int] = {}
-        ch_wait: dict[int, int] = {}
-        dom_fix = INF  # cheapest swap to force one child into the set
-        dom_fix_child = -1
-        for w in children:
-            a, b, c = cost[w]
-            # u in the set: children stay out, domination by u allowed
-            if b <= c:
-                c_in += b
-                ch_in[w] = DOM
-            else:
-                c_in += c
-                ch_in[w] = WAIT
-            # u out of the set: children must be dominated on their own
-            if a <= b:
-                c_dom += a
-                ch_dom[w] = IN
-            else:
-                c_dom += b
-                ch_dom[w] = DOM
-                if a - b < dom_fix:
-                    dom_fix = a - b
-                    dom_fix_child = w
-            # u out and waiting: no child may be in the set
-            c_wait += b
-            ch_wait[w] = DOM
-        if children and all(ch_dom[w] != IN for w in children):
-            c_dom += dom_fix
-            ch_dom[dom_fix_child] = IN
-        if not children:
-            c_dom = INF
-        cost[u] = [c_in, min(c_dom, INF), c_wait]
-        choice[u] = [ch_in, ch_dom, ch_wait]
-
-    root = order[0]
-    value = min(cost[root][IN], cost[root][DOM])
-    picked: list[int] = []
-    states = {root: IN if cost[root][IN] <= cost[root][DOM] else DOM}
+    order, parent = [0], [-1] * g.n  # rooted at 0, parents before children
     for u in order:
-        s = states[u]
-        if s == IN:
-            picked.append(u)
-        for w, target in choice[u][s].items():
-            states[w] = target
-    return value, tuple(sorted(picked))
+        for w, _ in g.adjacency[u]:
+            if w != parent[u]:
+                parent[w] = u
+                order.append(w)
+    kids = [[w for w, _ in g.adjacency[u] if parent[w] == u] for u in range(g.n)]
+
+    # cost[u][s]: smallest set inside u's subtree with u in state s
+    cost = [(0, 0, 0)] * g.n
+    for u in reversed(order):
+        ks = [cost[w] for w in kids[u]]
+        c_dom = sum(min(a, b) for a, b, _ in ks)
+        if all(a > b for a, b, _ in ks):  # one child must still join the set
+            c_dom += min((a - b for a, b, _ in ks), default=INF)
+        c_in = 1 + sum(min(b, c) for _, b, c in ks)
+        cost[u] = (c_in, min(c_dom, INF), sum(b for _, b, _ in ks))
+
+    state = [IN if cost[0][IN] <= cost[0][DOM] else DOM] + [WAIT] * (g.n - 1)
+    for u in order:
+        for w in kids[u]:
+            a, b, c = cost[w]
+            if state[u] == IN:
+                state[w] = DOM if b <= c else WAIT
+            elif state[u] == DOM:
+                state[w] = IN if a <= b else DOM
+            else:
+                state[w] = DOM
+        if state[u] == DOM and kids[u] and all(state[w] == DOM for w in kids[u]):
+            state[min(kids[u], key=lambda w: cost[w][IN] - cost[w][DOM])] = IN
+    return min(cost[0][IN], cost[0][DOM]), tuple(v for v in range(g.n) if state[v] == IN)
 
 
 def parallel_cuts(h: HexSystem) -> tuple[tuple[int, ...], ...]:
@@ -534,27 +495,28 @@ def sachs_cut_check(
     cut = tuple(sorted(set(cut_edges)))
     if cut not in set(parallel_cuts(h)):
         raise NotAValidCut(f"{list(cut)} is not a maximal parallel cut")
-    pms = _hex_matchings(h, max_matchings)
+    pms, _ = _hex_matchings(h, max_matchings)
     cutset = set(cut)
-    values = {len(cutset & m.edge_set) for m in pms}
+    values = {len(cutset.intersection(m.edge_ids)) for m in pms}
     if len(values) == 1:
         return True, values.pop()
     return False, None
 
 
 def normal_hex_components(
-    h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP
+    h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP, labels: tuple[str, ...] | None = None
 ) -> tuple[HexSystem, ...]:
     """Normal components of a hexagonal system, rebuilt as hexagonal systems.
 
     A component is the set of cells whose six edges are all free; for
     hexagonal systems the free subgraph decomposes exactly into such cell
-    groups, which is re-checked here.
+    groups, which is re-checked here.  `labels` are the edge_fixedness
+    labels of h's graph; they are computed when not given.
     """
-    labels = edge_fixedness(h.graph, max_matchings)
-    comps = normal_components(h.graph, max_matchings)
+    if labels is None:
+        labels = edge_fixedness(h.graph, max_matchings)
     out = []
-    for comp in comps:
+    for comp in normal_components(h.graph, labels=labels):
         comp_edges = set(comp.edge_ids)
         cells = [
             h.cells[ci]

@@ -28,6 +28,8 @@ def parse_graph(text: str) -> Graph:
         n, m = int(n_s), int(m_s)
     except ValueError as exc:
         raise ParseError(f"bad problem line {lines[0]!r}") from exc
+    if n < 0 or m < 0:
+        raise ParseError(f"negative count in problem line {lines[0]!r}")
 
     edges: list[tuple[int, int]] = []
     colors: dict[int, int] = {}

@@ -30,12 +30,20 @@ from .graphs import (
     DEFAULT_MATCHING_CAP,
     Graph,
     Matching,
+    _fixedness,
     alternating_cycle_masks,
     count_perfect_matchings,
     enumerate_perfect_matchings,
     matching_partner,
 )
-from .hexsys import HexSystem, _clar_best, _clar_from, _fries_from, alternating_hexagons
+from .hexsys import (
+    HexSystem,
+    _clar_best,
+    _clar_packing,
+    _fries_from,
+    alternating_hexagons,
+    resonant_matchings,
+)
 from .io import load_instance, serialize_instance
 
 SCHEMA_VERSION = 1
@@ -57,7 +65,7 @@ _PER_MATCHING = {
     "af_spectrum": ("af", None),
 }
 
-# invariants read from each matching's alternating hexagons
+# invariants read from each matching's resonant hexagons
 _HEXAGONS = ("clar", "fries")
 
 
@@ -72,11 +80,12 @@ class Caps:
 class Profile:
     """The per-instance facts that every invariant and identity is read from.
 
-    Each fact is computed once, when first asked for: the perfect matchings,
-    each matching's alternating hexagons, each matching's value of each
-    VALUE_OF family, and the Clar count.  A matching's alternating cycles are
-    never kept: their edge masks are enumerated once per call of `values` and
-    every family it still misses is read from them, so only ints are kept.
+    Each fact is computed once, when first asked for: the perfect matchings
+    and, on a hexagonal system, each one's resonant cells (one search gives
+    both), the edge labels, each matching's value of each VALUE_OF family,
+    and the Clar count.  A matching's alternating cycles are never kept:
+    their edge masks are enumerated once per call of `values` and every
+    family it still misses is read from them, so only ints are kept.
     """
 
     def __init__(self, obj: Graph | HexSystem, caps: Caps) -> None:
@@ -86,9 +95,15 @@ class Profile:
         self._values: dict[str, tuple[int, ...]] = {}
 
     @cached_property
+    def _search(self) -> tuple[tuple[Matching, ...], tuple[int, ...]]:
+        if isinstance(self.obj, HexSystem):
+            return resonant_matchings(self.obj, self.caps.max_matchings)
+        return enumerate_perfect_matchings(self.graph, self.caps.max_matchings), ()
+
+    @property
     def pms(self) -> tuple[Matching, ...]:
         """Every perfect matching in canonical order, possibly none."""
-        return enumerate_perfect_matchings(self.graph, self.caps.max_matchings)
+        return self._search[0]
 
     @property
     def matchings(self) -> tuple[Matching, ...]:
@@ -97,15 +112,20 @@ class Profile:
             raise NoPerfectMatching("graph has no perfect matching")
         return self.pms
 
+    @property
+    def resonant(self) -> tuple[int, ...]:
+        """Each matching's resonant cells, bit 2c for cell c, in matching order."""
+        return self._search[1]
+
     @cached_property
-    def hexagons(self) -> tuple[tuple[int, ...], ...]:
-        """Each matching's alternating hexagons, in matching order."""
-        return tuple(alternating_hexagons(self.obj, m) for m in self.matchings)
+    def labels(self) -> tuple[str, ...]:
+        """Each edge's edge_fixedness label, read from the matchings."""
+        return _fixedness(self.graph, (m.edge_ids for m in self.pms))
 
     @cached_property
     def clar(self) -> tuple[int, int]:
         """The Clar number and the index of the first matching to attain it."""
-        return _clar_best(self.obj, self.hexagons)
+        return _clar_best(self.obj, self.resonant)
 
     def values(self, families: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
         """Per-matching values of each named VALUE_OF family, in matching order."""
@@ -153,14 +173,16 @@ def _inv_pm_count(p: Profile, names):
 def _inv_clar(p: Profile, names):
     if not isinstance(p.obj, HexSystem):
         raise InapplicableInvariant("clar needs a hexagonal system")
-    value, (m, cells) = _clar_from(p.obj, p.matchings, p.hexagons)
-    return value, {"matching": list(m.edge_ids), "hexagons": [list(c) for c in cells]}
+    pms = p.matchings
+    value, i = p.clar
+    cells = _clar_packing(p.obj, p.resonant[i])
+    return value, {"matching": list(pms[i].edge_ids), "hexagons": [list(c) for c in cells]}
 
 
 def _inv_fries(p: Profile, names):
     if not isinstance(p.obj, HexSystem):
         raise InapplicableInvariant("fries needs a hexagonal system")
-    fr = _fries_from(p.obj, p.matchings, p.hexagons)
+    fr = _fries_from(p.obj, p.matchings, p.resonant)
     value = {"max": fr.maximum, "min": fr.minimum}
     witness = {
         "max_matching": list(fr.max_witness[0].edge_ids),

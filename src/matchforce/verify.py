@@ -27,7 +27,6 @@ from .graphs import (
     DEFAULT_MATCHING_CAP,
     FIXED_SINGLE,
     Graph,
-    edge_fixedness,
     enumerate_alternating_cycles,  # noqa: F401  (perfbench traces it in every namespace)
     enumerate_perfect_matchings,
     orient_and_contract,
@@ -143,42 +142,45 @@ def _profile(obj: Graph | HexSystem, caps: Caps) -> Profile:
     """The one profile of an instance, shared by every suite that reads it.
 
     thm3 and thm11 read the f and af values thm5 filled in.  The cache is not
-    bounded: an entry holds only the instance's matchings and ints, never its
-    cycles; the corpora are capped by MAX_ENUMERATED_CELLS; and the benchmark
-    and the tests clear it wherever a run has to start cold.
+    bounded: an entry holds only the instance's matchings, ints and edge
+    labels, never its cycles; the corpora are capped by MAX_ENUMERATED_CELLS;
+    and the benchmark and the tests clear it wherever a run has to start cold.
     """
     return Profile(obj, caps)
 
 
 # ------------------------------------------------------------ the suites
 
-def _pair_checks(corpus, caps: Caps, families, shown: str, holds) -> list[CheckResult]:
-    """One check per instance with a matching: holds(g, a, b) on each matching's two values."""
+def _checks(corpus, caps: Caps, problem, keep=lambda obj: True) -> list[CheckResult]:
+    """One check per kept instance with a perfect matching; problem(obj, p) is "" when it holds.
+
+    keep is asked first, so an instance it drops has no matchings enumerated.
+    """
     checks = []
     for name, obj in corpus:
-        p = _profile(obj, caps)
-        if not p.pms:
-            continue
+        if keep(obj) and (p := _profile(obj, caps)).pms:
+            detail = problem(obj, p)
+            checks.append(CheckResult(name, not detail, detail))
+    return checks
+
+
+def _pair_checks(corpus, caps: Caps, families, shown: str, holds) -> list[CheckResult]:
+    """One check per instance with a matching: holds(g, a, b) on each matching's two values."""
+
+    def problem(obj, p: Profile) -> str:
         v = p.values(families)
-        bad = [
+        return "; ".join(
             f"matching {i}: " + shown.format(a, b)
             for i, (a, b) in enumerate(zip(*(v[f] for f in families)))
             if not holds(p.graph, a, b)
-        ]
-        checks.append(CheckResult(name, not bad, "; ".join(bad)))
-    return checks
+        )
+
+    return _checks(corpus, caps, problem)
 
 
 def _polyhex_checks(max_cells, caps: Caps, problem, keep=lambda h: True) -> list[CheckResult]:
-    """One check per kept polyhex with a perfect matching; problem(h, p) is "" when it holds."""
     mc = max_cells if max_cells is not None else MAX_ENUMERATED_CELLS
-    checks = []
-    for name, h in polyhex_corpus(mc):
-        p = _profile(h, caps)
-        if p.pms and keep(h):
-            detail = problem(h, p)
-            checks.append(CheckResult(name, not detail, detail))
-    return checks
+    return _checks(polyhex_corpus(mc), caps, problem, keep)
 
 
 def _suite_thm2(max_cells: int | None, caps: Caps) -> list[CheckResult]:
@@ -233,11 +235,8 @@ def _suite_thm9(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     corpus += polyhex_corpus(mc)
     corpus += tp_corpus(mc)
     corpus += preset_corpus(mc)
-    checks = []
-    for name, h in corpus:
-        p = _profile(h, caps)
-        if not p.pms:
-            continue
+
+    def problem(h: HexSystem, p: Profile) -> str:
         v = p.values(("af", "compatible"))
         bad = []
         for i, m in enumerate(p.pms):
@@ -245,15 +244,16 @@ def _suite_thm9(max_cells: int | None, caps: Caps) -> list[CheckResult]:
             fb = feedback_value(orient_and_contract(h.graph, m), caps.max_cycles)
             if not af == cp == fb:
                 bad.append(f"matching {i}: af={af} c'={cp} feedback={fb}")
-        checks.append(CheckResult(name, not bad, "; ".join(bad)))
-    return checks
+        return "; ".join(bad)
+
+    return _checks(corpus, caps, problem)
 
 
 def _suite_thm11(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """Maximum anti-forcing number equals the Fries number."""
 
     def problem(h: HexSystem, p: Profile) -> str:
-        big_af, fries = max(p.values(("af",))["af"]), max(map(len, p.hexagons))
+        big_af, fries = max(p.values(("af",))["af"]), max(map(int.bit_count, p.resonant))
         return "" if big_af == fries else f"Af={big_af} Fries={fries}"
 
     return _polyhex_checks(max_cells, caps, problem)
@@ -263,7 +263,7 @@ def _suite_cor12(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """cl(H) <= Fries(H) <= 2 cl(H)."""
 
     def problem(h: HexSystem, p: Profile) -> str:
-        cl, fries = p.clar[0], max(map(len, p.hexagons))
+        cl, fries = p.clar[0], max(map(int.bit_count, p.resonant))
         return "" if cl <= fries <= 2 * cl else f"cl={cl} Fries={fries}"
 
     return _polyhex_checks(max_cells, caps, problem)
@@ -273,7 +273,7 @@ def _suite_thm13(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """Fries(H) = n exactly for all-kink catahexes; otherwise strictly below."""
 
     def problem(h: HexSystem, p: Profile) -> str:
-        fries, all_kink = max(map(len, p.hexagons)), is_all_kink_catahex(h)
+        fries, all_kink = max(map(int.bit_count, p.resonant)), is_all_kink_catahex(h)
         ok = (fries == h.n_cells) == all_kink and fries <= h.n_cells
         return "" if ok else f"Fries={fries} n={h.n_cells} all-kink={all_kink}"
 
@@ -354,7 +354,7 @@ def _suite_thm15(max_cells: int | None, caps: Caps) -> list[CheckResult]:
 
     def problem(h: HexSystem, p: Profile) -> str:
         dual = inner_dual(h)
-        f_min, fries_min = min(p.values(("f",))["f"]), min(map(len, p.hexagons))
+        f_min, fries_min = min(p.values(("f",))["f"]), min(map(int.bit_count, p.resonant))
         i_dp, witness = tree_independent_domination(dual)
         i_brute = _brute_independent_domination(dual.graph)
         bad = []
@@ -408,28 +408,16 @@ def _suite_thm16(max_cells: int | None, caps: Caps) -> list[CheckResult]:
         is_tp, _ = is_truncated_parallelogram(h)
         p = _profile(h, caps)
         if not p.pms:
-            ok = not is_tp
-            checks.append(
-                CheckResult(name, ok, "" if ok else "recognized TP has no perfect matching")
-            )
-            continue
-        af1 = _af_is_one(h, p)
-        checks.append(
-            CheckResult(
-                name, af1 == is_tp, "" if af1 == is_tp else f"af==1 is {af1}, TP is {is_tp}"
-            )
-        )
+            detail = "recognized TP has no perfect matching" if is_tp else ""
+        else:
+            af1 = _af_is_one(h, p)
+            detail = "" if af1 == is_tp else f"af==1 is {af1}, TP is {is_tp}"
+        checks.append(CheckResult(name, not detail, detail))
     for params, expected in _THM16_EXTRAS:
-        h = gen_truncated_parallelogram(params)
-        count = len(anti_forcing_edges(h.graph))
-        name = "tp-" + ",".join(map(str, params))
-        checks.append(
-            CheckResult(
-                name + "-edges",
-                count == expected,
-                "" if count == expected else f"{count} anti-forcing edges, expected {expected}",
-            )
-        )
+        count = len(anti_forcing_edges(gen_truncated_parallelogram(params).graph))
+        detail = "" if count == expected else f"{count} anti-forcing edges, expected {expected}"
+        name = "tp-" + ",".join(map(str, params)) + "-edges"
+        checks.append(CheckResult(name, not detail, detail))
     return checks
 
 
@@ -453,22 +441,14 @@ def _suite_thm20(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     checks = []
     for name, h in corpus:
         p = _profile(h, caps)
-        if not p.pms:
-            continue
-        labels = edge_fixedness(h.graph, caps.max_matchings)
-        if FIXED_SINGLE not in labels:
+        if not p.pms or FIXED_SINGLE not in p.labels:
             continue
         af_min = min(p.values(("af",))["af"])
-        comps = normal_hex_components(h, caps.max_matchings)
+        comps = normal_hex_components(h, labels=p.labels)
         both_tp = len(comps) == 2 and all(is_truncated_parallelogram(c)[0] for c in comps)
         ok = (af_min == 2) == both_tp
-        checks.append(
-            CheckResult(
-                name,
-                ok,
-                "" if ok else f"af={af_min}, components={len(comps)}, both TP={both_tp}",
-            )
-        )
+        detail = "" if ok else f"af={af_min}, components={len(comps)}, both TP={both_tp}"
+        checks.append(CheckResult(name, ok, detail))
     return checks
 
 
@@ -479,18 +459,16 @@ def _suite_lem19(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     corpus += polyhex_corpus(mc)
     corpus += tp_corpus(min(mc, 8))
     corpus += preset_corpus()
-    checks = []
-    for name, h in corpus:
-        pms = _profile(h, caps).pms
-        if not pms:
-            continue
+
+    def problem(h: HexSystem, p: Profile) -> str:
         bad = []
         for cut in parallel_cuts(h):
-            values = {len(set(cut) & m.edge_set) for m in pms}
+            values = {len(set(cut).intersection(m.edge_ids)) for m in p.pms}
             if len(values) != 1:
                 bad.append(f"cut {cut}: counts {sorted(values)}")
-        checks.append(CheckResult(name, not bad, "; ".join(bad)))
-    return checks
+        return "; ".join(bad)
+
+    return _checks(corpus, caps, problem)
 
 
 _SUITES = {

@@ -410,8 +410,12 @@ def test_explicit_stack_yields_the_recursive_sequence():
     cases.append(build_graph(0, []))  # the empty matching of the empty graph
     total = 0
     for g in cases:
-        got = list(_iter_perfect_matchings(g))
-        assert got == list(_recursive_perfect_matchings(g)), g
+        weight = [3 * eid + 1 for eid in range(g.m)]
+        got = list(_iter_perfect_matchings(g, weight=weight))
+        assert [ids for ids, _ in got] == list(_recursive_perfect_matchings(g)), g
+        # the running sum is each matching's total weight, and 0 without weights
+        assert all(s == sum(weight[eid] for eid in ids) for ids, s in got), g
+        assert {s for _, s in _iter_perfect_matchings(g)} <= {0}, g
         total += len(got)
     assert total > 1000
 

@@ -1,17 +1,24 @@
 """Hexagonal systems: lattice construction, invariants, recognizers."""
 
 import random
+from itertools import combinations
 
 import pytest
 
-from matchforce.errors import Disconnected, HasHole, NotATree, NotAValidCut
-from matchforce.generators import enumerate_hex_systems, gen_named, gen_truncated_parallelogram
+from matchforce.exact import max_independent_size
+from matchforce.errors import Disconnected, HasHole, LimitExceeded, NotATree, NotAValidCut
+from matchforce.generators import (
+    GLUE_PRESETS,
+    enumerate_hex_systems,
+    gen_named,
+    gen_truncated_parallelogram,
+    glue_preset,
+)
 from matchforce.graphs import BLACK, Matching, build_graph, enumerate_perfect_matchings
 from matchforce.hexsys import (
     _clar_best,
     alternating_hexagons,
     build_hex_system,
-    clar_count,
     clar_number,
     fries_numbers,
     inner_dual,
@@ -19,6 +26,7 @@ from matchforce.hexsys import (
     is_truncated_parallelogram,
     normal_hex_components,
     parallel_cuts,
+    resonant_matchings,
     sachs_cut_check,
     transform_cell,
     tree_independent_domination,
@@ -98,10 +106,14 @@ def test_clar_best_is_the_first_maximum():
     # the size cut skips matchings but not the value or the first index attaining it
     ties = 0
     for h in (h for n in range(1, 6) for h in enumerate_hex_systems(n)):
-        alts = [alternating_hexagons(h, m) for m in enumerate_perfect_matchings(h.graph)]
-        counts = [clar_count(h, alt) for alt in alts]
+        pms, masks = resonant_matchings(h)
+        counts = []
+        for m in pms:
+            alt = alternating_hexagons(h, m)
+            adjacent = [sum(1 << j for j, d in enumerate(alt) if d in h.cell_adjacency[c]) for c in alt]
+            counts.append(max_independent_size(adjacent))
         best = max(counts, default=0)
-        assert _clar_best(h, alts) == (best, counts.index(best) if counts else 0)
+        assert _clar_best(h, masks) == (best, counts.index(best) if counts else 0)
         ties += counts.count(best) > 1
     assert _clar_best(build_hex_system([(0, 0)]), []) == (0, 0)
     assert ties > 0
@@ -316,3 +328,84 @@ def test_alternating_hexagons_ignore_ids_outside_the_graph():
     for m in enumerate_perfect_matchings(h.graph):
         stray = Matching(m.edge_ids + (-1, h.graph.m, 10**9))
         assert alternating_hexagons(h, stray) == alternating_hexagons(h, m)
+
+
+# ------------------------------------------- resonant hexagons off the search
+
+def _hexagon(side):
+    """The hexagon-shaped system with `side` cells along each edge."""
+    k = side - 1
+    return build_hex_system(
+        (q, r) for q in range(-k, k + 1) for r in range(-k, k + 1) if abs(q + r) <= k
+    )
+
+
+def _resonance_corpus():
+    out = [h for n in range(1, 6) for h in enumerate_hex_systems(n)]
+    out += [gen_truncated_parallelogram(p) for p in ((4, 4, 4), (5, 5, 5), (4,) * 4, (5,) * 4, (6,) * 5)]
+    out += [glue_preset(k) for k in sorted(GLUE_PRESETS)]
+    out.append(_hexagon(3))
+    return out
+
+
+def _cell_mask(cells):
+    return sum(1 << 2 * c for c in cells)
+
+
+def test_resonant_masks_equal_alternating_hexagons_on_every_matching():
+    matchings = resonant = 0
+    for h in _resonance_corpus():
+        pms, masks = resonant_matchings(h)
+        assert pms == enumerate_perfect_matchings(h.graph), h.cells
+        assert len(masks) == len(pms)
+        for m, mask in zip(pms, masks):
+            assert mask == _cell_mask(alternating_hexagons(h, m)), (h.cells, m.edge_ids)
+            resonant += mask.bit_count()
+        matchings += len(pms)
+    assert matchings > 3000 and resonant > 10000
+
+
+def _brute_clar_and_fries(h):
+    """Clar and Fries with their witnesses, by trying every hexagon subset."""
+    pms = enumerate_perfect_matchings(h.graph)
+    alts = [alternating_hexagons(h, m) for m in pms]
+    clar = (-1, None)
+    for m, alt in zip(pms, alts):
+        for k in range(len(alt), clar[0], -1):
+            # combinations come in lexicographic order, so the first is the least
+            packing = next(
+                (
+                    s
+                    for s in combinations(alt, k)
+                    if not any(b in h.cell_adjacency[a] for a, b in combinations(s, 2))
+                ),
+                None,
+            )
+            if packing is not None:
+                clar = (k, (m, tuple(h.cells[c] for c in packing)))
+                break
+    counts = [len(alt) for alt in alts]
+    i, j = counts.index(max(counts)), counts.index(min(counts))
+    witness = [(pms[x], tuple(h.cells[c] for c in alts[x])) for x in (i, j)]
+    return clar, (counts[i], counts[j], *witness)
+
+
+def test_clar_and_fries_match_a_brute_force_reference():
+    checked = 0
+    for h in _resonance_corpus():
+        if not enumerate_perfect_matchings(h.graph):
+            continue
+        clar, fries = _brute_clar_and_fries(h)
+        assert clar_number(h) == clar, h.cells
+        assert tuple(fries_numbers(h)) == fries, h.cells
+        checked += 1
+    assert checked > 100
+
+
+def test_the_resonance_search_raises_just_past_the_pm_count():
+    for h in (gen_named("triphenylene"), glue_preset(4), _hexagon(3)):
+        k = len(enumerate_perfect_matchings(h.graph))
+        for search in (resonant_matchings, clar_number, fries_numbers):
+            with pytest.raises(LimitExceeded):
+                search(h, k - 1)
+            assert search(h, k) == search(h)

@@ -50,6 +50,8 @@ def test_graph_parser_rejects_bad_input():
         parse_graph("p 2 1\ne 0 1\nc 0 0\n")  # partial coloring
     with pytest.raises(ParseError):
         parse_graph("p 2 1\ne 0 0\n")  # self loop
+    with pytest.raises(ParseError):
+        parse_graph("p -2 0\n")  # negative vertex count
 
 
 def test_hex_roundtrip():
@@ -319,6 +321,47 @@ def test_cli_compute_rejects_an_instance_file_that_is_not_utf8(tmp_path, capsys)
     assert code == 2
     assert out == ""
     assert err.startswith(f"parse error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("counts", ["-2 0", "-1 0", "2 -1"])
+def test_cli_compute_rejects_negative_counts_in_a_graph_file(tmp_path, capsys, counts):
+    path = tmp_path / "neg.graph"
+    path.write_text(f"p {counts}\n")
+    code, out, err = run_cli(capsys, "compute", "--in", str(path), "--inv", "pm_count")
+    assert code == 2
+    assert out == ""
+    assert err == f"parse error: negative count in problem line 'p {counts}'\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("compute", "--inv", "pm_count", "--max-matchings", "-5"),
+        ("compute", "--inv", "f", "--max-cycles", "-1"),
+        ("verify", "--suite", "thm2", "--max-cells", "-3"),
+        ("verify", "--suite", "thm2", "--max-matchings", "-1"),
+        ("verify", "--suite", "thm2", "--max-cycles", "-1"),
+    ],
+)
+def test_cli_rejects_negative_caps_and_cell_counts(tmp_path, capsys, args):
+    gp = tmp_path / "c6.graph"
+    gp.write_text(serialize_graph(gen_named("C6")))
+    if args[0] == "compute":
+        args = args[:1] + ("--in", str(gp)) + args[1:]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert "must not be negative" in err
+
+
+def test_cli_takes_zero_caps_as_caps(tmp_path, capsys):
+    gp = tmp_path / "c6.graph"
+    gp.write_text(serialize_graph(gen_named("C6")))
+    code, _, err = run_cli(
+        capsys, "compute", "--in", str(gp), "--inv", "pm_count", "--max-matchings", "0"
+    )
+    assert code == 4
+    assert err == "cap exceeded: more than 0 perfect matchings\n"
 
 
 @pytest.mark.parametrize("inv", ["f", "clar", "fries"])

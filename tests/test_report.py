@@ -22,6 +22,7 @@ from matchforce.generators import (
     glue_preset,
 )
 from matchforce.graphs import enumerate_alternating_cycles, enumerate_perfect_matchings
+from matchforce.hexsys import edge_weights
 from matchforce.io import serialize_instance
 from matchforce.report import compute_report, replay
 
@@ -151,11 +152,11 @@ def test_report_memory_does_not_grow_with_cycles_of_all_matchings(tmp_path):
 
 @pytest.fixture
 def kekule_calls(monkeypatch):
-    """Calls of the perfect-matching and alternating-hexagon layers."""
+    """Calls of the matching search, the streamed count and the one-matching hexagon check."""
     return {
         name: _count_calls(monkeypatch, fn)
         for name, fn in (
-            ("enumerate", graphs.enumerate_perfect_matchings),
+            ("search", graphs.weighted_perfect_matchings),
             ("count", graphs.count_perfect_matchings),
             ("hexagons", hexsys.alternating_hexagons),
         )
@@ -175,13 +176,15 @@ def test_kekule_report_enumerates_matchings_once_per_call(tmp_path, kekule_calls
     _reset(kekule_calls)
     report = compute_report(path, ["pm_count", "clar", "fries"])
     assert report["invariants"][0]["value"] == n_pm
-    assert len(kekule_calls["enumerate"]) == 1 and not kekule_calls["count"]
-    assert len(kekule_calls["hexagons"]) == n_pm
+    # one weighted search gives the matchings and every one's resonant hexagons
+    assert len(kekule_calls["search"]) == 1 and not kekule_calls["count"]
+    assert kekule_calls["search"] == [edge_weights(h)]
+    assert not kekule_calls["hexagons"]
     _reset(kekule_calls)
     assert replay(report, path) == []
-    assert len(kekule_calls["enumerate"]) == 1 and not kekule_calls["count"]
-    # plus one witness check for clar and one for each side of fries
-    assert len(kekule_calls["hexagons"]) <= n_pm + 3
+    assert len(kekule_calls["search"]) == 1 and not kekule_calls["count"]
+    # only the witness checks: one for clar and one for each side of fries
+    assert len(kekule_calls["hexagons"]) <= 3
 
 
 def test_pm_count_alone_streams_the_count(tmp_path, kekule_calls):
@@ -190,7 +193,7 @@ def test_pm_count_alone_streams_the_count(tmp_path, kekule_calls):
     report = compute_report(path, ["pm_count"])
     assert report["invariants"][0]["value"] == 9
     assert replay(report, path) == []
-    assert not kekule_calls["enumerate"] and len(kekule_calls["count"]) == 2
+    assert not kekule_calls["search"] and len(kekule_calls["count"]) == 2
 
 
 def test_pm_count_is_zero_without_a_perfect_matching(tmp_path):

@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from matchforce import exact, graphs, report, verify
+from matchforce import exact, graphs, hexsys, report, verify
 from matchforce.antiforcing import (
     VALUE_OF,
     antiforcing_number,
@@ -31,7 +31,12 @@ from matchforce.graphs import (
     enumerate_perfect_matchings,
     orient_and_contract,
 )
-from matchforce.hexsys import alternating_hexagons, clar_number
+from matchforce.hexsys import (
+    alternating_hexagons,
+    build_hex_system,
+    clar_number,
+    is_all_kink_catahex,
+)
 
 SOLVER_OF = {
     "f": forcing_number,
@@ -141,6 +146,7 @@ def test_verify_enumerates_each_matchings_cycles_once(monkeypatch):
 
 def test_verify_reads_cached_families_for_a_subset(monkeypatch):
     alt_calls = _counted(monkeypatch, report, "alternating_cycle_masks")
+    search_calls = _counted(monkeypatch, report, "resonant_matchings")
     hexagon_calls = _counted(monkeypatch, report, "alternating_hexagons")
     _clear_verify_caches()
     try:
@@ -151,9 +157,44 @@ def test_verify_reads_cached_families_for_a_subset(monkeypatch):
         assert verify.run_suite("thm3", max_cells=4).ok
         assert verify.run_suite("thm11", max_cells=4).ok
         assert not alt_calls
-        # Clar and Fries read one alternating-hexagon table per (system, matching)
+        # every polyhex was searched once, by thm5, and that one search also
+        # gave each matching's resonant hexagons, which Clar and Fries read
+        assert search_calls and len(search_calls) == len(set(search_calls))
+        del search_calls[:]
         assert verify.run_suite("cor12", max_cells=4).ok
-        assert hexagon_calls and len(hexagon_calls) == len(set(hexagon_calls))
+        assert not search_calls and not hexagon_calls
+    finally:
+        _clear_verify_caches()
+
+
+def test_catahex_suites_search_only_all_kink_catahexes(monkeypatch):
+    search_calls = _counted(monkeypatch, report, "resonant_matchings")
+    _clear_verify_caches()
+    try:
+        assert verify.run_suite("thm14", max_cells=5).ok
+        catahexes = [h for _, h in verify.polyhex_corpus(5) if is_all_kink_catahex(h)]
+        assert len(catahexes) == 60 < len(verify.polyhex_corpus(5))
+        assert [h for h, _ in search_calls] == catahexes
+        # thm15 reads the profiles thm14 filled in
+        assert verify.run_suite("thm15", max_cells=5).ok
+        assert len(search_calls) == len(catahexes)
+    finally:
+        _clear_verify_caches()
+
+
+def test_thm20_reads_its_edge_labels_from_the_profile(monkeypatch):
+    search_calls = _counted(monkeypatch, report, "resonant_matchings")
+    fixedness_calls = _counted(monkeypatch, graphs, "edge_fixedness")
+    fixedness_calls += _counted(monkeypatch, hexsys, "edge_fixedness")
+    _clear_verify_caches()
+    try:
+        result = verify.run_suite("thm20", max_cells=5)
+        assert result.ok and len(result.checks) > 2
+        # one search per distinct instance, and no second enumeration for the labels
+        instances = {h for _, h in verify.polyhex_corpus(5)}
+        instances |= {build_hex_system(cells) for _, cells in verify._THM20_CONSTRUCTED}
+        assert len(search_calls) == len(instances) == len({h for h, _ in search_calls})
+        assert not fixedness_calls
     finally:
         _clear_verify_caches()
 
