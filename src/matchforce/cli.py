@@ -1,7 +1,8 @@
 """Command line front end: compute invariants, verify identities, generate files.
 
-Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
-3 inapplicable invariant or no perfect matching, 4 enumeration cap exceeded.
+Exit codes: 0 success, 1 verification failure, 2 parse/usage error or an
+unwritable output, 3 inapplicable invariant or no perfect matching,
+4 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -185,11 +186,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, matching the parse-error contract
         return int(exc.code) if exc.code else EXIT_OK
-    if args.command == "compute":
-        return _cmd_compute(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_generate(args)
+    try:
+        if args.command == "compute":
+            return _cmd_compute(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        return _cmd_generate(args)
+    except OSError as exc:  # an output file or directory that cannot be written
+        print(f"write error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def entry() -> None:

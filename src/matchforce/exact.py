@@ -12,14 +12,16 @@ limit and no function here calls itself.
   optimum counts up from that packing bound, the natural lower bound of the
   minimax between hitting sets and disjoint packings, on the family reduced
   once; `_hit_feasible` masks and reduces a family for the witness rebuild.
-- Independent set: `_independent_feasible` asks whether k items can be
-  picked.  A greedy pick answers yes at once when it reaches k; otherwise
-  the search branches on the lowest item and prunes with a greedy clique
-  cover.  The optimum counts down from that cover bound.
+- Independent set: `_independent_feasible` picks k items, or None when no
+  k fit.  A greedy pick answers at once when it reaches k; otherwise the
+  search branches on the lowest item, taking it first, and prunes with a
+  greedy clique cover.  The optimum counts down from that cover bound.
 
-Both witnesses are the lexicographically least optimal ones, rebuilt item
-by item with the same feasibility tests, so repeated runs give identical
-output.
+Both witnesses are the lexicographically least optimal ones, so repeated
+runs give identical output.  The independent-set witness is the first pick
+found at the optimum; the hitting-set witness is rebuilt element by element
+with `_hit_feasible`, since its search branches on a smallest unhit set and
+need not find the least hitting set first.
 """
 
 from __future__ import annotations
@@ -157,40 +159,48 @@ def _clique_cover_bound(avail: int, conflicts: Sequence[int]) -> int:
     return len(cliques)
 
 
-def _max_independent_size(conflicts: Sequence[int], avail: int) -> int:
-    k = _clique_cover_bound(avail, conflicts)
-    while not _independent_feasible(conflicts, avail, k):
-        k -= 1
-    return k
+def _independent_feasible(conflicts: Sequence[int], pool: int, target: int) -> int | None:
+    """A bitmask of `target` pairwise non-conflicting items of `pool`, or None if none exists.
 
-
-def _independent_feasible(conflicts: Sequence[int], pool: int, target: int) -> bool:
-    """True iff `pool` holds ≥ target pairwise non-conflicting items."""
+    The search branches on the lowest item and tries taking it first, so its
+    leaves come in lexicographic order of their sorted items; the greedy pick
+    is its first leaf, and a prune cuts only subtrees that hold no solution.
+    The pick returned is therefore the lexicographically least one.
+    """
     # a greedy pick (lowest item, drop its conflicts, repeat) often suffices
-    rest, count = pool, 0
+    rest, pick, count = pool, 0, 0
     while rest and count < target:
         b = rest & -rest
         rest &= ~conflicts[b.bit_length() - 1] & ~b
+        pick |= b
         count += 1
     if count >= target:
-        return True
-    stack = [(pool, target)]
+        return pick
+    stack = [(pool, target, 0)]
     while stack:
-        pool, target = stack.pop()
+        pool, target, pick = stack.pop()
         if target <= 0:
-            return True
+            return pick
         if pool.bit_count() < target or _clique_cover_bound(pool, conflicts) < target:
             continue
         b = pool & -pool
         v = b.bit_length() - 1
-        stack.append((pool & ~b, target))
-        stack.append((pool & ~conflicts[v] & ~b, target - 1))  # taking v is tried first
-    return False
+        stack.append((pool & ~b, target, pick))
+        stack.append((pool & ~conflicts[v] & ~b, target - 1, pick | b))  # taking v is tried first
+    return None
+
+
+def _max_independent(conflicts: Sequence[int], pool: int) -> tuple[int, int]:
+    """The optimum over `pool` and the least optimal pick, counting down from the cover bound."""
+    k = _clique_cover_bound(pool, conflicts)
+    while (pick := _independent_feasible(conflicts, pool, k)) is None:
+        k -= 1
+    return k, pick
 
 
 def max_independent_size(conflicts: Sequence[int]) -> int:
-    """Optimum value of max_independent_indices without witness reconstruction."""
-    return _max_independent_size(conflicts, (1 << len(conflicts)) - 1)
+    """Optimum value of max_independent_indices."""
+    return _max_independent(conflicts, (1 << len(conflicts)) - 1)[0]
 
 
 def max_independent_indices(
@@ -203,22 +213,6 @@ def max_independent_indices(
     Returns (size, witness) with the witness the lexicographically least
     optimal index tuple.
     """
-    n = len(conflicts)
-    pool = (1 << n) - 1 if pool is None else pool
-    k = _max_independent_size(conflicts, pool)
-
-    witness: list[int] = []
-    need = k
-    for v in range(n):
-        if need == 0:
-            break
-        b = 1 << v
-        if not pool & b:
-            continue
-        rest = pool & ~conflicts[v] & ~((1 << (v + 1)) - 1)
-        if _independent_feasible(conflicts, rest, need - 1):
-            witness.append(v)
-            pool = rest
-            need -= 1
-    assert need == 0
-    return k, tuple(witness)
+    pool = (1 << len(conflicts)) - 1 if pool is None else pool
+    k, pick = _max_independent(conflicts, pool)
+    return k, tuple(v for v in range(pick.bit_length()) if pick >> v & 1)

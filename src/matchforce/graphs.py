@@ -198,13 +198,6 @@ def build_graph(
     return Graph(n=n, edges=tuple(edges), color=col)
 
 
-def remove_edges(g: Graph, edge_ids: Iterable[int]) -> Graph:
-    """Copy of g without the given edges; colors carry over unchanged."""
-    drop = set(edge_ids)
-    kept = tuple(e for eid, e in enumerate(g.edges) if eid not in drop)
-    return Graph(n=g.n, edges=kept, color=g.color)
-
-
 def matching_partner(g: Graph, m: Matching) -> list[int]:
     """partner[v] for a perfect matching; raises NotPerfect otherwise."""
     partner = [-1] * g.n
@@ -222,19 +215,16 @@ def matching_partner(g: Graph, m: Matching) -> list[int]:
 
 
 def _iter_perfect_matchings(
-    g: Graph, covered: bytearray | None = None, without: int = -1,
-    weight: Sequence[int] | None = None,
+    g: Graph, without: int = -1, weight: Sequence[int] | None = None
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Backtracking over the lowest-index uncovered vertex, edges in id order.
 
     The search runs on an explicit stack with one frame per matched pair, so
     its depth is not bounded by the interpreter's recursion limit and a
     matching is handed out without passing through a chain of generators.
-    Vertices flagged in `covered` are taken as already matched, and edge
-    `without` as deleted; each matching then lists only the edges it adds.
-    Each matching comes with the sum of `weight[e]` over those edges (0
-    without weights), kept as a running sum: one add per try, one subtract
-    per undo.
+    Edge `without` counts as deleted.  Each matching comes with the sum of
+    `weight[e]` over its edges (0 without weights), kept as a running sum:
+    one add per try, one subtract per undo.
     """
     n = g.n
     if n % 2:
@@ -244,8 +234,7 @@ def _iter_perfect_matchings(
         adjacency = list(adjacency)
         for x in g.edges[without]:
             adjacency[x] = tuple(a for a in adjacency[x] if a[1] != without)
-    if covered is None:
-        covered = bytearray(n)
+    covered = bytearray(n)
     if weight is None:
         weight = bytes(g.m)
     # frame i matches frame_v[i] by edge chosen[i] (-1 before the first try);
@@ -334,13 +323,13 @@ def count_perfect_matchings(g: Graph, max_matchings: int = DEFAULT_MATCHING_CAP)
     return sum(1 for _ in _capped(g, max_matchings))
 
 
-def _pendant_reduction(g: Graph, without: int = -1) -> tuple[list[int], bytearray] | None:
+def _pendant_reduction(g: Graph, without: int = -1) -> list[int] | None:
     """Take pendant edges as forced, one after another, on g.adjacency in place.
 
     Edge `without` counts as deleted; no graph is built.  Returns None when an
     uncovered vertex runs out of edges (no perfect matching), else the forced
-    edge ids and a flag per vertex that is set where it is covered.  Every
-    uncovered vertex then keeps at least two edges to uncovered vertices.
+    edge ids.  Every uncovered vertex then keeps at least two edges to
+    uncovered vertices.
     """
     adjacency = g.adjacency
     deg = [len(a) for a in adjacency]
@@ -366,7 +355,7 @@ def _pendant_reduction(g: Graph, without: int = -1) -> tuple[list[int], bytearra
                     deg[w] -= 1
                     if deg[w] <= 1:
                         queue.append(w)
-    return forced, covered
+    return forced
 
 
 def _unique_matching(g: Graph, without: int = -1) -> Matching | None:
@@ -381,28 +370,28 @@ def _unique_matching(g: Graph, without: int = -1) -> Matching | None:
     finite digraph in which every node has an out-arc holds a directed
     cycle, that is an M-alternating cycle, and switching M along it gives a
     second perfect matching.  So a stalled bipartite remainder has no unique
-    perfect matching, and nothing is enumerated.  A non-bipartite remainder
-    is enumerated, capped at two matchings.
+    perfect matching, and nothing is enumerated.  When a non-bipartite
+    remainder is left, g minus `without` is enumerated, capped at two
+    matchings.
     """
-    reduced = _pendant_reduction(g, without)
-    if reduced is None:
+    forced = _pendant_reduction(g, without)
+    if forced is None:
         return None
-    forced, covered = reduced
     if 2 * len(forced) == g.n:
         return Matching(forced)
     if g.color is not None:
         return None
-    first_two = list(islice(_iter_perfect_matchings(g, covered, without), 2))
+    first_two = list(islice(_iter_perfect_matchings(g, without), 2))
     if len(first_two) != 1:
         return None
-    return Matching(forced + list(first_two[0][0]))
+    return Matching(first_two[0][0])
 
 
 def has_unique_perfect_matching(g: Graph) -> tuple[bool, Matching | None]:
     """Uniqueness test with the unique matching; near-linear on bipartite input.
 
-    Pendant reduction decides bipartite input alone; a non-bipartite
-    remainder with minimum degree ≥ 2 is enumerated, capped at two matchings.
+    Pendant reduction decides bipartite input alone; where it leaves a
+    non-bipartite remainder, g is enumerated, capped at two matchings.
     """
     m = _unique_matching(g)
     return m is not None, m

@@ -298,22 +298,20 @@ def _mask_cells(h: HexSystem, mask: int) -> tuple[Cell, ...]:
     return tuple(cell for c, cell in enumerate(h.cells) if mask >> 2 * c & 1)
 
 
-def _clar_best(h: HexSystem, masks: Iterable[int]) -> tuple[int, int]:
-    """Largest packing over the resonant masks, and the first index to attain it (0, 0 if none)."""
-    best = first = 0
+def _clar_best(h: HexSystem, masks: Iterable[int]) -> tuple[int, int, tuple[Cell, ...]]:
+    """Largest packing over the resonant masks, the first index to attain it, and its cells.
+
+    The cells are the lexicographically least largest set of pairwise
+    non-adjacent cells in that mask; (0, 0, ()) when no cell is resonant.
+    """
+    best = first = pick = 0
     for i, mask in enumerate(masks):
         # a packing among k resonant cells cannot beat best when k <= best
         if mask.bit_count() > best:
-            count = exact._max_independent_size(h.cell_conflicts, mask)
+            count, picked = exact._max_independent(h.cell_conflicts, mask)
             if count > best:
-                best, first = count, i
-    return best, first
-
-
-def _clar_packing(h: HexSystem, mask: int) -> tuple[Cell, ...]:
-    """The lexicographically least largest set of pairwise non-adjacent cells in `mask`."""
-    _, picked = exact.max_independent_indices(h.cell_conflicts, mask)
-    return tuple(h.cells[bit >> 1] for bit in picked)
+                best, first, pick = count, i, picked
+    return best, first, _mask_cells(h, pick)
 
 
 def _hex_matchings(
@@ -343,8 +341,8 @@ def clar_number(
 ) -> tuple[int, tuple[Matching, tuple[Cell, ...]]]:
     """Largest set of disjoint simultaneously-alternating hexagons over all PMs."""
     pms, masks = _hex_matchings(h, max_matchings)
-    best, i = _clar_best(h, masks)
-    return best, (pms[i], _clar_packing(h, masks[i]))
+    best, i, cells = _clar_best(h, masks)
+    return best, (pms[i], cells)
 
 
 def fries_numbers(

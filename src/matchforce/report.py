@@ -37,9 +37,9 @@ from .graphs import (
     matching_partner,
 )
 from .hexsys import (
+    Cell,
     HexSystem,
     _clar_best,
-    _clar_packing,
     _fries_from,
     alternating_hexagons,
     resonant_matchings,
@@ -123,8 +123,8 @@ class Profile:
         return _fixedness(self.graph, (m.edge_ids for m in self.pms))
 
     @cached_property
-    def clar(self) -> tuple[int, int]:
-        """The Clar number and the index of the first matching to attain it."""
+    def clar(self) -> tuple[int, int, tuple[Cell, ...]]:
+        """The Clar number, the index of the first matching to attain it, and its packing."""
         return _clar_best(self.obj, self.resonant)
 
     def values(self, families: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
@@ -174,8 +174,7 @@ def _inv_clar(p: Profile, names):
     if not isinstance(p.obj, HexSystem):
         raise InapplicableInvariant("clar needs a hexagonal system")
     pms = p.matchings
-    value, i = p.clar
-    cells = _clar_packing(p.obj, p.resonant[i])
+    value, i, cells = p.clar
     return value, {"matching": list(pms[i].edge_ids), "hexagons": [list(c) for c in cells]}
 
 

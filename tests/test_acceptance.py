@@ -29,7 +29,6 @@ from matchforce.graphs import (
     enumerate_perfect_matchings,
     has_unique_perfect_matching,
     orient_and_contract,
-    remove_edges,
 )
 from matchforce.hexsys import clar_number, fries_numbers
 from matchforce.verify import (
@@ -39,6 +38,7 @@ from matchforce.verify import (
     run_suite,
     tp_corpus,
 )
+from test_graphs import remove_edges
 
 
 def _assert_suite_clean(result, budget_s=None, elapsed=None):

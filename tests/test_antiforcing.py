@@ -26,10 +26,9 @@ from matchforce.graphs import (
     enumerate_perfect_matchings,
     has_unique_perfect_matching,
     orient_and_contract,
-    remove_edges,
 )
 from matchforce.verify import _THM16_EXTRAS
-from test_graphs import _seeded_graphs
+from test_graphs import _seeded_graphs, remove_edges
 
 
 def test_hexagon_single_non_matching_edge_antiforces():

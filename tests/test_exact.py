@@ -11,8 +11,14 @@ from hypothesis import given, settings, strategies as st
 from matchforce import exact
 from matchforce.antiforcing import antiforcing_number, max_compatible_alternating_set
 from matchforce.forcing import forcing_number, max_disjoint_alternating_cycles
+from matchforce.generators import enumerate_hex_systems, gen_truncated_parallelogram
 from matchforce.graphs import Matching, alternating_cycle_masks, build_graph, edge_mask
+from matchforce.hexsys import resonant_matchings
 from test_graphs import _cycle_corpus
+from test_hexsys import _hexagon
+
+# the truncated parallelograms of the kekule benchmark workload
+KEKULE_TPS = ((6,) * 6, (8,) * 6, (12, 10, 8, 6, 4, 2), (5,) * 8, (9, 7, 5, 3, 1))
 
 
 def brute_min_hitting(sets):
@@ -41,6 +47,8 @@ def test_hitting_set_trivial():
     assert exact.min_hitting_set([]) == (0, ())
     assert exact.min_hitting_set([[3]]) == (1, (3,))
     assert exact.min_hitting_set([[2, 5], [5, 9]]) == (1, (5,))
+    # the search meets {2, 4} first, so the least witness must be rebuilt
+    assert exact.min_hitting_set([[2, 5], [4, 5], [1, 2, 4]]) == (2, (1, 5))
 
 
 def test_hitting_set_rejects_empty_member():
@@ -135,9 +143,10 @@ def test_hitting_set_with_copies_and_supersets_matches_brute_force(sets):
 # ------------------------------------------- the recursive solvers, as reference
 # The hitting-set and independent-set searches as they were before the
 # explicit-stack feasibility tests: a superset filter, a greedy upper bound and
-# recursive branch-and-bound.  The witness loops of min_hitting_set and
-# max_independent_indices are unchanged, so running them over these gives the
-# earlier public results.
+# recursive branch-and-bound.  The witness loop of min_hitting_set is
+# unchanged, so running it over these gives the earlier public results;
+# max_independent_indices now takes its witness from the search that finds its
+# value, and its earlier item-by-item rebuild is kept below as the reference.
 
 def _ref_greedy_hitting(sets):
     remaining = sets
@@ -247,12 +256,36 @@ def _ref_independent_feasible(conflicts, pool, target):
     return _ref_independent_feasible(conflicts, pool & ~b, target)
 
 
+def _ref_max_independent_indices(conflicts, pool):
+    """The value, then the lexicographically least witness rebuilt item by item."""
+    k = _ref_max_independent_size(conflicts, pool)
+    witness = []
+    need = k
+    for v in range(len(conflicts)):
+        if need == 0:
+            break
+        b = 1 << v
+        if not pool & b:
+            continue
+        rest = pool & ~conflicts[v] & ~((1 << (v + 1)) - 1)
+        if _ref_independent_feasible(conflicts, rest, need - 1):
+            witness.append(v)
+            pool = rest
+            need -= 1
+    assert need == 0
+    return k, tuple(witness)
+
+
+def _ref_max_independent(conflicts, pool):
+    k, witness = _ref_max_independent_indices(conflicts, pool)
+    return k, sum(1 << v for v in witness)
+
+
 REFERENCE = {
     "_reduce": _ref_reduce,
     "_min_hit_size": _ref_min_hit_size,
     "_hit_feasible": _ref_hit_feasible,
-    "_max_independent_size": _ref_max_independent_size,
-    "_independent_feasible": _ref_independent_feasible,
+    "_max_independent": _ref_max_independent,
 }
 
 
@@ -290,6 +323,35 @@ def test_feasibility_searches_match_the_recursive_solvers(monkeypatch):
     assert len(families) > 7_000
     # the corpus reaches past the trivial optima on both sides
     assert max(size for size, _ in got) >= 4
+
+
+def _independent_families():
+    """(conflicts, pool) pairs: the cycle corpus's disjoint and compatible
+    families over all their items, then the cell adjacency of some hexagonal
+    systems with each resonant mask, and 0, as the pool."""
+    out = []
+    for g, m in _cycle_corpus():
+        masks = alternating_cycle_masks(g, m)
+        in_m = edge_mask(m.edge_ids)
+        for within in (in_m, ~in_m):
+            out.append((exact.overlap_conflicts(masks, within), (1 << len(masks)) - 1))
+    systems = [h for n in range(1, 6) for h in enumerate_hex_systems(n)]
+    systems += [gen_truncated_parallelogram(p) for p in KEKULE_TPS]
+    systems.append(_hexagon(3))
+    for h in systems:
+        out += [(h.cell_conflicts, mask) for mask in sorted({0, *resonant_matchings(h)[1]})]
+    return out
+
+
+def test_first_pick_at_the_optimum_is_the_rebuilt_witness():
+    families = _independent_families()
+    sizes = set()
+    for conflicts, pool in families:
+        expected = _ref_max_independent_indices(conflicts, pool)
+        assert exact.max_independent_indices(conflicts, pool) == expected, (conflicts, pool)
+        sizes.add(expected[0])
+    assert len(families) > 19_000
+    assert {0, 1, 2, 3, 4} <= sizes
 
 
 def _disjoint_squares(k):

@@ -103,19 +103,26 @@ def test_h22_clar_equals_max_forcing():
 
 
 def test_clar_best_is_the_first_maximum():
-    # the size cut skips matchings but not the value or the first index attaining it
+    # the size cut skips matchings but not the value, the first index attaining
+    # it or that matching's lexicographically least packing
     ties = 0
     for h in (h for n in range(1, 6) for h in enumerate_hex_systems(n)):
         pms, masks = resonant_matchings(h)
-        counts = []
+        counts, packings = [], []
         for m in pms:
             alt = alternating_hexagons(h, m)
             adjacent = [sum(1 << j for j, d in enumerate(alt) if d in h.cell_adjacency[c]) for c in alt]
             counts.append(max_independent_size(adjacent))
+            packings.append(next(
+                p for p in combinations(alt, counts[-1])
+                if not any(d in h.cell_adjacency[c] for c, d in combinations(p, 2))
+            ))
         best = max(counts, default=0)
-        assert _clar_best(h, masks) == (best, counts.index(best) if counts else 0)
+        i = counts.index(best) if counts else 0
+        packing = tuple(h.cells[c] for c in packings[i]) if counts else ()
+        assert _clar_best(h, masks) == (best, i, packing)
         ties += counts.count(best) > 1
-    assert _clar_best(build_hex_system([(0, 0)]), []) == (0, 0)
+    assert _clar_best(build_hex_system([(0, 0)]), []) == (0, 0, ())
     assert ties > 0
 
 

@@ -396,6 +396,26 @@ def test_cli_compute_writes_out_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["invariants"][0]["value"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--in", "{c6}", "--inv", "pm_count"),
+        ("verify", "--suite", "thm13", "--max-cells", "1"),
+        ("generate", "trunc-para", "2,2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_unwritable_out_exits_2_with_one_line(tmp_path, capsys, argv):
+    # exit 1 means a failed verification, so a failed write must not end there
+    gp = tmp_path / "c6.graph"
+    gp.write_text(serialize_graph(gen_named("C6")))
+    out_path = tmp_path / "missing" / "out.json"
+    code, _, err = run_cli(capsys, *(a.format(c6=gp) for a in argv), "--out", str(out_path))
+    assert code == 2
+    assert err.startswith("write error: ") and len(err.splitlines()) == 1
+    assert not out_path.parent.exists()
+
+
 def test_cli_verify_small_suite(tmp_path, capsys):
     out_path = tmp_path / "thm13.json"
     code, out, _ = run_cli(
