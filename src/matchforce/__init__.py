@@ -42,7 +42,6 @@ from .antiforcing import (
 )
 from .hexsys import (
     HexSystem,
-    InnerDual,
     build_hex_system,
     clar_number,
     fries_numbers,
@@ -67,7 +66,6 @@ __all__ = [
     "GlueSpec",
     "Graph",
     "HexSystem",
-    "InnerDual",
     "Matching",
     "MatchforceError",
     "Spectrum",

@@ -18,11 +18,11 @@ from .graphs import (
     Graph,
     Matching,
     _unique_matching,
-    alternating_cycle_masks,
     directed_cycle_masks,
     edge_mask,
     enumerate_alternating_cycles,
     enumerate_directed_cycles,
+    matching_partner,
 )
 from .forcing import (
     COMPATIBLE,
@@ -34,16 +34,15 @@ from .forcing import (
 )
 
 
-def is_antiforcing_set(
-    g: Graph, m: Matching, edge_ids, max_cycles: int = DEFAULT_CYCLE_CAP
-) -> bool:
-    """Does the non-matching edge set meet every alternating cycle?"""
+def is_antiforcing_set(g: Graph, m: Matching, edge_ids) -> bool:
+    """Is m the unique perfect matching once these non-matching edges are deleted?"""
     s = frozenset(edge_ids)
     overlap = s & m.edge_set
     if overlap:
         raise IntersectsM(f"{sorted(overlap)} are matching edges")
-    hit = edge_mask(e for e in s if e in range(g.m))  # other ids meet no cycle
-    return all(c & hit for c in alternating_cycle_masks(g, m, max_cycles))
+    matching_partner(g, m)  # raises NotPerfect
+    # ids outside the graph delete nothing
+    return _unique_matching(g, {e for e in s if e in range(g.m)}) is not None
 
 
 def antiforcing_number(
@@ -101,7 +100,7 @@ def anti_forcing_edges(g: Graph) -> tuple[int, ...]:
 
     Each edge costs one pendant reduction of g with that edge left out.
     """
-    return tuple(e for e in range(g.m) if _unique_matching(g, e) is not None)
+    return tuple(e for e in range(g.m) if _unique_matching(g, (e,)) is not None)
 
 
 def min_feedback_arc_set(

@@ -1,8 +1,9 @@
 """Command line front end: compute invariants, verify identities, generate files.
 
-Exit codes: 0 success, 1 verification failure, 2 parse/usage error or an
-unwritable output, 3 inapplicable invariant or no perfect matching,
-4 enumeration cap exceeded.
+Exit codes: 0 success, 1 verification failure, 2 parse/usage error, bad
+input or an unwritable output, 3 inapplicable invariant or no perfect
+matching, 4 enumeration cap exceeded.  Every error class and its code are
+listed once, in EXITS.
 """
 
 from __future__ import annotations
@@ -11,15 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import (
-    InapplicableInvariant,
-    LimitExceeded,
-    MatchforceError,
-    NoPerfectMatching,
-    ParseError,
-)
+from . import errors
 from .generators import (
-    GLUE_PRESETS,
     gen_named,
     gen_truncated_parallelogram,
     glue_preset,
@@ -36,6 +30,30 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_INAPPLICABLE = 3
 EXIT_CAP = 4
+
+# error class -> (exit code, stderr label); an error is reported under the
+# first class of its method resolution order found here
+EXITS: dict[type[Exception], tuple[int, str]] = {
+    errors.ParseError: (EXIT_PARSE, "parse error"),
+    **dict.fromkeys(
+        (
+            errors.SelfLoop, errors.DuplicateEdge, errors.BadColoring, errors.Disconnected,
+            errors.HasHole, errors.BadRowSequence, errors.UnknownName, errors.TooLarge,
+            errors.InvalidGlue, errors.UnknownSuite, errors.NotPerfect, errors.NotSubsetOfM,
+            errors.IntersectsM, ValueError,  # ValueError: a generate parameter that is no int
+        ),
+        (EXIT_PARSE, "bad input"),
+    ),
+    **dict.fromkeys(
+        (
+            errors.InapplicableInvariant, errors.NoPerfectMatching, errors.NotBipartite,
+            errors.NotATree, errors.NotAValidCut,
+        ),
+        (EXIT_INAPPLICABLE, "inapplicable invariant"),
+    ),
+    errors.LimitExceeded: (EXIT_CAP, "cap exceeded"),
+    OSError: (EXIT_PARSE, "write error"),  # an output that cannot be written
+}
 
 
 def _count(text: str) -> int:
@@ -82,22 +100,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compute(args) -> int:
     invariants = [s for s in args.inv.split(",") if s]
-    try:
-        report = compute_report(
-            args.infile,
-            invariants,
-            max_matchings=args.max_matchings,
-            max_cycles=args.max_cycles,
-        )
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (InapplicableInvariant, NoPerfectMatching) as exc:
-        print(f"inapplicable invariant: {exc}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
-    except LimitExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    report = compute_report(
+        args.infile,
+        invariants,
+        max_matchings=args.max_matchings,
+        max_cycles=args.max_cycles,
+    )
     text = dumps_report(report)
     if args.out:
         Path(args.out).write_text(text)
@@ -107,16 +115,12 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        result = run_suite(
-            args.suite,
-            max_cells=args.max_cells,
-            max_matchings=args.max_matchings,
-            max_cycles=args.max_cycles,
-        )
-    except LimitExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    result = run_suite(
+        args.suite,
+        max_cells=args.max_cells,
+        max_matchings=args.max_matchings,
+        max_cycles=args.max_cycles,
+    )
     for check in result.checks:
         if check.ok:
             print(f"ok   {check.instance}")
@@ -140,41 +144,26 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    try:
-        if args.family == "trunc-para":
-            params = tuple(int(x) for x in args.params.split(","))
-            text = serialize_hex(gen_truncated_parallelogram(params))
-        elif args.family == "named":
-            text = serialize_instance(gen_named(args.params))
-        elif args.family == "glue-preset":
-            number = int(args.params)
-            if number not in GLUE_PRESETS:
-                print(f"unknown preset {number}", file=sys.stderr)
-                return EXIT_PARSE
-            text = serialize_hex(glue_preset(number))
-        else:  # polyhex-corpus
-            n = int(args.params)
-            out_dir = Path(args.out or f"polyhex-{n}")
-            out_dir.mkdir(parents=True, exist_ok=True)
-            for i, h in enumerate(enumerate_hex_systems(n)):
-                (out_dir / f"polyhex-{n}-{i:04d}.hex").write_text(serialize_hex(h))
-            print(f"wrote {len(enumerate_hex_systems(n))} files to {out_dir}")
-            return EXIT_OK
-    except (MatchforceError, ValueError) as exc:
-        print(f"generate error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    if args.family == "named" and not args.out:
+    if args.family == "polyhex-corpus":
+        n = int(args.params)
+        systems = enumerate_hex_systems(n)  # before mkdir: TooLarge leaves no directory
+        out_dir = Path(args.out or f"polyhex-{n}")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for i, h in enumerate(systems):
+            (out_dir / f"polyhex-{n}-{i:04d}.hex").write_text(serialize_hex(h))
+        print(f"wrote {len(systems)} files to {out_dir}")
+        return EXIT_OK
+    if args.family == "trunc-para":
+        obj = gen_truncated_parallelogram(tuple(int(x) for x in args.params.split(",")))
+        stem = "tp-" + args.params.replace(",", "_")
+    elif args.family == "named":
         obj = gen_named(args.params)
-        suffix = ".hex" if isinstance(obj, HexSystem) else ".graph"
-        out = Path(args.params.lower() + suffix)
-    elif args.family == "trunc-para" and not args.out:
-        out = Path("tp-" + args.params.replace(",", "_") + ".hex")
-    elif args.family == "glue-preset" and not args.out:
-        out = Path(f"glue-preset-{args.params}.hex")
-    else:
-        out = Path(args.out)
-    out.write_text(text)
+        stem = args.params.lower()
+    else:  # glue-preset
+        obj = glue_preset(int(args.params))
+        stem = f"glue-preset-{args.params}"
+    out = Path(args.out or stem + (".hex" if isinstance(obj, HexSystem) else ".graph"))
+    out.write_text(serialize_instance(obj))
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -186,15 +175,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, matching the parse-error contract
         return int(exc.code) if exc.code else EXIT_OK
+    command = {"compute": _cmd_compute, "verify": _cmd_verify, "generate": _cmd_generate}
     try:
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_generate(args)
-    except OSError as exc:  # an output file or directory that cannot be written
-        print(f"write error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return command[args.command](args)
+    except tuple(EXITS) as exc:
+        code, label = next(EXITS[c] for c in type(exc).__mro__ if c in EXITS)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

@@ -203,16 +203,12 @@ def max_independent_size(conflicts: Sequence[int]) -> int:
     return _max_independent(conflicts, (1 << len(conflicts)) - 1)[0]
 
 
-def max_independent_indices(
-    conflicts: Sequence[int], pool: int | None = None
-) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum independent subfamily of the items in `pool` (default 0..n-1).
+def max_independent_indices(conflicts: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Exact maximum independent subfamily of the items 0..n-1.
 
     `conflicts[i]` is a bitmask of the items conflicting with item i (bit i
-    itself must be clear); `pool` is a bitmask of the items to pick from.
-    Returns (size, witness) with the witness the lexicographically least
-    optimal index tuple.
+    itself must be clear).  Returns (size, witness) with the witness the
+    lexicographically least optimal index tuple.
     """
-    pool = (1 << len(conflicts)) - 1 if pool is None else pool
-    k, pick = _max_independent(conflicts, pool)
+    k, pick = _max_independent(conflicts, (1 << len(conflicts)) - 1)
     return k, tuple(v for v in range(pick.bit_length()) if pick >> v & 1)

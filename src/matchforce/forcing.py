@@ -20,10 +20,12 @@ from .graphs import (
     DEFAULT_MATCHING_CAP,
     Graph,
     Matching,
+    _unique_matching,
     alternating_cycle_masks,
     edge_mask,
     enumerate_alternating_cycles,
     enumerate_perfect_matchings,
+    matching_partner,
 )
 
 DISJOINT = "disjoint"
@@ -84,15 +86,18 @@ class Spectrum:
         return tuple(sorted(set(self.values)))
 
 
-def is_forcing_set(
-    g: Graph, m: Matching, edge_ids, max_cycles: int = DEFAULT_CYCLE_CAP
-) -> bool:
-    """Does the subset of m meet every alternating cycle?"""
+def is_forcing_set(g: Graph, m: Matching, edge_ids) -> bool:
+    """Is m the only perfect matching that contains this subset of m?
+
+    The perfect matchings containing it are those of g once every other
+    edge at its ends is deleted, so _unique_matching decides it.
+    """
     s = frozenset(edge_ids)
     if not s <= m.edge_set:
         raise NotSubsetOfM(f"{sorted(s - m.edge_set)} are not matching edges")
-    hit = edge_mask(s)
-    return all(c & hit for c in alternating_cycle_masks(g, m, max_cycles))
+    matching_partner(g, m)  # raises NotPerfect
+    ends = {x for e in s for x in g.edges[e]}
+    return _unique_matching(g, {e for x in ends for _, e in g.adjacency[x]} - s) is not None
 
 
 def forcing_number(

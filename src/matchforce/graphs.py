@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadColoring,
@@ -214,26 +214,33 @@ def matching_partner(g: Graph, m: Matching) -> list[int]:
     return partner
 
 
+def _adjacency_without(g: Graph, without: Collection[int]) -> Sequence[Sequence[tuple[int, int]]]:
+    """g.adjacency with the edges in `without` deleted; only their ends' lists are rebuilt."""
+    if not without:
+        return g.adjacency
+    adjacency = list(g.adjacency)
+    for e in without:
+        for x in g.edges[e]:
+            adjacency[x] = [a for a in adjacency[x] if a[1] not in without]
+    return adjacency
+
+
 def _iter_perfect_matchings(
-    g: Graph, without: int = -1, weight: Sequence[int] | None = None
+    g: Graph, without: Collection[int] = (), weight: Sequence[int] | None = None
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Backtracking over the lowest-index uncovered vertex, edges in id order.
 
     The search runs on an explicit stack with one frame per matched pair, so
     its depth is not bounded by the interpreter's recursion limit and a
     matching is handed out without passing through a chain of generators.
-    Edge `without` counts as deleted.  Each matching comes with the sum of
-    `weight[e]` over its edges (0 without weights), kept as a running sum:
-    one add per try, one subtract per undo.
+    The edges in `without` count as deleted.  Each matching comes with the
+    sum of `weight[e]` over its edges (0 without weights), kept as a running
+    sum: one add per try, one subtract per undo.
     """
     n = g.n
     if n % 2:
         return
-    adjacency = g.adjacency
-    if without >= 0:
-        adjacency = list(adjacency)
-        for x in g.edges[without]:
-            adjacency[x] = tuple(a for a in adjacency[x] if a[1] != without)
+    adjacency = _adjacency_without(g, without)
     covered = bytearray(n)
     if weight is None:
         weight = bytes(g.m)
@@ -323,19 +330,16 @@ def count_perfect_matchings(g: Graph, max_matchings: int = DEFAULT_MATCHING_CAP)
     return sum(1 for _ in _capped(g, max_matchings))
 
 
-def _pendant_reduction(g: Graph, without: int = -1) -> list[int] | None:
-    """Take pendant edges as forced, one after another, on g.adjacency in place.
+def _pendant_reduction(g: Graph, without: Collection[int] = ()) -> list[int] | None:
+    """Take pendant edges as forced, one after another.
 
-    Edge `without` counts as deleted; no graph is built.  Returns None when an
-    uncovered vertex runs out of edges (no perfect matching), else the forced
-    edge ids.  Every uncovered vertex then keeps at least two edges to
-    uncovered vertices.
+    The edges in `without` count as deleted; no graph is built.  Returns
+    None when an uncovered vertex runs out of edges (no perfect matching),
+    else the forced edge ids.  Every uncovered vertex then keeps at least
+    two edges to uncovered vertices.
     """
-    adjacency = g.adjacency
+    adjacency = _adjacency_without(g, without)
     deg = [len(a) for a in adjacency]
-    if without >= 0:
-        for x in g.edges[without]:
-            deg[x] -= 1
     covered = bytearray(g.n)
     forced: list[int] = []
     # degrees only fall, so a vertex is queued once it has at most one edge left
@@ -346,22 +350,26 @@ def _pendant_reduction(g: Graph, without: int = -1) -> list[int] | None:
             continue
         if not deg[v]:
             return None
-        u, eid = next((w, e) for w, e in adjacency[v] if not covered[w] and e != without)
+        for u, eid in adjacency[v]:  # v's one edge left
+            if not covered[u]:
+                break
         forced.append(eid)
         for x in (v, u):
             covered[x] = 1
-            for w, e in adjacency[x]:
-                if not covered[w] and e != without:
+            for w, _ in adjacency[x]:
+                if not covered[w]:
                     deg[w] -= 1
                     if deg[w] <= 1:
                         queue.append(w)
     return forced
 
 
-def _unique_matching(g: Graph, without: int = -1) -> Matching | None:
-    """The perfect matching of g minus edge `without` if it is the only one, else None.
+def _unique_matching(g: Graph, without: Collection[int] = ()) -> Matching | None:
+    """The perfect matching of g minus the edges `without` if it is the only one, else None.
 
-    A pendant edge lies in every perfect matching, so the pendant reduction
+    This is the one uniqueness test: the forcing and anti-forcing set checks,
+    anti_forcing_edges and has_unique_perfect_matching all ask it.  A
+    pendant edge lies in every perfect matching, so the pendant reduction
     keeps the set of perfect matchings.  When it stalls, every vertex left
     has degree ≥ 2.  On bipartite input that remainder has no perfect
     matching, or it has one, M, whose contraction (each M edge a node, each
@@ -543,15 +551,11 @@ def edge_fixedness(
     return _fixedness(g, (chosen for chosen, _ in _capped(g, max_matchings)))
 
 
-def normal_components(
-    g: Graph, max_matchings: int = DEFAULT_MATCHING_CAP, labels: tuple[str, ...] | None = None
-) -> tuple[InducedSubgraph, ...]:
+def normal_components(g: Graph, labels: tuple[str, ...]) -> tuple[InducedSubgraph, ...]:
     """Connected components of the subgraph spanned by the free edges.
 
-    `labels` are g's edge_fixedness labels; they are computed when not given.
+    `labels` are g's edge_fixedness labels.
     """
-    if labels is None:
-        labels = edge_fixedness(g, max_matchings)
     adj: dict[int, list[tuple[int, int]]] = {}
     for eid, lab in enumerate(labels):
         if lab == FREE:

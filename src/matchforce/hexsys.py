@@ -35,7 +35,6 @@ from .graphs import (
     WHITE,
     _reach,
     build_graph,
-    edge_fixedness,
     edge_mask,
     normal_components,
     weighted_perfect_matchings,
@@ -137,18 +136,6 @@ class HexSystem:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class InnerDual:
-    """One node per cell, adjacency between cells sharing a lattice edge."""
-
-    graph: Graph
-    cells: tuple[Cell, ...]
-
-    @property
-    def is_tree(self) -> bool:
-        return self.graph.m == self.graph.n - 1 and _connected_nodes(self.graph)
-
-
 class FriesNumbers(NamedTuple):
     maximum: int
     minimum: int
@@ -156,8 +143,11 @@ class FriesNumbers(NamedTuple):
     min_witness: tuple[Matching, tuple[Cell, ...]]
 
 
-def _connected_nodes(g: Graph) -> bool:
-    return g.n > 0 and len(_reach(0, lambda u: (w for w, _ in g.adjacency[u]))) == g.n
+def _is_tree(g: Graph) -> bool:
+    """Is g a tree: n − 1 edges, at least one node, and connected?"""
+    if g.n == 0 or g.m != g.n - 1:
+        return False
+    return len(_reach(0, lambda u: (w for w, _ in g.adjacency[u]))) == g.n
 
 
 def _check_cells_connected(cells: set[Cell]) -> None:
@@ -233,14 +223,15 @@ def build_hex_system(cells: Iterable[Cell]) -> HexSystem:
     )
 
 
-def inner_dual(h: HexSystem) -> InnerDual:
+def inner_dual(h: HexSystem) -> Graph:
+    """One node per cell (in h.cells order), an edge between cells sharing a lattice edge."""
     edges = sorted(
         (i, j)
         for i, nbrs in enumerate(h.cell_adjacency)
         for j in nbrs
         if i < j
     )
-    return InnerDual(graph=build_graph(len(h.cells), edges), cells=h.cells)
+    return build_graph(len(h.cells), edges)
 
 
 def alternating_hexagons(h: HexSystem, m: Matching) -> tuple[int, ...]:
@@ -354,7 +345,7 @@ def fries_numbers(
 
 def is_all_kink_catahex(h: HexSystem) -> bool:
     """Catacondensed (tree inner dual) with no cell fused along parallel edges."""
-    if not inner_dual(h).is_tree:
+    if not _is_tree(inner_dual(h)):
         return False
     # a cell fused on two opposite edges has neighbours at offsets d and -d
     cellset = set(h.cells)
@@ -406,17 +397,14 @@ def is_truncated_parallelogram(h: HexSystem) -> tuple[bool, tuple[int, ...] | No
     return True, max(readings)
 
 
-def tree_independent_domination(
-    t: InnerDual | Graph,
-) -> tuple[int, tuple[int, ...]]:
+def tree_independent_domination(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Smallest independent dominating set of a tree, by rooted 3-state DP.
 
     States per vertex: chosen into the set; unchosen but dominated inside its
     subtree; unchosen and still waiting for its parent.  Linear time, with a
     witness reconstruction that breaks ties toward the first-listed option.
     """
-    g = t.graph if isinstance(t, InnerDual) else t
-    if g.n == 0 or g.m != g.n - 1 or not _connected_nodes(g):
+    if not _is_tree(g):
         raise NotATree("independent domination DP needs a tree")
 
     IN, DOM, WAIT = 0, 1, 2
@@ -501,20 +489,16 @@ def sachs_cut_check(
     return False, None
 
 
-def normal_hex_components(
-    h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP, labels: tuple[str, ...] | None = None
-) -> tuple[HexSystem, ...]:
+def normal_hex_components(h: HexSystem, labels: tuple[str, ...]) -> tuple[HexSystem, ...]:
     """Normal components of a hexagonal system, rebuilt as hexagonal systems.
 
     A component is the set of cells whose six edges are all free; for
     hexagonal systems the free subgraph decomposes exactly into such cell
     groups, which is re-checked here.  `labels` are the edge_fixedness
-    labels of h's graph; they are computed when not given.
+    labels of h's graph.
     """
-    if labels is None:
-        labels = edge_fixedness(h.graph, max_matchings)
     out = []
-    for comp in normal_components(h.graph, labels=labels):
+    for comp in normal_components(h.graph, labels):
         comp_edges = set(comp.edge_ids)
         cells = [
             h.cells[ci]

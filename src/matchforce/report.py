@@ -297,17 +297,35 @@ def _check_witness(name: str, value, witness, p: Profile) -> list[str]:
     return problems
 
 
+def _well_formed(entry) -> bool:
+    """Is a report entry a dict with a string name and a value?"""
+    return isinstance(entry, dict) and isinstance(entry.get("name"), str) and "value" in entry
+
+
 def replay(report: dict[str, Any], path: str | Path) -> list[str]:
-    """Recompute a report against its instance; returns mismatch descriptions."""
+    """Recompute a report against its instance; returns mismatch descriptions.
+
+    A malformed record, entry or witness is one more description, not an error.
+    """
     _, obj = load_instance(path)
     problems = []
     canonical = serialize_instance(obj)
     digest = hashlib.sha256(canonical.encode()).hexdigest()
-    if digest != report["instance"]["sha256"]:
+    instance = report.get("instance")
+    if not isinstance(instance, dict) or "sha256" not in instance:
+        problems.append("malformed instance record")
+    elif digest != instance["sha256"]:
         problems.append("instance hash differs from the report")
     profile = Profile(obj, Caps())
-    names = [e["name"] for e in report["invariants"]]
-    for entry in report["invariants"]:
+    entries = report.get("invariants")
+    if not isinstance(entries, list):
+        problems.append("malformed invariant list")
+        entries = []
+    names = [e["name"] for e in entries if _well_formed(e)]
+    for i, entry in enumerate(entries):
+        if not _well_formed(entry):
+            problems.append(f"invariant entry {i}: malformed")
+            continue
         name = entry["name"]
         if name not in REGISTRY:
             problems.append(f"unknown invariant {name!r}")

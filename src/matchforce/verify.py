@@ -315,15 +315,15 @@ def _suite_thm14(max_cells: int | None, caps: Caps) -> list[CheckResult]:
         dual = inner_dual(h)
         v = p.values(("f", "af"))
         big_af, big_f = max(v["af"]), max(v["f"])
-        dual_pm = bool(enumerate_perfect_matchings(dual.graph, caps.max_matchings))
-        nu = _tree_matching_number(dual.graph)
-        alpha = _independence_number(dual.graph)
+        dual_pm = bool(enumerate_perfect_matchings(dual, caps.max_matchings))
+        nu = _tree_matching_number(dual)
+        alpha = _independence_number(dual)
         bad = []
         if (big_af == 2 * big_f) != dual_pm:
             bad.append(f"Af={big_af} F={big_f} dual-PM={dual_pm}")
-        if nu + alpha != dual.graph.n:
-            bad.append(f"nu+alpha={nu + alpha} != n={dual.graph.n}")
-        if dual_pm != (2 * nu == dual.graph.n):
+        if nu + alpha != dual.n:
+            bad.append(f"nu+alpha={nu + alpha} != n={dual.n}")
+        if dual_pm != (2 * nu == dual.n):
             bad.append(f"dual PM flag inconsistent with nu={nu}")
         return "; ".join(bad)
 
@@ -356,7 +356,7 @@ def _suite_thm15(max_cells: int | None, caps: Caps) -> list[CheckResult]:
         dual = inner_dual(h)
         f_min, fries_min = min(p.values(("f",))["f"]), min(map(int.bit_count, p.resonant))
         i_dp, witness = tree_independent_domination(dual)
-        i_brute = _brute_independent_domination(dual.graph)
+        i_brute = _brute_independent_domination(dual)
         bad = []
         if not f_min == i_dp == fries_min:
             bad.append(f"f={f_min} i={i_dp} fries_min={fries_min}")
@@ -364,14 +364,14 @@ def _suite_thm15(max_cells: int | None, caps: Caps) -> list[CheckResult]:
             bad.append(f"tree DP {i_dp} != brute force {i_brute}")
         wset = set(witness)
         dominated = set(wset)
-        for u, v in dual.graph.edges:
+        for u, v in dual.edges:
             if u in wset and v in wset:
                 bad.append("witness not independent")
             if u in wset:
                 dominated.add(v)
             if v in wset:
                 dominated.add(u)
-        if len(dominated) != dual.graph.n or len(wset) != i_dp:
+        if len(dominated) != dual.n or len(wset) != i_dp:
             bad.append("witness does not dominate at optimal size")
         return "; ".join(bad)
 
@@ -444,7 +444,7 @@ def _suite_thm20(max_cells: int | None, caps: Caps) -> list[CheckResult]:
         if not p.pms or FIXED_SINGLE not in p.labels:
             continue
         af_min = min(p.values(("af",))["af"])
-        comps = normal_hex_components(h, labels=p.labels)
+        comps = normal_hex_components(h, p.labels)
         both_tp = len(comps) == 2 and all(is_truncated_parallelogram(c)[0] for c in comps)
         ok = (af_min == 2) == both_tp
         detail = "" if ok else f"af={af_min}, components={len(comps)}, both TP={both_tp}"

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from matchforce import graphs
 from matchforce.antiforcing import (
     anti_forcing_edges,
     antiforcing_number,
@@ -14,7 +16,7 @@ from matchforce.antiforcing import (
     min_feedback_arc_set,
 )
 from matchforce.errors import IntersectsM
-from matchforce.forcing import forcing_number
+from matchforce.forcing import forcing_number, is_forcing_set
 from matchforce.generators import (
     enumerate_hex_systems,
     gen_named,
@@ -22,13 +24,15 @@ from matchforce.generators import (
     glue_preset,
 )
 from matchforce.graphs import (
+    alternating_cycle_masks,
     build_graph,
+    edge_mask,
     enumerate_perfect_matchings,
     has_unique_perfect_matching,
     orient_and_contract,
 )
 from matchforce.verify import _THM16_EXTRAS
-from test_graphs import _seeded_graphs, remove_edges
+from test_graphs import _cycle_corpus, _seeded_graphs, remove_edges
 
 
 def test_hexagon_single_non_matching_edge_antiforces():
@@ -66,6 +70,40 @@ def test_antiforcing_agrees_with_unique_matching_after_deletion():
                 survivors = [e for e in range(g.m) if e not in set(s)]
                 restored = {survivors[e] for e in um.edge_ids}
                 assert restored == set(m.edge_set)
+
+
+def test_set_checks_agree_with_cycle_hitting_and_enumerate_no_cycle(monkeypatch):
+    """Each set check against the cycle-hitting test it replaced, on the f and
+    af witnesses, each witness less one edge, the empty set and seeded
+    subsets; the checks then run with the cycle kernel made to raise."""
+    rng = random.Random(3)
+    cases = []
+    for g, m in _cycle_corpus():
+        masks = alternating_cycle_masks(g, m)
+        non_m = [e for e in range(g.m) if e not in m.edge_set]
+        for check, side, number, extra in (
+            (is_forcing_set, list(m.edge_ids), forcing_number, []),
+            # an id outside the graph is no edge, so it deletes nothing
+            (is_antiforcing_set, non_m, antiforcing_number, [g.m]),
+        ):
+            witness = list(number(g, m)[1])
+            sets = [witness, [], witness + extra]
+            sets += [witness[:i] + witness[i + 1 :] for i in range(len(witness))]
+            sets += [rng.sample(side, rng.randint(1, len(side))) for _ in range(3) if side]
+            for s in sets:
+                hit = edge_mask(e for e in s if e < g.m)
+                cases.append((check, g, m, s, all(c & hit for c in masks)))
+
+    def no_cycles(*args):
+        raise AssertionError("a set check enumerated alternating cycles")
+
+    monkeypatch.setattr(graphs, "_simple_cycles", no_cycles)
+    outcomes = Counter()
+    for check, g, m, s, expected in cases:
+        assert check(g, m, s) == expected, (check.__name__, g, m, s)
+        outcomes[check, g.color is None, expected] += 1
+    # both answers, from both checks, on bipartite and non-bipartite graphs
+    assert len(outcomes) == 8 and min(outcomes.values()) >= 500, outcomes
 
 
 def test_c6_antiforcing_number_is_one():

@@ -300,12 +300,12 @@ def test_cycle_cap_raises():
 def test_k2_edge_is_fixed_double():
     g = build_graph(2, [(0, 1)])
     assert edge_fixedness(g) == (FIXED_DOUBLE,)
-    assert normal_components(g) == ()
+    assert normal_components(g, edge_fixedness(g)) == ()
 
 
 def test_c6_edges_are_all_free():
     assert set(edge_fixedness(c6())) == {FREE}
-    comps = normal_components(c6())
+    comps = normal_components(c6(), edge_fixedness(c6()))
     assert len(comps) == 1 and comps[0].graph.n == 6
 
 

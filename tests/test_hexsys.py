@@ -14,9 +14,16 @@ from matchforce.generators import (
     gen_truncated_parallelogram,
     glue_preset,
 )
-from matchforce.graphs import BLACK, Matching, build_graph, enumerate_perfect_matchings
+from matchforce.graphs import (
+    BLACK,
+    Matching,
+    build_graph,
+    edge_fixedness,
+    enumerate_perfect_matchings,
+)
 from matchforce.hexsys import (
     _clar_best,
+    _is_tree,
     alternating_hexagons,
     build_hex_system,
     clar_number,
@@ -136,24 +143,24 @@ def test_alternating_hexagons_flags():
 
 def test_single_cell_dual():
     d = inner_dual(build_hex_system([(0, 0)]))
-    assert d.graph.n == 1 and d.graph.m == 0
-    assert d.is_tree
+    assert d.n == 1 and d.m == 0
+    assert _is_tree(d)
 
 
 def test_triphenylene_dual_is_a_star():
     d = inner_dual(gen_named("triphenylene"))
-    assert d.graph.n == 4 and d.graph.m == 3
-    degrees = sorted(d.graph.degree(v) for v in range(4))
+    assert d.n == 4 and d.m == 3
+    degrees = sorted(d.degree(v) for v in range(4))
     assert degrees == [1, 1, 1, 3]
-    assert d.is_tree
+    assert _is_tree(d)
 
 
 def test_parallelogram_dual_contains_cycle():
     # the compact 2x2 rhombus is pericondensed: four ring cells plus one
     # diagonal contact, so the dual has 5 edges on 4 nodes
     d = inner_dual(gen_truncated_parallelogram((2, 2)))
-    assert d.graph.n == 4 and d.graph.m == 5
-    assert not d.is_tree
+    assert d.n == 4 and d.m == 5
+    assert not _is_tree(d)
 
 
 # -------------------------------------------------------------- recognizers
@@ -199,7 +206,7 @@ def test_idom_star_picks_center():
     value, witness = tree_independent_domination(d)
     assert value == 1
     (center,) = witness
-    assert d.graph.degree(center) == 3
+    assert d.degree(center) == 3
 
 
 def test_idom_rejects_non_tree():
@@ -289,7 +296,7 @@ def test_fixed_edge_instance_splits_into_two_parallelogram_components():
     # two 2-cell blocks meeting around a forced joint: both components
     # are truncated parallelograms and the whole has anti-forcing number 2
     h = build_hex_system([(-2, 1), (-2, 2), (-1, 1), (0, 0), (0, 1)])
-    comps = normal_hex_components(h)
+    comps = normal_hex_components(h, edge_fixedness(h.graph))
     assert len(comps) == 2
     for comp in comps:
         ok, _ = is_truncated_parallelogram(comp)
@@ -298,7 +305,7 @@ def test_fixed_edge_instance_splits_into_two_parallelogram_components():
 
 def test_normal_system_has_single_component():
     h = gen_truncated_parallelogram((3, 2))
-    comps = normal_hex_components(h)
+    comps = normal_hex_components(h, edge_fixedness(h.graph))
     assert len(comps) == 1 and comps[0].n_cells == h.n_cells
 
 

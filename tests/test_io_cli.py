@@ -5,10 +5,16 @@ from itertools import combinations
 
 import pytest
 
+from matchforce import cli
 from matchforce.antiforcing import is_antiforcing_set
 from matchforce.cli import main
-from matchforce.errors import ParseError
-from matchforce.generators import enumerate_hex_systems, gen_named, gen_truncated_parallelogram
+from matchforce.errors import MatchforceError, ParseError, UnknownName
+from matchforce.generators import (
+    enumerate_hex_systems,
+    gen_named,
+    gen_truncated_parallelogram,
+    glue_preset,
+)
 from matchforce.graphs import Matching, enumerate_perfect_matchings
 from matchforce.hexsys import alternating_hexagons
 from matchforce.io import (
@@ -110,6 +116,30 @@ def test_report_replay_names_an_unknown_invariant(tmp_path):
     report = compute_report(path, ["f", "af"])
     report["invariants"][0]["name"] = "nonesuch"
     assert replay(report, path) == ["unknown invariant 'nonesuch'"]
+
+
+def _triphenylene_f_report(tmp_path):
+    path = tmp_path / "tri.hex"
+    path.write_text(serialize_hex(gen_named("triphenylene")))
+    return compute_report(path, ["f", "af"]), path
+
+
+def test_report_replay_reports_an_entry_without_a_value(tmp_path):
+    report, path = _triphenylene_f_report(tmp_path)
+    del report["invariants"][0]["value"]
+    assert replay(report, path) == ["invariant entry 0: malformed"]
+
+
+def test_report_replay_reports_a_missing_instance_record(tmp_path):
+    report, path = _triphenylene_f_report(tmp_path)
+    del report["instance"]
+    assert replay(report, path) == ["malformed instance record"]
+
+
+def test_report_replay_reports_an_entry_that_is_a_string(tmp_path):
+    report, path = _triphenylene_f_report(tmp_path)
+    report["invariants"][1] = "af"
+    assert replay(report, path) == ["invariant entry 1: malformed"]
 
 
 def _tampered(tmp_path, name, change):
@@ -314,6 +344,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("error", MatchforceError.__subclasses__(), ids=lambda e: e.__name__)
+def test_cli_ends_every_library_error_by_its_exit_code(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    code, label = cli.EXITS[error]
+    for target, argv in (
+        ("compute_report", ("compute", "--in", str(tmp_path / "c6.graph"), "--inv", "f")),
+        ("run_suite", ("verify", "--suite", "thm2")),
+        ("gen_named", ("generate", "named", "C6", "--out", str(tmp_path / "c6.graph"))),
+    ):
+        monkeypatch.setattr(cli, target, fail)
+        assert run_cli(capsys, *argv) == (code, "", f"{label}: boom\n"), argv
+
+
 def test_cli_compute_rejects_an_instance_file_that_is_not_utf8(tmp_path, capsys):
     path = tmp_path / "bin.graph"
     path.write_bytes(b"\xff\xfe\x00")
@@ -470,8 +515,26 @@ def test_cli_generate_glue_preset(tmp_path, capsys):
     assert parse_hex(out.read_text()).n_cells >= 4
 
 
-def test_cli_generate_rejects_bad_params(capsys):
+def test_cli_generate_named_builds_its_instance_once(tmp_path, capsys, monkeypatch):
+    names = []
+    monkeypatch.setattr(cli, "gen_named", lambda name: names.append(name) or gen_named(name))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "generate", "named", "C6")
+    assert (code, out, names) == (0, "wrote c6.graph\n", ["C6"])
+    assert (tmp_path / "c6.graph").read_text() == serialize_graph(gen_named("C6"))
+
+
+def test_cli_unknown_glue_preset_ends_as_unknown_name(capsys):
+    with pytest.raises(UnknownName) as raised:
+        glue_preset(99)
+    code, out, err = run_cli(capsys, "generate", "glue-preset", "99")
+    assert (code, out, err) == (2, "", f"bad input: {raised.value}\n")
+
+
+def test_cli_generate_rejects_bad_params(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "generate", "trunc-para", "2,3")
     assert code == 2
     code, _, _ = run_cli(capsys, "generate", "named", "nonesuch")
     assert code == 2
+    code, _, _ = run_cli(capsys, "generate", "polyhex-corpus", "7", "--out", str(tmp_path / "c7"))
+    assert code == 2 and not (tmp_path / "c7").exists()

@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from matchforce import exact, graphs, hexsys, report, verify
+from matchforce import exact, graphs, report, verify
 from matchforce.antiforcing import (
     VALUE_OF,
     antiforcing_number,
@@ -185,7 +185,6 @@ def test_catahex_suites_search_only_all_kink_catahexes(monkeypatch):
 def test_thm20_reads_its_edge_labels_from_the_profile(monkeypatch):
     search_calls = _counted(monkeypatch, report, "resonant_matchings")
     fixedness_calls = _counted(monkeypatch, graphs, "edge_fixedness")
-    fixedness_calls += _counted(monkeypatch, hexsys, "edge_fixedness")
     _clear_verify_caches()
     try:
         result = verify.run_suite("thm20", max_cells=5)
