@@ -48,6 +48,7 @@ from .hexsys import (
     inner_dual,
     is_all_kink_catahex,
     is_truncated_parallelogram,
+    kekule_count,
     sachs_cut_check,
     tree_independent_domination,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "is_antiforcing_set",
     "is_forcing_set",
     "is_truncated_parallelogram",
+    "kekule_count",
     "max_compatible_alternating_set",
     "max_disjoint_alternating_cycles",
     "min_feedback_arc_set",

@@ -42,6 +42,9 @@ from .hexsys import (
     _clar_best,
     _fries_from,
     alternating_hexagons,
+    clar_number,
+    fries_numbers,
+    kekule_count,
     resonant_matchings,
 )
 from .io import load_instance, serialize_instance
@@ -65,9 +68,6 @@ _PER_MATCHING = {
     "af_spectrum": ("af", None),
 }
 
-# invariants read from each matching's resonant hexagons
-_HEXAGONS = ("clar", "fries")
-
 
 @dataclass(frozen=True)
 class Caps:
@@ -86,6 +86,15 @@ class Profile:
     and the Clar count.  A matching's alternating cycles are never kept:
     their edge masks are enumerated once per call of `values` and every
     family it still misses is read from them, so only ints are kept.
+
+    On a hexagonal system, a report that names no per-matching invariant
+    never asks for the matchings: its pm_count, clar and fries come from
+    the frontier sweep (kekule_count, clar_number, fries_numbers), whose
+    cost follows the frontier, not the number of matchings.  A call that
+    lists the matchings anyway, for an f or af invariant, reads the three
+    off them.  verify reads `resonant` and `clar` for every instance: it
+    lists the matchings for f and af anyway, and on its small polyhexes
+    that is cheaper than a sweep.
     """
 
     def __init__(self, obj: Graph | HexSystem, caps: Caps) -> None:
@@ -162,26 +171,39 @@ def _per_matching(family: str, extreme: Callable | None) -> Callable[[Profile, A
     return invariant
 
 
+def _enumerates(names) -> bool:
+    """Does the call list every perfect matching for a per-matching invariant?"""
+    return any(n in _PER_MATCHING for n in names)
+
+
 def _inv_pm_count(p: Profile, names):
-    # the count is streamed unless the call enumerates the matchings anyway
-    hexagons = isinstance(p.obj, HexSystem) and any(n in _HEXAGONS for n in names)
-    if hexagons or any(n in _PER_MATCHING for n in names):
+    # read off the matchings when the call enumerates them anyway; otherwise
+    # swept on a hexagonal system and streamed on a graph
+    if _enumerates(names):
         return len(p.pms), None
+    if isinstance(p.obj, HexSystem):
+        return kekule_count(p.obj, p.caps.max_matchings), None
     return count_perfect_matchings(p.graph, p.caps.max_matchings), None
 
 
 def _inv_clar(p: Profile, names):
     if not isinstance(p.obj, HexSystem):
         raise InapplicableInvariant("clar needs a hexagonal system")
-    pms = p.matchings
-    value, i, cells = p.clar
-    return value, {"matching": list(pms[i].edge_ids), "hexagons": [list(c) for c in cells]}
+    if _enumerates(names):
+        value, i, cells = p.clar
+        m = p.matchings[i]
+    else:
+        value, (m, cells) = clar_number(p.obj, p.caps.max_matchings)
+    return value, {"matching": list(m.edge_ids), "hexagons": [list(c) for c in cells]}
 
 
 def _inv_fries(p: Profile, names):
     if not isinstance(p.obj, HexSystem):
         raise InapplicableInvariant("fries needs a hexagonal system")
-    fr = _fries_from(p.obj, p.matchings, p.resonant)
+    if _enumerates(names):
+        fr = _fries_from(p.obj, p.matchings, p.resonant)
+    else:
+        fr = fries_numbers(p.obj, p.caps.max_matchings)
     value = {"max": fr.maximum, "min": fr.minimum}
     witness = {
         "max_matching": list(fr.max_witness[0].edge_ids),
@@ -305,9 +327,12 @@ def _well_formed(entry) -> bool:
 def replay(report: dict[str, Any], path: str | Path) -> list[str]:
     """Recompute a report against its instance; returns mismatch descriptions.
 
-    A malformed record, entry or witness is one more description, not an error.
+    A malformed report, record, entry or witness is one more description,
+    not an error.
     """
     _, obj = load_instance(path)
+    if not isinstance(report, dict):  # a list or a string read from a report file
+        return ["malformed report"]
     problems = []
     canonical = serialize_instance(obj)
     digest = hashlib.sha256(canonical.encode()).hexdigest()

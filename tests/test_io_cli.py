@@ -1,10 +1,15 @@
 """File formats, invariant reports, and the command line."""
 
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import matchforce
 from matchforce import cli
 from matchforce.antiforcing import is_antiforcing_set
 from matchforce.cli import main
@@ -140,6 +145,14 @@ def test_report_replay_reports_an_entry_that_is_a_string(tmp_path):
     report, path = _triphenylene_f_report(tmp_path)
     report["invariants"][1] = "af"
     assert replay(report, path) == ["invariant entry 1: malformed"]
+
+
+@pytest.mark.parametrize(
+    "wrap", [lambda r: [r], json.dumps, lambda r: None], ids=["list", "string", "null"]
+)
+def test_report_replay_reports_a_report_that_is_no_object(tmp_path, wrap):
+    report, path = _triphenylene_f_report(tmp_path)
+    assert replay(wrap(report), path) == ["malformed report"]
 
 
 def _tampered(tmp_path, name, change):
@@ -428,6 +441,23 @@ def test_cli_compute_kekule_invariants_on_a_long_chain(tmp_path, capsys):
     values = {e["name"]: e["value"] for e in json.loads(out)["invariants"]}
     assert values["pm_count"] == 601
     assert values["clar"] == 1
+    assert values["fries"] == {"max": 2, "min": 1}
+
+
+def test_python_m_matchforce_runs_the_command_line(tmp_path):
+    path = tmp_path / "tri.hex"
+    path.write_text(serialize_hex(gen_named("triphenylene")))
+    src = Path(matchforce.__file__).resolve().parent.parent
+    paths = [str(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    argv = ["compute", "--in", str(path), "--inv", "pm_count,clar"]
+    done = subprocess.run(
+        [sys.executable, "-m", "matchforce", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    values = {e["name"]: e["value"] for e in json.loads(done.stdout)["invariants"]}
+    assert values == {"pm_count": 9, "clar": 3}
 
 
 def test_cli_compute_writes_out_file(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Invariant reports against per-matching solves, work counts and memory.
 
-compute_report enumerates the perfect matchings once per call, solves each
-once and keeps only the values; these tests hold it to the library's
-per-matching functions, count the enumerations it makes, and bound its
-memory.
+compute_report enumerates the perfect matchings at most once per call,
+solves each once and keeps only the values; on a hexagonal system a call
+with no per-matching invariant sweeps instead and enumerates none.  These
+tests hold it to the library's per-matching functions, count the
+enumerations it makes, and bound its memory.
 """
 
 import sys
@@ -152,12 +153,13 @@ def test_report_memory_does_not_grow_with_cycles_of_all_matchings(tmp_path):
 
 @pytest.fixture
 def kekule_calls(monkeypatch):
-    """Calls of the matching search, the streamed count and the one-matching hexagon check."""
+    """Calls of the matching search, the streamed and swept counts, and the hexagon check."""
     return {
         name: _count_calls(monkeypatch, fn)
         for name, fn in (
             ("search", graphs.weighted_perfect_matchings),
             ("count", graphs.count_perfect_matchings),
+            ("sweep", hexsys.kekule_count),
             ("hexagons", hexsys.alternating_hexagons),
         )
     }
@@ -168,7 +170,7 @@ def _reset(calls):
         del made[:]
 
 
-def test_kekule_report_enumerates_matchings_once_per_call(tmp_path, kekule_calls):
+def test_kekule_report_sweeps_and_enumerates_no_matchings(tmp_path, kekule_calls):
     h = gen_truncated_parallelogram((3, 3, 2))
     n_pm = len(enumerate_perfect_matchings(h.graph))
     assert n_pm > 10
@@ -176,24 +178,47 @@ def test_kekule_report_enumerates_matchings_once_per_call(tmp_path, kekule_calls
     _reset(kekule_calls)
     report = compute_report(path, ["pm_count", "clar", "fries"])
     assert report["invariants"][0]["value"] == n_pm
-    # one weighted search gives the matchings and every one's resonant hexagons
-    assert len(kekule_calls["search"]) == 1 and not kekule_calls["count"]
-    assert kekule_calls["search"] == [edge_weights(h)]
-    assert not kekule_calls["hexagons"]
+    # pm_count, clar and fries all come from the frontier sweep
+    assert not kekule_calls["search"] and not kekule_calls["count"]
+    assert kekule_calls["sweep"] and not kekule_calls["hexagons"]
     _reset(kekule_calls)
     assert replay(report, path) == []
-    assert len(kekule_calls["search"]) == 1 and not kekule_calls["count"]
+    assert not kekule_calls["search"] and not kekule_calls["count"]
     # only the witness checks: one for clar and one for each side of fries
     assert len(kekule_calls["hexagons"]) <= 3
 
 
+def test_kekule_report_with_a_per_matching_invariant_enumerates_once(tmp_path, kekule_calls):
+    h = gen_truncated_parallelogram((3, 3, 2))
+    path = _write(tmp_path, "tp-3-3-2", h)
+    swept = compute_report(path, ["pm_count", "clar", "fries"])["invariants"]
+    _reset(kekule_calls)
+    report = compute_report(path, ["pm_count", "clar", "fries", "f"])
+    # one weighted search gives the matchings and every one's resonant hexagons
+    assert kekule_calls["search"] == [edge_weights(h)]
+    assert not kekule_calls["count"] and not kekule_calls["sweep"]
+    # and the three read off it equal the sweep's values and witnesses
+    read = report["invariants"][:3]
+    assert [(e["value"], e["witness"]) for e in read] == [(e["value"], e["witness"]) for e in swept]
+    assert replay(report, path) == []
+
+
 def test_pm_count_alone_streams_the_count(tmp_path, kekule_calls):
+    # on a graph the count is streamed
+    path = _write(tmp_path, "dodecahedron", gen_named("dodecahedron"))
+    _reset(kekule_calls)
+    report = compute_report(path, ["pm_count"])
+    assert report["invariants"][0]["value"] == 36
+    assert replay(report, path) == []
+    assert not kekule_calls["search"] and len(kekule_calls["count"]) == 2
+    # on a hexagonal system it is swept
     path = _write(tmp_path, "triphenylene", gen_named("triphenylene"))
     _reset(kekule_calls)
     report = compute_report(path, ["pm_count"])
     assert report["invariants"][0]["value"] == 9
     assert replay(report, path) == []
-    assert not kekule_calls["search"] and len(kekule_calls["count"]) == 2
+    assert not kekule_calls["search"] and not kekule_calls["count"]
+    assert len(kekule_calls["sweep"]) == 2
 
 
 def test_pm_count_is_zero_without_a_perfect_matching(tmp_path):

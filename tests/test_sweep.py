@@ -1,0 +1,182 @@
+"""The frontier sweep behind pm_count, Clar and Fries on hexagonal systems.
+
+The sweep is held to the enumerative reference (resonant_matchings with
+_clar_best and _fries_from) value for value and witness for witness, and its
+count beyond the enumeration cap to the Dewar–Longuet-Higgins determinant.
+"""
+
+import ast
+import sys
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from matchforce import hexsys
+from matchforce.errors import HasHole, LimitExceeded, NoPerfectMatching
+from matchforce.generators import (
+    enumerate_hex_systems,
+    gen_truncated_parallelogram,
+    glue_preset,
+)
+from matchforce.graphs import BLACK
+from matchforce.hexsys import (
+    NEIGHBOR_OFFSETS,
+    _clar_best,
+    _fries_from,
+    build_hex_system,
+    clar_number,
+    fries_numbers,
+    kekule_count,
+    resonant_matchings,
+)
+from matchforce.io import serialize_hex
+from matchforce.report import compute_report
+from test_hexsys import _hexagon
+
+TP_LADDER = ((4, 4, 4), (5,) * 4, (6,) * 5, (7,) * 6)
+
+
+def _reference(h):
+    """pm_count, Clar and Fries with their witnesses, from every enumerated matching."""
+    pms, masks = resonant_matchings(h)
+    if not pms:
+        return 0, None, None
+    best, i, cells = _clar_best(h, masks)
+    return len(pms), (best, (pms[i], cells)), _fries_from(h, pms, masks)
+
+
+def _swept(h):
+    count = kekule_count(h)
+    if not count:
+        for search in (clar_number, fries_numbers):
+            with pytest.raises(NoPerfectMatching):
+                search(h)
+        return 0, None, None
+    return count, clar_number(h), fries_numbers(h)
+
+
+def test_the_sweep_matches_the_enumeration_on_the_corpus():
+    polyhexes = [h for n in range(1, 7) for h in enumerate_hex_systems(n)]
+    assert len(polyhexes) == 1058
+    corpus = polyhexes + [glue_preset(k) for k in (1, 2, 3, 4)]
+    corpus += [gen_truncated_parallelogram(p) for p in TP_LADDER]
+    without = 0
+    for h in corpus:
+        expected = _reference(h)
+        assert _swept(h) == expected, h.cells
+        without += not expected[0]
+    assert 0 < without < len(polyhexes)
+
+
+@st.composite
+def polyhexes(draw):
+    """A hole-free polyhex of up to 10 cells, grown one neighbour at a time."""
+    cells = [(0, 0)]
+    for _ in range(draw(st.integers(min_value=0, max_value=9))):
+        q, r = draw(st.sampled_from(cells))
+        dq, dr = draw(st.sampled_from(NEIGHBOR_OFFSETS))
+        if (q + dq, r + dr) not in cells:
+            cells.append((q + dq, r + dr))
+    try:
+        return build_hex_system(cells)
+    except HasHole:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polyhexes())
+def test_the_sweep_matches_the_enumeration_on_random_polyhexes(h):
+    assert _swept(h) == _reference(h)
+
+
+def _determinant(rows):
+    """Determinant of a square integer matrix by Bareiss fraction-free elimination."""
+    a = [list(row) for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def _dewar_longuet_higgins(h):
+    """|det B| for the black-by-white biadjacency matrix B: K(H) of a hole-free benzenoid."""
+    g = h.graph
+    black = [v for v in range(g.n) if g.color[v] == BLACK]
+    white = [v for v in range(g.n) if g.color[v] != BLACK]
+    if len(black) != len(white):
+        return 0
+    column = {v: j for j, v in enumerate(white)}
+    rows = [[0] * len(white) for _ in black]
+    for i, b in enumerate(black):
+        for w, _ in g.adjacency[b]:
+            rows[i][column[w]] = 1
+    return abs(_determinant(rows))
+
+
+def test_the_swept_count_is_the_kekule_determinant():
+    for n in range(1, 7):
+        for h in enumerate_hex_systems(n):
+            assert kekule_count(h) == _dewar_longuet_higgins(h), h.cells
+    for side, k in ((3, 980), (4, 232_848), (5, 267_227_532)):
+        h = _hexagon(side)
+        assert kekule_count(h, max_matchings=k) == k == _dewar_longuet_higgins(h)
+        with pytest.raises(LimitExceeded):
+            kekule_count(h, max_matchings=k - 1)
+
+
+def test_a_long_chain_needs_no_recursion(tmp_path):
+    # a linear chain of n hexagons has n + 1 perfect matchings, Clar number 1
+    # and Fries numbers 2 and 1
+    path = tmp_path / "tp-600.hex"
+    path.write_text(serialize_hex(gen_truncated_parallelogram((600,))))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        report = compute_report(path, ["pm_count", "clar", "fries"])
+    finally:
+        sys.setrecursionlimit(limit)
+    values = {e["name"]: e["value"] for e in report["invariants"]}
+    assert values == {"pm_count": 601, "clar": 1, "fries": {"max": 2, "min": 1}}
+
+
+def test_the_sweep_holds_no_recursion():
+    # a nested function or a call cycle in the sweep would bring back a depth
+    # bounded by the interpreter's recursion limit
+    with open(hexsys.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    sweep = [name for name in functions if name.startswith("_sweep")]
+    assert {"_sweep_layers", "_sweep_values", "_sweep_walk"} <= set(sweep)
+    sweep += ["kekule_count", "_kekule_layers", "clar_number", "fries_numbers"]
+    calls = {
+        name: {
+            n.func.id
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in functions
+        }
+        for name, node in functions.items()
+    }
+    for name in sweep:
+        node = functions[name]
+        nested = [
+            n
+            for n in ast.walk(node)
+            if n is not node and isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        ]
+        assert not nested, name
+        reached, frontier = set(), [name]
+        while frontier:
+            for callee in calls[frontier.pop()]:
+                if callee not in reached:
+                    reached.add(callee)
+                    frontier.append(callee)
+        assert name not in reached, name
