@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import exact
 from .errors import (
@@ -130,7 +130,18 @@ class HexSystem:
     @cached_property
     def _kekule_count(self) -> int:
         """The number of perfect matchings, swept once per system; see kekule_count."""
-        return _sweep_values(_sweep_layers(self, _COUNT), sum, 1)[0].get(0, 0)
+        return _sweep_values(_sweep_layers(self, _COUNT))[0].get(0, (0,))[_PLAIN]
+
+    @cached_property
+    def _resonance(self) -> tuple[_Clar, FriesNumbers]:
+        """Clar and Fries numbers with their witnesses, from one resonance sweep per system."""
+        layers = _sweep_layers(self, _RESONANCE)
+        values = _sweep_values(layers)
+        _, most, least, _ = values[0][0]
+        most_m, least_m, clar_m = (_sweep_walk(layers, values, k) for k in (_MOST, _LEAST, _PICKS))
+        best, pick = exact._max_independent(self.cell_conflicts, _resonant_mask(self, clar_m))
+        witnesses = [(m, _mask_cells(self, _resonant_mask(self, m))) for m in (most_m, least_m)]
+        return (best, (clar_m, _mask_cells(self, pick))), FriesNumbers(most, least, *witnesses)
 
     @cached_property
     def cell_edge_masks(self) -> tuple[tuple[int, int, int], ...]:
@@ -311,15 +322,6 @@ def _clar_best(h: HexSystem, masks: Iterable[int]) -> tuple[int, int, tuple[Cell
     return best, first, _mask_cells(h, pick)
 
 
-def _hex_matchings(
-    h: HexSystem, max_matchings: int
-) -> tuple[tuple[Matching, ...], tuple[int, ...]]:
-    found = resonant_matchings(h, max_matchings)
-    if not found[0]:
-        raise NoPerfectMatching("graph has no perfect matching")
-    return found
-
-
 def _fries_from(h: HexSystem, pms: tuple[Matching, ...], masks: tuple[int, ...]) -> FriesNumbers:
     """Fries numbers and witnesses from the matchings and their resonant masks."""
     counts = [mask.bit_count() for mask in masks]
@@ -333,12 +335,17 @@ def _fries_from(h: HexSystem, pms: tuple[Matching, ...], masks: tuple[int, ...])
     )
 
 
-# what a frontier sweep scores: nothing (it counts), resonant cells, or
-# pairwise non-adjacent resonant cells
-_COUNT, _FRIES, _CLAR = 0, 1, 2
+# what a frontier sweep scores: nothing (it counts), or resonant cells and
+# pairwise non-adjacent resonant cells at once
+_COUNT, _RESONANCE = 0, 1
 
-# per vertex: each state's moves, (next state, edge id or -1, gain)
-_Layers = list[dict[int, list[tuple[int, int, int]]]]
+# per vertex: each state's moves, (next state, edge id or -1, picks, resonant
+# closes), and each state's value, indexed as below: its completions with no
+# pick, the most and least resonant closes over those, and the most picks
+_Layers = list[dict[int, list[tuple[int, int, int, int]]]]
+_Values = list[dict[int, tuple[int, int, int, int]]]
+_PLAIN, _MOST, _LEAST, _PICKS = 0, 1, 2, 3
+_Clar = tuple[int, tuple[Matching, tuple[Cell, ...]]]  # the value, its matching and cells
 
 
 def _sweep_layers(h: HexSystem, mode: int) -> _Layers:
@@ -349,16 +356,16 @@ def _sweep_layers(h: HexSystem, mode: int) -> _Layers:
     in id order; a covered vertex has one move, with edge id -1.  A state is
     one int.  Its low `width` bits hold the covered vertices from the one
     being swept on, shifted down a bit per vertex, so a step costs the same
-    on a long chain as on a short one.  Above them (_FRIES, _CLAR) each open
+    on a long chain as on a short one.  Above them (_RESONANCE) each open
     cell has a 2-bit field counting its matched edges, as in edge_weights;
     open cells share these slots.  A cell is open from its least vertex to
     its greatest, where every edge of it has been decided and it closes: its
-    field is cleared, and under _FRIES the move gains 1 when the field read
-    3, that is when the cell alternates.  Under _CLAR a closing cell that
-    alternates may also be picked as a sextet, for a gain of 1.  A pick
-    zeroes the fields of the neighbours that close later: two vertices of
-    each are covered already, so at most two more of its edges can follow
-    and it cannot read 3.  So a path is a perfect matching together with a
+    field is cleared, and a resonant close is counted when it read 3, that
+    is when the cell alternates.  Such a cell may instead be picked as a
+    sextet, which zeroes the fields of the neighbours that close later: two
+    vertices of each are covered already, so at most two more of its edges
+    can follow and it cannot read 3.  So the paths with no pick are the
+    perfect matchings, and all paths are the perfect matchings each with a
     set of pairwise non-adjacent resonant cells.  The states are found
     forward only; the ones that cannot complete are left for _sweep_values
     to drop.
@@ -369,46 +376,38 @@ def _sweep_layers(h: HexSystem, mode: int) -> _Layers:
     low = (1 << width) - 1
     lo = [min(fv) for fv in h.face_vertices]
     hi = [max(fv) for fv in h.face_vertices]
-    # a free slot for each cell, in the order the cells open
-    slot = [0] * n_cells
-    free: list[int] = []
-    top = 0
-    opening = sorted(range(n_cells), key=lo.__getitem__)
-    closing = sorted(range(n_cells), key=hi.__getitem__)  # stable: ties in cell order
-    i = j = 0
-    for v in range(g.n):
-        while i < n_cells and lo[opening[i]] == v:
-            if free:
-                slot[opening[i]] = free.pop()
-            else:
-                slot[opening[i]], top = top, top + 1
-            i += 1
-        while j < n_cells and hi[closing[j]] == v:
-            free.append(slot[closing[j]])
-            j += 1
+    # a free slot for each cell, in the order the cells open; the cells that
+    # close at a vertex give theirs up after those that open there take theirs
+    slot, free, top = [0] * n_cells, [], 0
+    cells = range(n_cells)
+    for _, shuts, c in sorted([(lo[c], 0, c) for c in cells] + [(hi[c], 1, c) for c in cells]):
+        if shuts:
+            free.append(slot[c])
+        elif free:
+            slot[c] = free.pop()
+        else:
+            slot[c], top = top, top + 1
     field = [1 << width + 2 * s for s in slot]
 
     # per vertex: (its bit, the bits the move adds, what the move keeps, edge
     # id) of each edge to a later vertex.  An edge that covers a vertex of an
     # open cell it does not border zeroes that cell's field: the cell cannot
     # alternate, and at most two more of its edges can follow.
-    corner_of: list[list[int]] = [[] for _ in range(g.n)]
-    for c, fv in enumerate(h.face_vertices):
-        for x in fv:
-            corner_of[x].append(c)
     tries: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n)]
     for eid, (u, v) in enumerate(g.edges):
         add, keep = 1 << v - u - 1, -1
-        if mode != _COUNT:
+        if mode == _RESONANCE:
             add += sum(field[c] for c in h.edge_cells[eid])
-            for c in {*corner_of[u], *corner_of[v]}.difference(h.edge_cells[eid]):
+            # the cells with a corner at u or v: those of the edges there
+            near = {c for x in (u, v) for _, e in g.adjacency[x] for c in h.edge_cells[e]}
+            for c in near.difference(h.edge_cells[eid]):
                 if lo[c] <= u:
                     keep &= ~(3 * field[c])
         tries[u].append((1 << v - u, add, keep, eid))
-    # per vertex, in closing order: (field shift, what closing keeps, what a
-    # pick keeps) of each cell closing there
+    # per vertex, in closing order (a stable sort: ties in cell order): (field
+    # shift, what closing keeps, what a pick keeps) of each cell closing there
     closes: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-    for c in closing if mode != _COUNT else ():
+    for c in sorted(cells, key=hi.__getitem__) if mode == _RESONANCE else ():
         keep = ~(3 * field[c])
         later = sum(3 * field[d] for d in h.cell_adjacency[c] if (hi[d], d) > (hi[c], c))
         closes[hi[c]].append((field[c].bit_length() - 1, keep, keep & ~later))
@@ -417,71 +416,82 @@ def _sweep_layers(h: HexSystem, mode: int) -> _Layers:
     states = {0}
     for v in range(g.n):
         tried, closed_here = tries[v], closes[v]
-        layer: dict[int, list[tuple[int, int, int]]] = {}
+        layer: dict[int, list[tuple[int, int, int, int]]] = {}
         for s in states:
             cov = s & low
             base = s - cov + (cov >> 1)
             if cov & 1:
-                moves = [(base, -1, 0)]
+                moves = [(base, -1, 0, 0)]
             else:
                 moves = [
-                    (base + add & keep, eid, 0) for need, add, keep, eid in tried if not cov & need
+                    (base + add & keep, eid, 0, 0) for need, add, keep, eid in tried if not cov & need
                 ]
             for shift, keep, pick_keep in closed_here:
                 closed = []
-                for t, eid, gain in moves:
-                    resonant = t >> shift & 3 == 3
-                    if mode == _FRIES:
-                        closed.append((t & keep, eid, gain + resonant))
+                for t, eid, picks, resonant in moves:
+                    if t >> shift & 3 == 3:
+                        closed.append((t & keep, eid, picks, resonant + 1))
+                        closed.append((t & pick_keep, eid, picks + 1, resonant))
                     else:
-                        closed.append((t & keep, eid, gain))
-                        if resonant:
-                            closed.append((t & pick_keep, eid, gain + 1))
+                        closed.append((t & keep, eid, picks, resonant))
                 moves = closed
             layer[s] = moves
         layers.append(layer)
-        states = {t for moves in layer.values() for t, _, _ in moves}
+        states = {t for moves in layer.values() for t, _, _, _ in moves}
     return layers
 
 
-def _sweep_values(
-    layers: _Layers, pick: Callable[[list[int]], int], unit: int
-) -> list[dict[int, int]]:
-    """The backward pass: per vertex, each state that can complete and the pick of its totals.
+def _sweep_values(layers: _Layers) -> _Values:
+    """The backward pass: per vertex, each state that can complete and its value.
 
-    A path's total is `unit` plus its gains, and a state's value is `pick`
-    over its completions: max or min with unit 0, or with pick=sum, unit 1
-    and no gains, the number of completions.  values[i] holds the states
-    before vertex i is swept, and values[n] the final state 0 alone.
+    A pick only zeroes fields, so a state that completes at all completes
+    with no pick, and picks never fall along a path.  values[i] holds the
+    states before vertex i is swept, and values[n] the final state 0 alone.
     """
-    after = {0: unit}
+    after = {0: (1, 0, 0, 0)}
     values = [after]
     for layer in reversed(layers):
         here = {}
         reach = after.get
         for s, moves in layer.items():
-            totals = [gain + a for t, _, gain in moves if (a := reach(t)) is not None]
-            if totals:
-                here[s] = pick(totals)
+            plain = most = picked = 0
+            least = len(layers)  # more than any number of cells
+            for t, _, picks, resonant in moves:
+                if (a := reach(t)) is None:
+                    continue
+                # plain comparisons: a call of max or min per move costs more
+                completions, more, fewer, more_picks = a
+                if not picks:
+                    plain += completions
+                    if resonant + more > most:
+                        most = resonant + more
+                    if resonant + fewer < least:
+                        least = resonant + fewer
+                if picks + more_picks > picked:
+                    picked = picks + more_picks
+            if plain:
+                here[s] = (plain, most, least, picked)
         values.append(here)
         after = here
     values.reverse()
     return values
 
 
-def _sweep_walk(layers: _Layers, values: list[dict[int, int]]) -> Matching:
-    """The first perfect matching, in canonical order, on a path that attains values[0][0].
+def _sweep_walk(layers: _Layers, values: _Values, key: int) -> Matching:
+    """The first perfect matching, in canonical order, on a path that attains values[0][0][key].
 
     At each vertex it takes the first move, so the first edge in id order,
-    after which the value is still reachable.  Edge ids of a build_hex_system
-    graph are sorted by end pair, so the backtracker meets the matchings in
-    canonical order and this is the first one it would find.
+    after which the value is still reachable, and for _MOST and _LEAST one
+    with no pick.  Edge ids of a build_hex_system graph are sorted by end
+    pair, so the backtracker meets the matchings in canonical order and this
+    is the first one it would find.
     """
     s, edges = 0, []
     for layer, here, after in zip(layers, values, values[1:]):
-        left = here[s]
-        for t, eid, gain in layer[s]:
-            if t in after and gain + after[t] == left:
+        left = here[s][key]
+        for t, eid, picks, resonant in layer[s]:
+            gain = picks if key == _PICKS else resonant
+            if (key == _PICKS or not picks) and t in after and gain + after[t][key] == left:
                 break
         if eid >= 0:
             edges.append(eid)
@@ -501,12 +511,6 @@ def kekule_count(h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP) -> int
     return count
 
 
-def _kekule_layers(h: HexSystem, mode: int, max_matchings: int) -> _Layers:
-    if not kekule_count(h, max_matchings):
-        raise NoPerfectMatching("graph has no perfect matching")
-    return _sweep_layers(h, mode)
-
-
 def _resonant_mask(h: HexSystem, m: Matching) -> int:
     """The resonant cells of one matching, bit 2c for cell c, as resonant_matchings reads them."""
     weight = edge_weights(h)
@@ -514,40 +518,33 @@ def _resonant_mask(h: HexSystem, m: Matching) -> int:
     return total & total >> 1 & (4**h.n_cells - 1) // 3
 
 
-def clar_number(
-    h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP
-) -> tuple[int, tuple[Matching, tuple[Cell, ...]]]:
+def _kekule_resonance(h: HexSystem, max_matchings: int) -> tuple[_Clar, FriesNumbers]:
+    # every call checks its own cap and empty case, whether h keeps the sweep yet or not
+    if not kekule_count(h, max_matchings):
+        raise NoPerfectMatching("graph has no perfect matching")
+    return h._resonance
+
+
+def clar_number(h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP) -> _Clar:
     """Largest set of disjoint simultaneously-alternating hexagons over all PMs.
 
     The witness is the first perfect matching in canonical order to attain
     it, with the lexicographically least largest packing of its resonant
-    cells.  Frontier sweep; _clar_best over resonant_matchings is the
-    enumerative reference.
+    cells.  From the resonance sweep that h keeps for fries_numbers too;
+    _clar_best over resonant_matchings is the enumerative reference.
     """
-    layers = _kekule_layers(h, _CLAR, max_matchings)
-    m = _sweep_walk(layers, _sweep_values(layers, max, 0))
-    best, pick = exact._max_independent(h.cell_conflicts, _resonant_mask(h, m))
-    return best, (m, _mask_cells(h, pick))
+    return _kekule_resonance(h, max_matchings)[0]
 
 
-def fries_numbers(
-    h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP
-) -> FriesNumbers:
+def fries_numbers(h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP) -> FriesNumbers:
     """Max and min count of alternating hexagons over all perfect matchings.
 
     Each witness is the first perfect matching in canonical order to attain
-    its extreme, with its resonant cells.  Frontier sweep, max-plus and
-    min-plus over one forward pass; _fries_from over resonant_matchings is
-    the enumerative reference.
+    its extreme, with its resonant cells.  From the resonance sweep that h
+    keeps for clar_number too; _fries_from over resonant_matchings is the
+    enumerative reference.
     """
-    layers = _kekule_layers(h, _FRIES, max_matchings)
-    found = []
-    for pick in (max, min):
-        values = _sweep_values(layers, pick, 0)
-        m = _sweep_walk(layers, values)
-        found.append((values[0][0], (m, _mask_cells(h, _resonant_mask(h, m)))))
-    (most, most_witness), (least, least_witness) = found
-    return FriesNumbers(most, least, most_witness, least_witness)
+    return _kekule_resonance(h, max_matchings)[1]
 
 
 def is_all_kink_catahex(h: HexSystem) -> bool:
@@ -688,7 +685,9 @@ def sachs_cut_check(
     cut = tuple(sorted(set(cut_edges)))
     if cut not in set(parallel_cuts(h)):
         raise NotAValidCut(f"{list(cut)} is not a maximal parallel cut")
-    pms, _ = _hex_matchings(h, max_matchings)
+    pms, _ = resonant_matchings(h, max_matchings)
+    if not pms:
+        raise NoPerfectMatching("graph has no perfect matching")
     cutset = set(cut)
     values = {len(cutset.intersection(m.edge_ids)) for m in pms}
     if len(values) == 1:

@@ -88,13 +88,12 @@ class Profile:
     family it still misses is read from them, so only ints are kept.
 
     On a hexagonal system, a report that names no per-matching invariant
-    never asks for the matchings: its pm_count, clar and fries come from
-    the frontier sweep (kekule_count, clar_number, fries_numbers), whose
-    cost follows the frontier, not the number of matchings.  A call that
-    lists the matchings anyway, for an f or af invariant, reads the three
-    off them.  verify reads `resonant` and `clar` for every instance: it
-    lists the matchings for f and af anyway, and on its small polyhexes
-    that is cheaper than a sweep.
+    never lists the matchings: pm_count is one count sweep, and clar and
+    fries read one resonance sweep (kekule_count, clar_number,
+    fries_numbers); their cost follows the frontier, not the number of
+    matchings.  A call that lists them anyway, for an f or af invariant,
+    reads the three off them, and so does verify, for which on its small
+    polyhexes that is cheaper than a sweep.
     """
 
     def __init__(self, obj: Graph | HexSystem, caps: Caps) -> None:
@@ -164,9 +163,12 @@ def _per_matching(family: str, extreme: Callable | None) -> Callable[[Profile, A
                 "value_set": list(s.value_set),
             }, None
         # the first matching in canonical order to attain the extreme
-        m = p.matchings[values.index(extreme(values))]
-        value, witness = number_fn(p.graph, m, p.caps.max_cycles)
-        return value, {"matching": list(m.edge_ids), "edge_set": list(witness)}
+        value = extreme(values)
+        m = p.matchings[values.index(value)]
+        return value, lambda: {
+            "matching": list(m.edge_ids),
+            "edge_set": list(number_fn(p.graph, m, p.caps.max_cycles)[1]),
+        }
 
     return invariant
 
@@ -194,7 +196,7 @@ def _inv_clar(p: Profile, names):
         m = p.matchings[i]
     else:
         value, (m, cells) = clar_number(p.obj, p.caps.max_matchings)
-    return value, {"matching": list(m.edge_ids), "hexagons": [list(c) for c in cells]}
+    return value, lambda: {"matching": list(m.edge_ids), "hexagons": [list(c) for c in cells]}
 
 
 def _inv_fries(p: Profile, names):
@@ -204,21 +206,20 @@ def _inv_fries(p: Profile, names):
         fr = _fries_from(p.obj, p.matchings, p.resonant)
     else:
         fr = fries_numbers(p.obj, p.caps.max_matchings)
-    value = {"max": fr.maximum, "min": fr.minimum}
-    witness = {
+    return {"max": fr.maximum, "min": fr.minimum}, lambda: {
         "max_matching": list(fr.max_witness[0].edge_ids),
         "max_hexagons": [list(c) for c in fr.max_witness[1]],
         "min_matching": list(fr.min_witness[0].edge_ids),
         "min_hexagons": [list(c) for c in fr.min_witness[1]],
     }
-    return value, witness
 
 
 def _inv_anti_forcing_edges(p: Profile, names):
     return list(anti_forcing_edges(p.graph)), None
 
 
-# name -> invariant(profile, names of every invariant in the call)
+# name -> invariant(profile, names of every invariant in the call) -> (value,
+# None or a function that builds the witness, which replay never calls)
 REGISTRY: dict[str, Callable[[Profile, Any], tuple]] = {
     "pm_count": _inv_pm_count,
     **{name: _per_matching(*spec) for name, spec in _PER_MATCHING.items()},
@@ -248,7 +249,7 @@ def compute_report(
             {
                 "name": name,
                 "value": value,
-                "witness": witness,
+                "witness": witness() if witness else None,
                 "runtime_ms": round((time.perf_counter() - start) * 1000, 3),
             }
         )

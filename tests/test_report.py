@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from matchforce import graphs, hexsys
+from matchforce import exact, graphs, hexsys
 from matchforce.antiforcing import antiforcing_number
 from matchforce.errors import NoPerfectMatching
 from matchforce.forcing import forcing_number
@@ -128,6 +128,23 @@ def test_report_solves_each_matching_once_and_replay_recomputes(tmp_path, alt_cy
     assert len(mask_calls) >= n_pm
 
 
+def test_replay_builds_no_witness(tmp_path, monkeypatch):
+    # replay recomputes each value and re-checks the reported witness; only
+    # compute builds one, a forcing_number or antiforcing_number solve (one
+    # cycle-object enumeration and one hitting set) for each of f, F, af, Af
+    path = _write(tmp_path, "triphenylene", gen_named("triphenylene"))
+    solves = [
+        _count_calls(monkeypatch, fn)
+        for fn in (graphs.enumerate_alternating_cycles, exact.min_hitting_set)
+    ]
+    report = compute_report(path, ["f", "F", "af", "Af"])
+    assert [len(made) for made in solves] == [4, 4]
+    for made in solves:
+        del made[:]
+    assert replay(report, path) == []
+    assert solves == [[], []]
+
+
 def _peak(fn):
     tracemalloc.start()
     try:
@@ -153,13 +170,14 @@ def test_report_memory_does_not_grow_with_cycles_of_all_matchings(tmp_path):
 
 @pytest.fixture
 def kekule_calls(monkeypatch):
-    """Calls of the matching search, the streamed and swept counts, and the hexagon check."""
+    """Calls of the matching search, the streamed and swept counts, the hexagon check and the passes."""
     return {
         name: _count_calls(monkeypatch, fn)
         for name, fn in (
             ("search", graphs.weighted_perfect_matchings),
             ("count", graphs.count_perfect_matchings),
             ("sweep", hexsys.kekule_count),
+            ("layers", hexsys._sweep_layers),
             ("hexagons", hexsys.alternating_hexagons),
         )
     }
@@ -181,9 +199,12 @@ def test_kekule_report_sweeps_and_enumerates_no_matchings(tmp_path, kekule_calls
     # pm_count, clar and fries all come from the frontier sweep
     assert not kekule_calls["search"] and not kekule_calls["count"]
     assert kekule_calls["sweep"] and not kekule_calls["hexagons"]
+    # one count pass, and one resonance pass for both clar and fries
+    assert kekule_calls["layers"] == [hexsys._COUNT, hexsys._RESONANCE]
     _reset(kekule_calls)
     assert replay(report, path) == []
     assert not kekule_calls["search"] and not kekule_calls["count"]
+    assert kekule_calls["layers"] == [hexsys._COUNT, hexsys._RESONANCE]
     # only the witness checks: one for clar and one for each side of fries
     assert len(kekule_calls["hexagons"]) <= 3
 

@@ -89,6 +89,22 @@ def test_the_sweep_matches_the_enumeration_on_random_polyhexes(h):
     assert _swept(h) == _reference(h)
 
 
+def test_the_kept_sweep_still_checks_the_cap():
+    # one call keeps the resonance sweep on the system; the next still checks
+    # its own cap and its own empty case first
+    h = gen_truncated_parallelogram((3, 3, 2))
+    k = len(resonant_matchings(h)[0])
+    clar_number(h)
+    for search in (fries_numbers, clar_number):
+        with pytest.raises(LimitExceeded):
+            search(h, max_matchings=k - 1)
+    assert fries_numbers(h, max_matchings=k) == _reference(h)[2]
+    h = next(h for h in enumerate_hex_systems(3) if not resonant_matchings(h)[0])
+    for search in (clar_number, fries_numbers, clar_number):
+        with pytest.raises(NoPerfectMatching):
+            search(h)
+
+
 def _determinant(rows):
     """Determinant of a square integer matrix by Bareiss fraction-free elimination."""
     a = [list(row) for row in rows]
@@ -153,15 +169,24 @@ def test_the_sweep_holds_no_recursion():
     # bounded by the interpreter's recursion limit
     with open(hexsys.__file__, encoding="utf-8") as f:
         tree = ast.parse(f.read())
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    hex_system = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "HexSystem")
+    functions = {
+        node.name: node
+        for node in tree.body + hex_system.body
+        if isinstance(node, ast.FunctionDef)
+    }
     sweep = [name for name in functions if name.startswith("_sweep")]
     assert {"_sweep_layers", "_sweep_values", "_sweep_walk"} <= set(sweep)
-    sweep += ["kekule_count", "_kekule_layers", "clar_number", "fries_numbers"]
+    # the entry points, the gate they share and the accessors that keep a sweep on the system
+    sweep += ["kekule_count", "_kekule_resonance", "clar_number", "fries_numbers"]
+    sweep += ["_kekule_count", "_resonance"]
+    # a call by name, or a read of a property of the system such as h._resonance
     calls = {
         name: {
-            n.func.id
+            n.func.id if isinstance(n, ast.Call) else n.attr
             for n in ast.walk(node)
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in functions
+            or isinstance(n, ast.Attribute) and n.attr in functions
         }
         for name, node in functions.items()
     }
