@@ -225,37 +225,31 @@ def _adjacency_without(g: Graph, without: Collection[int]) -> Sequence[Sequence[
     return adjacency
 
 
-def _iter_perfect_matchings(
-    g: Graph, without: Collection[int] = (), weight: Sequence[int] | None = None
-) -> Iterator[tuple[tuple[int, ...], int]]:
+def _iter_perfect_matchings(g: Graph, without: Collection[int] = ()) -> Iterator[tuple[int, ...]]:
     """Backtracking over the lowest-index uncovered vertex, edges in id order.
 
     The search runs on an explicit stack with one frame per matched pair, so
     its depth is not bounded by the interpreter's recursion limit and a
     matching is handed out without passing through a chain of generators.
-    The edges in `without` count as deleted.  Each matching comes with the
-    sum of `weight[e]` over its edges (0 without weights), kept as a running
-    sum: one add per try, one subtract per undo.
+    The edges in `without` count as deleted.  Each matching is yielded as
+    its edge ids in the order they were chosen.
     """
     n = g.n
     if n % 2:
         return
     adjacency = _adjacency_without(g, without)
     covered = bytearray(n)
-    if weight is None:
-        weight = bytes(g.m)
     # frame i matches frame_v[i] by edge chosen[i] (-1 before the first try);
     # frame_next[i] is the adjacency slot after the one chosen
     frame_v: list[int] = []
     frame_next: list[int] = []
     chosen: list[int] = []
-    total = 0
     v = 0
     while True:
         while v < n and covered[v]:
             v += 1
         if v == n:
-            yield tuple(chosen), total
+            yield tuple(chosen)
         else:
             covered[v] = 1
             frame_v.append(v)
@@ -269,7 +263,6 @@ def _iter_perfect_matchings(
             i = frame_next[-1]
             if i:
                 covered[adj[i - 1][0]] = 0
-                total -= weight[chosen[-1]]
             k = len(adj)
             while i < k and covered[adj[i][0]]:
                 i += 1
@@ -277,7 +270,6 @@ def _iter_perfect_matchings(
                 w, eid = adj[i]
                 covered[w] = 1
                 chosen[-1] = eid
-                total += weight[eid]
                 frame_next[-1] = i + 1
                 v = u + 1
                 break
@@ -289,14 +281,12 @@ def _iter_perfect_matchings(
             return
 
 
-def _capped(
-    g: Graph, max_matchings: int, weight: Sequence[int] | None = None
-) -> Iterator[tuple[tuple[int, ...], int]]:
+def _capped(g: Graph, max_matchings: int) -> Iterator[tuple[int, ...]]:
     """_iter_perfect_matchings of g; LimitExceeded once there are more than max_matchings."""
-    for count, found in enumerate(_iter_perfect_matchings(g, weight=weight), 1):
+    for count, chosen in enumerate(_iter_perfect_matchings(g), 1):
         if count > max_matchings:
             raise LimitExceeded(f"more than {max_matchings} perfect matchings")
-        yield found
+        yield chosen
 
 
 def _sorted_matching(edge_ids: tuple[int, ...]) -> Matching:
@@ -306,24 +296,12 @@ def _sorted_matching(edge_ids: tuple[int, ...]) -> Matching:
     return m
 
 
-def weighted_perfect_matchings(
-    g: Graph, weight: Sequence[int] | None, max_matchings: int = DEFAULT_MATCHING_CAP
-) -> tuple[tuple[Matching, ...], tuple[int, ...]]:
-    """Every perfect matching, sorted by edge-id sequence, and each one's sum of weight[e]."""
-    ids: list[tuple[int, ...]] = []
-    sums: list[int] = []
-    for chosen, total in _capped(g, max_matchings, weight):
-        ids.append(tuple(sorted(chosen)))
-        sums.append(total)
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    return tuple(_sorted_matching(ids[i]) for i in order), tuple(sums[i] for i in order)
-
-
 def enumerate_perfect_matchings(
     g: Graph, max_matchings: int = DEFAULT_MATCHING_CAP
 ) -> tuple[Matching, ...]:
     """Every perfect matching exactly once, sorted by edge-id sequence."""
-    return weighted_perfect_matchings(g, None, max_matchings)[0]
+    ids = sorted(tuple(sorted(chosen)) for chosen in _capped(g, max_matchings))
+    return tuple(map(_sorted_matching, ids))
 
 
 def count_perfect_matchings(g: Graph, max_matchings: int = DEFAULT_MATCHING_CAP) -> int:
@@ -392,7 +370,7 @@ def _unique_matching(g: Graph, without: Collection[int] = ()) -> Matching | None
     first_two = list(islice(_iter_perfect_matchings(g, without), 2))
     if len(first_two) != 1:
         return None
-    return Matching(first_two[0][0])
+    return Matching(first_two[0])
 
 
 def has_unique_perfect_matching(g: Graph) -> tuple[bool, Matching | None]:
@@ -548,7 +526,7 @@ def edge_fixedness(
     g: Graph, max_matchings: int = DEFAULT_MATCHING_CAP
 ) -> tuple[str, ...]:
     """Label every edge fixed-single / fixed-double / free by PM membership."""
-    return _fixedness(g, (chosen for chosen, _ in _capped(g, max_matchings)))
+    return _fixedness(g, _capped(g, max_matchings))
 
 
 def normal_components(g: Graph, labels: tuple[str, ...]) -> tuple[InducedSubgraph, ...]:

@@ -37,8 +37,8 @@ from .graphs import (
     _reach,
     build_graph,
     edge_mask,
+    enumerate_perfect_matchings,
     normal_components,
-    weighted_perfect_matchings,
 )
 
 Cell = tuple[int, int]
@@ -121,11 +121,8 @@ class HexSystem:
 
     @cached_property
     def cell_conflicts(self) -> tuple[int, ...]:
-        """Per bit 2c: the bits 2d of the cells d adjacent to cell c (0 at odd bits)."""
-        out = [0] * (2 * self.n_cells)
-        for c, nbrs in enumerate(self.cell_adjacency):
-            out[2 * c] = sum(1 << 2 * d for d in nbrs)
-        return tuple(out)
+        """Per cell c: the bits d of the cells d adjacent to it."""
+        return tuple(sum(1 << d for d in nbrs) for nbrs in self.cell_adjacency)
 
     @cached_property
     def _kekule_count(self) -> int:
@@ -256,8 +253,9 @@ def alternating_hexagons(h: HexSystem, m: Matching) -> tuple[int, ...]:
 
     A hexagon alternates exactly when m holds all three of its even-position
     edges and none of its odd-position ones, or the other way round.  This
-    checks one matching, such as a witness; resonant_matchings reads every
-    matching's resonant cells off the search itself.
+    is the one per-matching resonance test: the sweep's witnesses, replay's
+    witness checks and, where a report or verify lists the matchings, each
+    one's resonant cells are read from it.
     """
     ids = m.edge_ids
     if ids and (ids[0] < 0 or ids[-1] >= h.graph.m):
@@ -271,39 +269,9 @@ def alternating_hexagons(h: HexSystem, m: Matching) -> tuple[int, ...]:
     )
 
 
-def edge_weights(h: HexSystem) -> list[int]:
-    """Per edge id: the sum of 4**c over the cells c it borders.
-
-    Summed over a matching's edges, this holds in bits 2c and 2c + 1 how
-    many of cell c's six edges the matching contains.
-    """
-    weight = [0] * h.graph.m
-    for c, eids in enumerate(h.face_edges):
-        for eid in eids:
-            weight[eid] += 1 << 2 * c
-    return weight
-
-
-def resonant_matchings(
-    h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP
-) -> tuple[tuple[Matching, ...], tuple[int, ...]]:
-    """Every perfect matching in canonical order, and each one's resonant cells.
-
-    One search gives both.  Each edge weighs edge_weights (4**c summed over
-    its cells), so a matching's weight sum keeps each cell's matched-edge
-    count in its own 2-bit field.  A perfect matching holds at most three of
-    a hexagon's six edges, and exactly three only when they alternate, so
-    the fields that read 3 are the resonant cells: a cell c is resonant when
-    bit 2c of `s & s >> 1 & low` is set, and that is the mask returned.
-    """
-    pms, sums = weighted_perfect_matchings(h.graph, edge_weights(h), max_matchings)
-    low = (4**h.n_cells - 1) // 3  # bit 2c for every cell c
-    return pms, tuple(s & s >> 1 & low for s in sums)
-
-
 def _mask_cells(h: HexSystem, mask: int) -> tuple[Cell, ...]:
-    """The cells c whose bit 2c is set in `mask`, in cell order."""
-    return tuple(cell for c, cell in enumerate(h.cells) if mask >> 2 * c & 1)
+    """The cells c whose bit c is set in `mask`, in cell order."""
+    return tuple(cell for c, cell in enumerate(h.cells) if mask >> c & 1)
 
 
 def _clar_best(h: HexSystem, masks: Iterable[int]) -> tuple[int, int, tuple[Cell, ...]]:
@@ -357,10 +325,10 @@ def _sweep_layers(h: HexSystem, mode: int) -> _Layers:
     one int.  Its low `width` bits hold the covered vertices from the one
     being swept on, shifted down a bit per vertex, so a step costs the same
     on a long chain as on a short one.  Above them (_RESONANCE) each open
-    cell has a 2-bit field counting its matched edges, as in edge_weights;
-    open cells share these slots.  A cell is open from its least vertex to
-    its greatest, where every edge of it has been decided and it closes: its
-    field is cleared, and a resonant close is counted when it read 3, that
+    cell has a 2-bit field counting its matched edges; open cells share
+    these slots.  A cell is open from its least vertex to its greatest,
+    where every edge of it has been decided and it closes: its field is
+    cleared, and a resonant close is counted when it read 3, that
     is when the cell alternates.  Such a cell may instead be picked as a
     sextet, which zeroes the fields of the neighbours that close later: two
     vertices of each are covered already, so at most two more of its edges
@@ -512,10 +480,8 @@ def kekule_count(h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP) -> int
 
 
 def _resonant_mask(h: HexSystem, m: Matching) -> int:
-    """The resonant cells of one matching, bit 2c for cell c, as resonant_matchings reads them."""
-    weight = edge_weights(h)
-    total = sum(weight[eid] for eid in m.edge_ids)
-    return total & total >> 1 & (4**h.n_cells - 1) // 3
+    """The alternating_hexagons of one matching as a mask, bit c for cell c."""
+    return sum(1 << c for c in alternating_hexagons(h, m))
 
 
 def _kekule_resonance(h: HexSystem, max_matchings: int) -> tuple[_Clar, FriesNumbers]:
@@ -530,8 +496,9 @@ def clar_number(h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP) -> _Cla
 
     The witness is the first perfect matching in canonical order to attain
     it, with the lexicographically least largest packing of its resonant
-    cells.  From the resonance sweep that h keeps for fries_numbers too;
-    _clar_best over resonant_matchings is the enumerative reference.
+    cells.  From the resonance sweep that h keeps for fries_numbers too.
+    Where the matchings are listed anyway, _clar_best over their
+    _resonant_mask gives the same pair.
     """
     return _kekule_resonance(h, max_matchings)[0]
 
@@ -541,8 +508,8 @@ def fries_numbers(h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP) -> Fr
 
     Each witness is the first perfect matching in canonical order to attain
     its extreme, with its resonant cells.  From the resonance sweep that h
-    keeps for clar_number too; _fries_from over resonant_matchings is the
-    enumerative reference.
+    keeps for clar_number too.  Where the matchings are listed anyway,
+    _fries_from over their _resonant_mask gives the same numbers.
     """
     return _kekule_resonance(h, max_matchings)[1]
 
@@ -685,7 +652,7 @@ def sachs_cut_check(
     cut = tuple(sorted(set(cut_edges)))
     if cut not in set(parallel_cuts(h)):
         raise NotAValidCut(f"{list(cut)} is not a maximal parallel cut")
-    pms, _ = resonant_matchings(h, max_matchings)
+    pms = enumerate_perfect_matchings(h.graph, max_matchings)
     if not pms:
         raise NoPerfectMatching("graph has no perfect matching")
     cutset = set(cut)

@@ -41,11 +41,11 @@ from .hexsys import (
     HexSystem,
     _clar_best,
     _fries_from,
+    _resonant_mask,
     alternating_hexagons,
     clar_number,
     fries_numbers,
     kekule_count,
-    resonant_matchings,
 )
 from .io import load_instance, serialize_instance
 
@@ -80,20 +80,23 @@ class Caps:
 class Profile:
     """The per-instance facts that every invariant and identity is read from.
 
-    Each fact is computed once, when first asked for: the perfect matchings
-    and, on a hexagonal system, each one's resonant cells (one search gives
-    both), the edge labels, each matching's value of each VALUE_OF family,
-    and the Clar count.  A matching's alternating cycles are never kept:
-    their edge masks are enumerated once per call of `values` and every
-    family it still misses is read from them, so only ints are kept.
+    Each fact is computed once, when first asked for: the perfect matchings,
+    the edge labels, each matching's value of each VALUE_OF family, on a
+    hexagonal system each matching's resonant cells, and the Clar count.
+    The resonant cells are tested only where they are read, for clar and
+    fries, so a profile that only needs values never pays for them.  A
+    matching's alternating cycles are never kept: their edge masks are
+    enumerated once per call of `values` and every family it still misses
+    is read from them, so only ints are kept.
 
     On a hexagonal system, a report that names no per-matching invariant
     never lists the matchings: pm_count is one count sweep, and clar and
     fries read one resonance sweep (kekule_count, clar_number,
     fries_numbers); their cost follows the frontier, not the number of
     matchings.  A call that lists them anyway, for an f or af invariant,
-    reads the three off them, and so does verify, for which on its small
-    polyhexes that is cheaper than a sweep.
+    reads the three off them, and so does verify: on its polyhexes of at
+    most 5 cells, reading Clar and Fries off the sweep instead made the
+    suites about 17 % slower.
     """
 
     def __init__(self, obj: Graph | HexSystem, caps: Caps) -> None:
@@ -103,15 +106,9 @@ class Profile:
         self._values: dict[str, tuple[int, ...]] = {}
 
     @cached_property
-    def _search(self) -> tuple[tuple[Matching, ...], tuple[int, ...]]:
-        if isinstance(self.obj, HexSystem):
-            return resonant_matchings(self.obj, self.caps.max_matchings)
-        return enumerate_perfect_matchings(self.graph, self.caps.max_matchings), ()
-
-    @property
     def pms(self) -> tuple[Matching, ...]:
         """Every perfect matching in canonical order, possibly none."""
-        return self._search[0]
+        return enumerate_perfect_matchings(self.graph, self.caps.max_matchings)
 
     @property
     def matchings(self) -> tuple[Matching, ...]:
@@ -120,10 +117,10 @@ class Profile:
             raise NoPerfectMatching("graph has no perfect matching")
         return self.pms
 
-    @property
+    @cached_property
     def resonant(self) -> tuple[int, ...]:
-        """Each matching's resonant cells, bit 2c for cell c, in matching order."""
-        return self._search[1]
+        """Each matching's resonant cells, bit c for cell c, in matching order."""
+        return tuple(_resonant_mask(self.obj, m) for m in self.pms)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:

@@ -12,8 +12,14 @@ from matchforce import exact
 from matchforce.antiforcing import antiforcing_number, max_compatible_alternating_set
 from matchforce.forcing import forcing_number, max_disjoint_alternating_cycles
 from matchforce.generators import enumerate_hex_systems, gen_truncated_parallelogram
-from matchforce.graphs import Matching, alternating_cycle_masks, build_graph, edge_mask
-from matchforce.hexsys import resonant_matchings
+from matchforce.graphs import (
+    Matching,
+    alternating_cycle_masks,
+    build_graph,
+    edge_mask,
+    enumerate_perfect_matchings,
+)
+from matchforce.hexsys import _resonant_mask
 from test_graphs import _cycle_corpus
 from test_hexsys import _hexagon
 
@@ -339,7 +345,8 @@ def _independent_families():
     systems += [gen_truncated_parallelogram(p) for p in KEKULE_TPS]
     systems.append(_hexagon(3))
     for h in systems:
-        out += [(h.cell_conflicts, mask) for mask in sorted({0, *resonant_matchings(h)[1]})]
+        masks = {_resonant_mask(h, m) for m in enumerate_perfect_matchings(h.graph)}
+        out += [(h.cell_conflicts, mask) for mask in sorted({0, *masks})]
     return out
 
 

@@ -2,9 +2,10 @@
 
 from itertools import islice
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from matchforce.antiforcing import antiforcing_number
+from matchforce.errors import ParseError
 from matchforce.forcing import forcing_number
 from matchforce.graphs import (
     build_graph,
@@ -106,7 +107,7 @@ def test_sandwich_bound_on_random_graphs(g):
 @given(bipartite_with_matching())
 def test_unique_check_agrees_with_capped_enumeration(g):
     unique, witness = has_unique_perfect_matching(g)
-    first_two = [ids for ids, _ in islice(_iter_perfect_matchings(g), 2)]
+    first_two = list(islice(_iter_perfect_matchings(g), 2))
     assert unique == (len(first_two) == 1)
     if unique:
         assert witness.edge_ids == tuple(sorted(first_two[0]))
@@ -161,3 +162,44 @@ def test_hex_format_roundtrip(n, rng):
     systems = enumerate_hex_systems(n)
     h = systems[rng.randrange(len(systems))]
     assert parse_hex(serialize_hex(h)).cells == h.cells
+
+
+# ------------------------------------------------------------ parser fuzz
+
+MAX_FUZZ_VERTICES = 64  # a declared vertex count is allocated, so keep it small
+_ints = st.integers(min_value=-2, max_value=MAX_FUZZ_VERTICES).map(str)
+_tokens = st.one_of(_ints, st.sampled_from(["p", "e", "c", "#", "x", "1.5", "0x1", "--", "é", ""]))
+_junk = st.lists(_tokens, max_size=4).map(" ".join)
+
+
+def _lines(*kinds):
+    return st.lists(st.one_of(_junk, *kinds), max_size=10).map("\n".join)
+
+
+_graph_texts = st.tuples(
+    st.builds("p {} {}".format, _ints, st.integers(min_value=-1, max_value=8)),
+    _lines(st.builds("e {} {}".format, _tokens, _tokens), st.builds("c {} {}".format, _tokens, _tokens)),
+).map("\n".join)
+_small = st.integers(min_value=-3, max_value=3)
+_hex_texts = _lines(st.builds("{} {}".format, _small, _small), st.builds("{} {} # cell".format, _small, _small))
+
+
+def _declared_vertices(text: str) -> int:
+    """n when the first non-blank, comment-free line reads `p n ...`, else 0."""
+    body = (line.split("#", 1)[0].split() for line in text.splitlines())
+    first = next((parts for parts in body if parts), [])
+    try:
+        return int(first[1]) if first[0] == "p" else 0
+    except (IndexError, ValueError):
+        return 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_graph_texts, _hex_texts, st.text(max_size=60)))
+def test_parsers_raise_nothing_but_parse_errors(text):
+    assume(_declared_vertices(text) <= MAX_FUZZ_VERTICES)
+    for parse in (parse_graph, parse_hex):
+        try:
+            parse(text)
+        except ParseError:
+            pass

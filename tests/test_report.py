@@ -23,7 +23,6 @@ from matchforce.generators import (
     glue_preset,
 )
 from matchforce.graphs import enumerate_alternating_cycles, enumerate_perfect_matchings
-from matchforce.hexsys import edge_weights
 from matchforce.io import serialize_instance
 from matchforce.report import compute_report, replay
 
@@ -174,7 +173,7 @@ def kekule_calls(monkeypatch):
     return {
         name: _count_calls(monkeypatch, fn)
         for name, fn in (
-            ("search", graphs.weighted_perfect_matchings),
+            ("search", graphs.enumerate_perfect_matchings),
             ("count", graphs.count_perfect_matchings),
             ("sweep", hexsys.kekule_count),
             ("layers", hexsys._sweep_layers),
@@ -196,17 +195,19 @@ def test_kekule_report_sweeps_and_enumerates_no_matchings(tmp_path, kekule_calls
     _reset(kekule_calls)
     report = compute_report(path, ["pm_count", "clar", "fries"])
     assert report["invariants"][0]["value"] == n_pm
-    # pm_count, clar and fries all come from the frontier sweep
+    # pm_count, clar and fries all come from the frontier sweep; only its three
+    # witness matchings (Clar, Fries maximum and minimum) have their hexagons tested
     assert not kekule_calls["search"] and not kekule_calls["count"]
-    assert kekule_calls["sweep"] and not kekule_calls["hexagons"]
+    assert kekule_calls["sweep"] and len(kekule_calls["hexagons"]) == 3
     # one count pass, and one resonance pass for both clar and fries
     assert kekule_calls["layers"] == [hexsys._COUNT, hexsys._RESONANCE]
     _reset(kekule_calls)
     assert replay(report, path) == []
     assert not kekule_calls["search"] and not kekule_calls["count"]
     assert kekule_calls["layers"] == [hexsys._COUNT, hexsys._RESONANCE]
-    # only the witness checks: one for clar and one for each side of fries
-    assert len(kekule_calls["hexagons"]) <= 3
+    # the sweep's witnesses again, and the witness checks: one for clar and
+    # one for each side of fries
+    assert len(kekule_calls["hexagons"]) == 6
 
 
 def test_kekule_report_with_a_per_matching_invariant_enumerates_once(tmp_path, kekule_calls):
@@ -215,8 +216,9 @@ def test_kekule_report_with_a_per_matching_invariant_enumerates_once(tmp_path, k
     swept = compute_report(path, ["pm_count", "clar", "fries"])["invariants"]
     _reset(kekule_calls)
     report = compute_report(path, ["pm_count", "clar", "fries", "f"])
-    # one weighted search gives the matchings and every one's resonant hexagons
-    assert kekule_calls["search"] == [edge_weights(h)]
+    # one search gives the matchings, and each one's resonant hexagons are tested once
+    assert kekule_calls["search"] == [graphs.DEFAULT_MATCHING_CAP]
+    assert len(kekule_calls["hexagons"]) == len(enumerate_perfect_matchings(h.graph))
     assert not kekule_calls["count"] and not kekule_calls["sweep"]
     # and the three read off it equal the sweep's values and witnesses
     read = report["invariants"][:3]

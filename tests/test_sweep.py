@@ -1,7 +1,8 @@
 """The frontier sweep behind pm_count, Clar and Fries on hexagonal systems.
 
-The sweep is held to the enumerative reference (resonant_matchings with
-_clar_best and _fries_from) value for value and witness for witness, and its
+The sweep is held to the enumerative reference (every matching's
+alternating_hexagons, with _clar_best and _fries_from) value for value and
+witness for witness, and its
 count beyond the enumeration cap to the Dewar–Longuet-Higgins determinant.
 """
 
@@ -18,16 +19,16 @@ from matchforce.generators import (
     gen_truncated_parallelogram,
     glue_preset,
 )
-from matchforce.graphs import BLACK
+from matchforce.graphs import BLACK, enumerate_perfect_matchings
 from matchforce.hexsys import (
     NEIGHBOR_OFFSETS,
     _clar_best,
     _fries_from,
+    alternating_hexagons,
     build_hex_system,
     clar_number,
     fries_numbers,
     kekule_count,
-    resonant_matchings,
 )
 from matchforce.io import serialize_hex
 from matchforce.report import compute_report
@@ -38,7 +39,8 @@ TP_LADDER = ((4, 4, 4), (5,) * 4, (6,) * 5, (7,) * 6)
 
 def _reference(h):
     """pm_count, Clar and Fries with their witnesses, from every enumerated matching."""
-    pms, masks = resonant_matchings(h)
+    pms = enumerate_perfect_matchings(h.graph)
+    masks = [sum(1 << c for c in alternating_hexagons(h, m)) for m in pms]
     if not pms:
         return 0, None, None
     best, i, cells = _clar_best(h, masks)
@@ -93,13 +95,13 @@ def test_the_kept_sweep_still_checks_the_cap():
     # one call keeps the resonance sweep on the system; the next still checks
     # its own cap and its own empty case first
     h = gen_truncated_parallelogram((3, 3, 2))
-    k = len(resonant_matchings(h)[0])
+    k = len(enumerate_perfect_matchings(h.graph))
     clar_number(h)
     for search in (fries_numbers, clar_number):
         with pytest.raises(LimitExceeded):
             search(h, max_matchings=k - 1)
     assert fries_numbers(h, max_matchings=k) == _reference(h)[2]
-    h = next(h for h in enumerate_hex_systems(3) if not resonant_matchings(h)[0])
+    h = next(h for h in enumerate_hex_systems(3) if not enumerate_perfect_matchings(h.graph))
     for search in (clar_number, fries_numbers, clar_number):
         with pytest.raises(NoPerfectMatching):
             search(h)

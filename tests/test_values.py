@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from matchforce import exact, graphs, report, verify
+from matchforce import exact, graphs, hexsys, report, verify
 from matchforce.antiforcing import (
     VALUE_OF,
     antiforcing_number,
@@ -37,6 +37,8 @@ from matchforce.hexsys import (
     clar_number,
     is_all_kink_catahex,
 )
+from matchforce.io import serialize_instance
+from matchforce.report import Caps, compute_report
 
 SOLVER_OF = {
     "f": forcing_number,
@@ -146,8 +148,7 @@ def test_verify_enumerates_each_matchings_cycles_once(monkeypatch):
 
 def test_verify_reads_cached_families_for_a_subset(monkeypatch):
     alt_calls = _counted(monkeypatch, report, "alternating_cycle_masks")
-    search_calls = _counted(monkeypatch, report, "resonant_matchings")
-    hexagon_calls = _counted(monkeypatch, report, "alternating_hexagons")
+    search_calls = _counted(monkeypatch, report, "enumerate_perfect_matchings")
     _clear_verify_caches()
     try:
         assert verify.run_suite("thm5", max_cells=4).ok
@@ -157,24 +158,45 @@ def test_verify_reads_cached_families_for_a_subset(monkeypatch):
         assert verify.run_suite("thm3", max_cells=4).ok
         assert verify.run_suite("thm11", max_cells=4).ok
         assert not alt_calls
-        # every polyhex was searched once, by thm5, and that one search also
-        # gave each matching's resonant hexagons, which Clar and Fries read
-        assert search_calls and len(search_calls) == len(set(search_calls))
+        # every instance was searched once, by thm5 (two distinct systems may
+        # share a graph, so the graph objects are told apart by identity)
+        assert search_calls and len(search_calls) == len({id(g) for g, _ in search_calls})
         del search_calls[:]
         assert verify.run_suite("cor12", max_cells=4).ok
-        assert not search_calls and not hexagon_calls
+        assert not search_calls
+    finally:
+        _clear_verify_caches()
+
+
+def test_resonance_is_tested_only_where_it_is_read(monkeypatch, tmp_path):
+    # the per-matching values never pay for the resonant hexagons; Clar and
+    # Fries test them once per matching of each instance
+    hexagon_calls = _counted(monkeypatch, hexsys, "alternating_hexagons")
+    _clear_verify_caches()
+    try:
+        assert verify.run_suite("thm5", max_cells=4).ok
+        path = tmp_path / "triphenylene.hex"
+        path.write_text(serialize_instance(gen_named("triphenylene")))
+        compute_report(path, ["f", "af"])
+        assert not hexagon_calls
+        assert verify.run_suite("thm3", max_cells=4).ok
+        profiles = [verify._profile(h, Caps()) for _, h in verify.polyhex_corpus(4)]
+        assert hexagon_calls == [(p.obj, m) for p in profiles for m in p.pms]
+        del hexagon_calls[:]
+        assert verify.run_suite("cor12", max_cells=4).ok
+        assert not hexagon_calls
     finally:
         _clear_verify_caches()
 
 
 def test_catahex_suites_search_only_all_kink_catahexes(monkeypatch):
-    search_calls = _counted(monkeypatch, report, "resonant_matchings")
+    search_calls = _counted(monkeypatch, report, "enumerate_perfect_matchings")
     _clear_verify_caches()
     try:
         assert verify.run_suite("thm14", max_cells=5).ok
         catahexes = [h for _, h in verify.polyhex_corpus(5) if is_all_kink_catahex(h)]
         assert len(catahexes) == 60 < len(verify.polyhex_corpus(5))
-        assert [h for h, _ in search_calls] == catahexes
+        assert [g for g, _ in search_calls] == [h.graph for h in catahexes]
         # thm15 reads the profiles thm14 filled in
         assert verify.run_suite("thm15", max_cells=5).ok
         assert len(search_calls) == len(catahexes)
@@ -183,7 +205,7 @@ def test_catahex_suites_search_only_all_kink_catahexes(monkeypatch):
 
 
 def test_thm20_reads_its_edge_labels_from_the_profile(monkeypatch):
-    search_calls = _counted(monkeypatch, report, "resonant_matchings")
+    search_calls = _counted(monkeypatch, report, "enumerate_perfect_matchings")
     fixedness_calls = _counted(monkeypatch, graphs, "edge_fixedness")
     _clear_verify_caches()
     try:
@@ -192,7 +214,7 @@ def test_thm20_reads_its_edge_labels_from_the_profile(monkeypatch):
         # one search per distinct instance, and no second enumeration for the labels
         instances = {h for _, h in verify.polyhex_corpus(5)}
         instances |= {build_hex_system(cells) for _, cells in verify._THM20_CONSTRUCTED}
-        assert len(search_calls) == len(instances) == len({h for h, _ in search_calls})
+        assert len(search_calls) == len(instances) == len({g for g, _ in search_calls})
         assert not fixedness_calls
     finally:
         _clear_verify_caches()
