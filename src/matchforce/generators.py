@@ -18,6 +18,7 @@ from .graphs import Graph, _reach, build_graph
 from .hexsys import (
     Cell,
     HexSystem,
+    NEIGHBOR_OFFSETS,
     VertexKey,
     build_hex_system,
     cell_corners,
@@ -82,8 +83,6 @@ def _canonical_cells(cells: Iterable[Cell]) -> tuple[Cell, ...]:
 @lru_cache(maxsize=None)
 def _cell_sets(n: int) -> tuple[tuple[Cell, ...], ...]:
     """All connected n-cell sets up to translation, grown cell by cell."""
-    from .hexsys import NEIGHBOR_OFFSETS
-
     level: set[tuple[Cell, ...]] = {((0, 0),)}
     for _ in range(n - 1):
         grown: set[tuple[Cell, ...]] = set()

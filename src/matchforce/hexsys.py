@@ -49,11 +49,9 @@ CORNER_OFFSETS: tuple[VertexKey, ...] = (
 )
 
 # neighbor offset across the edge between corners i and i+1 (mod 6)
-EDGE_NEIGHBOR: tuple[Cell, ...] = (
+NEIGHBOR_OFFSETS: tuple[Cell, ...] = (
     (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0),
 )
-
-NEIGHBOR_OFFSETS = EDGE_NEIGHBOR
 
 
 def cell_center(cell: Cell) -> VertexKey:
@@ -274,35 +272,6 @@ def _mask_cells(h: HexSystem, mask: int) -> tuple[Cell, ...]:
     return tuple(cell for c, cell in enumerate(h.cells) if mask >> c & 1)
 
 
-def _clar_best(h: HexSystem, masks: Iterable[int]) -> tuple[int, int, tuple[Cell, ...]]:
-    """Largest packing over the resonant masks, the first index to attain it, and its cells.
-
-    The cells are the lexicographically least largest set of pairwise
-    non-adjacent cells in that mask; (0, 0, ()) when no cell is resonant.
-    """
-    best = first = pick = 0
-    for i, mask in enumerate(masks):
-        # a packing among k resonant cells cannot beat best when k <= best
-        if mask.bit_count() > best:
-            count, picked = exact._max_independent(h.cell_conflicts, mask)
-            if count > best:
-                best, first, pick = count, i, picked
-    return best, first, _mask_cells(h, pick)
-
-
-def _fries_from(h: HexSystem, pms: tuple[Matching, ...], masks: tuple[int, ...]) -> FriesNumbers:
-    """Fries numbers and witnesses from the matchings and their resonant masks."""
-    counts = [mask.bit_count() for mask in masks]
-    # the first matching in canonical order to attain each extreme
-    i, j = counts.index(max(counts)), counts.index(min(counts))
-    return FriesNumbers(
-        counts[i],
-        counts[j],
-        (pms[i], _mask_cells(h, masks[i])),
-        (pms[j], _mask_cells(h, masks[j])),
-    )
-
-
 # what a frontier sweep scores: nothing (it counts), or resonant cells and
 # pairwise non-adjacent resonant cells at once
 _COUNT, _RESONANCE = 0, 1
@@ -496,9 +465,8 @@ def clar_number(h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP) -> _Cla
 
     The witness is the first perfect matching in canonical order to attain
     it, with the lexicographically least largest packing of its resonant
-    cells.  From the resonance sweep that h keeps for fries_numbers too.
-    Where the matchings are listed anyway, _clar_best over their
-    _resonant_mask gives the same pair.
+    cells.  From the resonance sweep that h keeps for fries_numbers too;
+    every report reads its Clar number here.
     """
     return _kekule_resonance(h, max_matchings)[0]
 
@@ -508,8 +476,7 @@ def fries_numbers(h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP) -> Fr
 
     Each witness is the first perfect matching in canonical order to attain
     its extreme, with its resonant cells.  From the resonance sweep that h
-    keeps for clar_number too.  Where the matchings are listed anyway,
-    _fries_from over their _resonant_mask gives the same numbers.
+    keeps for clar_number too; every report reads its Fries numbers here.
     """
     return _kekule_resonance(h, max_matchings)[1]
 

@@ -11,6 +11,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Any, Callable
 
+from . import exact
 from .antiforcing import (
     VALUE_OF,
     anti_forcing_edges,
@@ -37,10 +38,7 @@ from .graphs import (
     matching_partner,
 )
 from .hexsys import (
-    Cell,
     HexSystem,
-    _clar_best,
-    _fries_from,
     _resonant_mask,
     alternating_hexagons,
     clar_number,
@@ -81,22 +79,19 @@ class Profile:
     """The per-instance facts that every invariant and identity is read from.
 
     Each fact is computed once, when first asked for: the perfect matchings,
-    the edge labels, each matching's value of each VALUE_OF family, on a
-    hexagonal system each matching's resonant cells, and the Clar count.
-    The resonant cells are tested only where they are read, for clar and
-    fries, so a profile that only needs values never pays for them.  A
-    matching's alternating cycles are never kept: their edge masks are
+    the edge labels, each matching's value of each VALUE_OF family, and on
+    a hexagonal system each matching's resonant cells and the Clar number.
+    A matching's alternating cycles are never kept: their edge masks are
     enumerated once per call of `values` and every family it still misses
     is read from them, so only ints are kept.
 
-    On a hexagonal system, a report that names no per-matching invariant
-    never lists the matchings: pm_count is one count sweep, and clar and
-    fries read one resonance sweep (kekule_count, clar_number,
-    fries_numbers); their cost follows the frontier, not the number of
-    matchings.  A call that lists them anyway, for an f or af invariant,
-    reads the three off them, and so does verify: on its polyhexes of at
-    most 5 cells, reading Clar and Fries off the sweep instead made the
-    suites about 17 % slower.
+    Reports never read `resonant` or `clar`: on a hexagonal system pm_count,
+    clar and fries come from the frontier sweep (kekule_count, clar_number,
+    fries_numbers) whatever else the call names.  The two are verify's
+    value-only read-off for thm3, thm11, cor12, thm13 and thm15, which list
+    the matchings anyway: on its polyhexes of at most 5 cells the read-off
+    is several times cheaper than the sweep, and reading Clar and Fries off
+    the sweep instead made those suites about 15 % slower.
     """
 
     def __init__(self, obj: Graph | HexSystem, caps: Caps) -> None:
@@ -128,9 +123,14 @@ class Profile:
         return _fixedness(self.graph, (m.edge_ids for m in self.pms))
 
     @cached_property
-    def clar(self) -> tuple[int, int, tuple[Cell, ...]]:
-        """The Clar number, the index of the first matching to attain it, and its packing."""
-        return _clar_best(self.obj, self.resonant)
+    def clar(self) -> int:
+        """The Clar number: the largest packing of one matching's resonant cells."""
+        best = 0
+        for mask in self.resonant:
+            # a packing among k resonant cells cannot beat best when k <= best
+            if mask.bit_count() > best:
+                best = max(best, exact._max_independent(self.obj.cell_conflicts, mask)[0])
+        return best
 
     def values(self, families: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
         """Per-matching values of each named VALUE_OF family, in matching order."""
@@ -170,39 +170,26 @@ def _per_matching(family: str, extreme: Callable | None) -> Callable[[Profile, A
     return invariant
 
 
-def _enumerates(names) -> bool:
-    """Does the call list every perfect matching for a per-matching invariant?"""
-    return any(n in _PER_MATCHING for n in names)
-
-
 def _inv_pm_count(p: Profile, names):
-    # read off the matchings when the call enumerates them anyway; otherwise
-    # swept on a hexagonal system and streamed on a graph
-    if _enumerates(names):
-        return len(p.pms), None
+    # swept on a hexagonal system; on a graph, read off listed matchings or streamed
     if isinstance(p.obj, HexSystem):
         return kekule_count(p.obj, p.caps.max_matchings), None
+    if any(n in _PER_MATCHING for n in names):
+        return len(p.pms), None
     return count_perfect_matchings(p.graph, p.caps.max_matchings), None
 
 
 def _inv_clar(p: Profile, names):
     if not isinstance(p.obj, HexSystem):
         raise InapplicableInvariant("clar needs a hexagonal system")
-    if _enumerates(names):
-        value, i, cells = p.clar
-        m = p.matchings[i]
-    else:
-        value, (m, cells) = clar_number(p.obj, p.caps.max_matchings)
+    value, (m, cells) = clar_number(p.obj, p.caps.max_matchings)
     return value, lambda: {"matching": list(m.edge_ids), "hexagons": [list(c) for c in cells]}
 
 
 def _inv_fries(p: Profile, names):
     if not isinstance(p.obj, HexSystem):
         raise InapplicableInvariant("fries needs a hexagonal system")
-    if _enumerates(names):
-        fr = _fries_from(p.obj, p.matchings, p.resonant)
-    else:
-        fr = fries_numbers(p.obj, p.caps.max_matchings)
+    fr = fries_numbers(p.obj, p.caps.max_matchings)
     return {"max": fr.maximum, "min": fr.minimum}, lambda: {
         "max_matching": list(fr.max_witness[0].edge_ids),
         "max_hexagons": [list(c) for c in fr.max_witness[1]],
@@ -325,8 +312,8 @@ def _well_formed(entry) -> bool:
 def replay(report: dict[str, Any], path: str | Path) -> list[str]:
     """Recompute a report against its instance; returns mismatch descriptions.
 
-    A malformed report, record, entry or witness is one more description,
-    not an error.
+    A malformed report, record, entry or witness, or an entry that cannot be
+    recomputed on the instance (fries on a graph), is one more description.
     """
     _, obj = load_instance(path)
     if not isinstance(report, dict):  # a list or a string read from a report file
@@ -353,7 +340,11 @@ def replay(report: dict[str, Any], path: str | Path) -> list[str]:
         if name not in REGISTRY:
             problems.append(f"unknown invariant {name!r}")
             continue
-        value, _ = REGISTRY[name](profile, names)
+        try:
+            value, _ = REGISTRY[name](profile, names)
+        except (InapplicableInvariant, NoPerfectMatching) as e:
+            problems.append(f"{name}: cannot be recomputed: {e}")
+            continue
         if value != entry["value"]:
             problems.append(f"{name}: recomputed {value!r} != reported {entry['value']!r}")
         if entry.get("witness") is not None:

@@ -197,7 +197,7 @@ def _suite_thm3(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """Maximum forcing number equals the Clar number on hexagonal systems."""
 
     def problem(h: HexSystem, p: Profile) -> str:
-        big_f, cl = max(p.values(("f",))["f"]), p.clar[0]
+        big_f, cl = max(p.values(("f",))["f"]), p.clar
         return "" if big_f == cl else f"F={big_f} cl={cl}"
 
     return _polyhex_checks(max_cells, caps, problem)
@@ -263,7 +263,7 @@ def _suite_cor12(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     """cl(H) <= Fries(H) <= 2 cl(H)."""
 
     def problem(h: HexSystem, p: Profile) -> str:
-        cl, fries = p.clar[0], max(map(int.bit_count, p.resonant))
+        cl, fries = p.clar, max(map(int.bit_count, p.resonant))
         return "" if cl <= fries <= 2 * cl else f"cl={cl} Fries={fries}"
 
     return _polyhex_checks(max_cells, caps, problem)

@@ -5,7 +5,6 @@ from itertools import combinations
 
 import pytest
 
-from matchforce.exact import max_independent_size
 from matchforce.errors import Disconnected, HasHole, LimitExceeded, NotATree, NotAValidCut
 from matchforce.generators import (
     GLUE_PRESETS,
@@ -23,7 +22,6 @@ from matchforce.graphs import (
     enumerate_perfect_matchings,
 )
 from matchforce.hexsys import (
-    _clar_best,
     _is_tree,
     alternating_hexagons,
     build_hex_system,
@@ -107,31 +105,6 @@ def test_h22_clar_equals_max_forcing():
     h = gen_truncated_parallelogram((2, 2))
     value, _ = clar_number(h)
     assert value == forcing_spectrum(h.graph).max == 2
-
-
-def test_clar_best_is_the_first_maximum():
-    # the size cut skips matchings but not the value, the first index attaining
-    # it or that matching's lexicographically least packing
-    ties = 0
-    for h in (h for n in range(1, 6) for h in enumerate_hex_systems(n)):
-        pms = enumerate_perfect_matchings(h.graph)
-        masks = [_cell_mask(alternating_hexagons(h, m)) for m in pms]
-        counts, packings = [], []
-        for m in pms:
-            alt = alternating_hexagons(h, m)
-            adjacent = [sum(1 << j for j, d in enumerate(alt) if d in h.cell_adjacency[c]) for c in alt]
-            counts.append(max_independent_size(adjacent))
-            packings.append(next(
-                p for p in combinations(alt, counts[-1])
-                if not any(d in h.cell_adjacency[c] for c, d in combinations(p, 2))
-            ))
-        best = max(counts, default=0)
-        i = counts.index(best) if counts else 0
-        packing = tuple(h.cells[c] for c in packings[i]) if counts else ()
-        assert _clar_best(h, masks) == (best, i, packing)
-        ties += counts.count(best) > 1
-    assert _clar_best(build_hex_system([(0, 0)]), []) == (0, 0, ())
-    assert ties > 0
 
 
 def test_alternating_hexagons_flags():
@@ -353,10 +326,6 @@ def _hexagon(side):
     return build_hex_system(
         (q, r) for q in range(-k, k + 1) for r in range(-k, k + 1) if abs(q + r) <= k
     )
-
-
-def _cell_mask(cells):
-    return sum(1 << c for c in cells)
 
 
 def _listed_resonance(h, max_matchings=DEFAULT_MATCHING_CAP):

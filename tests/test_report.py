@@ -1,10 +1,10 @@
 """Invariant reports against per-matching solves, work counts and memory.
 
 compute_report enumerates the perfect matchings at most once per call,
-solves each once and keeps only the values; on a hexagonal system a call
-with no per-matching invariant sweeps instead and enumerates none.  These
-tests hold it to the library's per-matching functions, count the
-enumerations it makes, and bound its memory.
+solves each once and keeps only the values; on a hexagonal system pm_count,
+clar and fries are swept, whatever else the call names.  These tests hold it
+to the library's per-matching functions, count the enumerations it makes,
+and bound its memory.
 """
 
 import sys
@@ -216,11 +216,14 @@ def test_kekule_report_with_a_per_matching_invariant_enumerates_once(tmp_path, k
     swept = compute_report(path, ["pm_count", "clar", "fries"])["invariants"]
     _reset(kekule_calls)
     report = compute_report(path, ["pm_count", "clar", "fries", "f"])
-    # one search gives the matchings, and each one's resonant hexagons are tested once
+    # one search gives the matchings for f; pm_count, clar and fries still come
+    # from one count pass and one resonance pass, whose three witness matchings
+    # alone have their hexagons tested
     assert kekule_calls["search"] == [graphs.DEFAULT_MATCHING_CAP]
-    assert len(kekule_calls["hexagons"]) == len(enumerate_perfect_matchings(h.graph))
-    assert not kekule_calls["count"] and not kekule_calls["sweep"]
-    # and the three read off it equal the sweep's values and witnesses
+    assert kekule_calls["layers"] == [hexsys._COUNT, hexsys._RESONANCE]
+    assert len(kekule_calls["hexagons"]) == 3 < len(enumerate_perfect_matchings(h.graph))
+    assert not kekule_calls["count"]
+    # so the three equal the swept-only report's values and witnesses
     read = report["invariants"][:3]
     assert [(e["value"], e["witness"]) for e in read] == [(e["value"], e["witness"]) for e in swept]
     assert replay(report, path) == []
@@ -250,7 +253,29 @@ def test_pm_count_is_zero_without_a_perfect_matching(tmp_path):
     report = compute_report(path, ["pm_count"])
     assert report["invariants"][0]["value"] == 0
     assert replay(report, path) == []
-    # with other invariants it reads the empty enumeration, which they reject
+    # the other invariants reject a system with no perfect matching
     for other in ("f", "clar", "fries"):
         with pytest.raises(NoPerfectMatching):
             compute_report(path, ["pm_count", other])
+
+
+def test_replay_describes_an_entry_it_cannot_recompute(tmp_path):
+    # fries on a graph and clar without a perfect matching are one line each,
+    # and the entries after them are still checked
+    path = _write(tmp_path, "dodecahedron", gen_named("dodecahedron"))
+    report = compute_report(path, ["pm_count"])
+    report["invariants"].insert(0, {"name": "fries", "value": {"max": 1, "min": 1}})
+    report["invariants"][1]["value"] = 35
+    assert replay(report, path) == [
+        "fries: cannot be recomputed: fries needs a hexagonal system",
+        "pm_count: recomputed 36 != reported 35",
+    ]
+    h = next(h for h in enumerate_hex_systems(3) if not enumerate_perfect_matchings(h.graph))
+    path = _write(tmp_path, "no-pm", h)
+    report = compute_report(path, ["pm_count"])
+    report["invariants"].insert(0, {"name": "clar", "value": 1, "witness": {"matching": []}})
+    report["invariants"][1]["value"] = 1
+    assert replay(report, path) == [
+        "clar: cannot be recomputed: graph has no perfect matching",
+        "pm_count: recomputed 0 != reported 1",
+    ]

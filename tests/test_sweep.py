@@ -1,19 +1,22 @@
 """The frontier sweep behind pm_count, Clar and Fries on hexagonal systems.
 
 The sweep is held to the enumerative reference (every matching's
-alternating_hexagons, with _clar_best and _fries_from) value for value and
-witness for witness, and its
-count beyond the enumeration cap to the Dewar–Longuet-Higgins determinant.
+alternating_hexagons, packed here by the tests) value for value and witness
+for witness, its count beyond the enumeration cap to the
+Dewar–Longuet-Higgins determinant, and verify's value-only Clar and Fries,
+read off the listed matchings (report.Profile), to the sweep.
 """
 
 import ast
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from matchforce import hexsys
 from matchforce.errors import HasHole, LimitExceeded, NoPerfectMatching
+from matchforce.exact import max_independent_indices, max_independent_size
 from matchforce.generators import (
     enumerate_hex_systems,
     gen_truncated_parallelogram,
@@ -22,8 +25,7 @@ from matchforce.generators import (
 from matchforce.graphs import BLACK, enumerate_perfect_matchings
 from matchforce.hexsys import (
     NEIGHBOR_OFFSETS,
-    _clar_best,
-    _fries_from,
+    FriesNumbers,
     alternating_hexagons,
     build_hex_system,
     clar_number,
@@ -31,20 +33,40 @@ from matchforce.hexsys import (
     kekule_count,
 )
 from matchforce.io import serialize_hex
-from matchforce.report import compute_report
+from matchforce.report import Caps, Profile, compute_report
 from test_hexsys import _hexagon
 
 TP_LADDER = ((4, 4, 4), (5,) * 4, (6,) * 5, (7,) * 6)
 
 
+def _adjacent(h, cells):
+    """Per listed cell: the bits j of the listed cells j adjacent to it."""
+    return [sum(1 << j for j, d in enumerate(cells) if d in h.cell_adjacency[c]) for c in cells]
+
+
 def _reference(h):
-    """pm_count, Clar and Fries with their witnesses, from every enumerated matching."""
+    """pm_count, Clar and Fries with their witnesses, from every enumerated matching.
+
+    The Clar witness is the first matching in canonical order to reach the
+    largest packing of its resonant cells, with its lexicographically least
+    largest packing; each Fries witness is the first matching to reach the
+    most or the fewest resonant cells, with those cells.
+    """
     pms = enumerate_perfect_matchings(h.graph)
-    masks = [sum(1 << c for c in alternating_hexagons(h, m)) for m in pms]
     if not pms:
         return 0, None, None
-    best, i, cells = _clar_best(h, masks)
-    return len(pms), (best, (pms[i], cells)), _fries_from(h, pms, masks)
+    resonant = [alternating_hexagons(h, m) for m in pms]
+    best, clar_witness = 0, (pms[0], ())
+    for m, alt in zip(pms, resonant):
+        # a packing among k resonant cells cannot beat best when k <= best
+        if len(alt) > best:
+            k, pick = max_independent_indices(_adjacent(h, alt))
+            if k > best:
+                best, clar_witness = k, (m, tuple(h.cells[alt[j]] for j in pick))
+    counts = [len(alt) for alt in resonant]
+    i, j = counts.index(max(counts)), counts.index(min(counts))
+    witnesses = [(pms[x], tuple(h.cells[c] for c in resonant[x])) for x in (i, j)]
+    return len(pms), (best, clar_witness), FriesNumbers(counts[i], counts[j], *witnesses)
 
 
 def _swept(h):
@@ -89,6 +111,46 @@ def polyhexes(draw):
 @given(polyhexes())
 def test_the_sweep_matches_the_enumeration_on_random_polyhexes(h):
     assert _swept(h) == _reference(h)
+
+
+def test_the_reference_clar_witness_is_the_first_maximum():
+    # the size cut skips matchings but not the value, the first matching
+    # attaining it or that matching's lexicographically least packing
+    ties = 0
+    for h in (h for n in range(1, 6) for h in enumerate_hex_systems(n)):
+        pms = enumerate_perfect_matchings(h.graph)
+        if not pms:
+            assert _reference(h) == (0, None, None)
+            continue
+        counts, packings = [], []
+        for m in pms:
+            alt = alternating_hexagons(h, m)
+            counts.append(max_independent_size(_adjacent(h, alt)))
+            packings.append(next(
+                p for p in combinations(alt, counts[-1])
+                if not any(d in h.cell_adjacency[c] for c, d in combinations(p, 2))
+            ))
+        best = max(counts)
+        i = counts.index(best)
+        assert _reference(h)[1] == (best, (pms[i], tuple(h.cells[c] for c in packings[i])))
+        ties += counts.count(best) > 1
+    assert ties > 0
+
+
+def test_the_profile_read_off_equals_the_sweep():
+    # verify's value-only read-off (report.Profile) against the sweep on every
+    # polyhex of at most 5 cells with a perfect matching
+    checked = 0
+    for h in (h for n in range(1, 6) for h in enumerate_hex_systems(n)):
+        if not kekule_count(h):
+            continue
+        p = Profile(h, Caps())
+        fries = fries_numbers(h)
+        assert p.clar == clar_number(h)[0], h.cells
+        counts = [mask.bit_count() for mask in p.resonant]
+        assert (max(counts), min(counts)) == (fries.maximum, fries.minimum), h.cells
+        checked += 1
+    assert checked == 165
 
 
 def test_the_kept_sweep_still_checks_the_cap():

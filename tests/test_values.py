@@ -235,7 +235,8 @@ def test_verify_reads_every_instance_fact_through_one_cached_profile():
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     used |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
-    banned = {"alternating_cycle_masks", "alternating_hexagons", "VALUE_OF", "_clar_best"}
+    banned = {"alternating_cycle_masks", "alternating_hexagons", "VALUE_OF"}
+    banned |= {"_max_independent", "_resonant_mask"}
     assert not used & banned
 
 
