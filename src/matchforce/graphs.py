@@ -56,8 +56,16 @@ class Graph:
         return tuple(tuple(a) for a in adj)
 
     @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        return tuple(map(len, self.adjacency))
+
+    @cached_property
+    def _pendants(self) -> tuple[int, ...]:  # the vertices with at most one edge
+        return tuple(v for v, d in enumerate(self._degrees) if d <= 1)
+
+    @cached_property
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
+        return max(self._degrees, default=0)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -317,11 +325,14 @@ def _pendant_reduction(g: Graph, without: Collection[int] = ()) -> list[int] | N
     two edges to uncovered vertices.
     """
     adjacency = _adjacency_without(g, without)
-    deg = [len(a) for a in adjacency]
+    ends = {x for e in without for x in g.edges[e]}
+    deg = list(g._degrees)
+    for x in ends:
+        deg[x] = len(adjacency[x])
+    # degrees only fall, so a vertex is queued once it has at most one edge left
+    queue = [*g._pendants, *(x for x in ends if deg[x] <= 1)]
     covered = bytearray(g.n)
     forced: list[int] = []
-    # degrees only fall, so a vertex is queued once it has at most one edge left
-    queue = [v for v, d in enumerate(deg) if d <= 1]
     while queue:
         v = queue.pop()
         if covered[v]:

@@ -124,13 +124,13 @@ class HexSystem:
 
     @cached_property
     def _kekule_count(self) -> int:
-        """The number of perfect matchings, swept once per system; see kekule_count."""
-        return _sweep_values(_sweep_layers(self, _COUNT))[0].get(0, (0,))[_PLAIN]
+        """The number of perfect matchings, counted once per system; see kekule_count."""
+        return _sweep_count(self)
 
     @cached_property
     def _resonance(self) -> tuple[_Clar, FriesNumbers]:
         """Clar and Fries numbers with their witnesses, from one resonance sweep per system."""
-        layers = _sweep_layers(self, _RESONANCE)
+        layers = _sweep_layers(self)
         values = _sweep_values(layers)
         _, most, least, _ = values[0][0]
         most_m, least_m, clar_m = (_sweep_walk(layers, values, k) for k in (_MOST, _LEAST, _PICKS))
@@ -272,9 +272,33 @@ def _mask_cells(h: HexSystem, mask: int) -> tuple[Cell, ...]:
     return tuple(cell for c, cell in enumerate(h.cells) if mask >> c & 1)
 
 
-# what a frontier sweep scores: nothing (it counts), or resonant cells and
-# pairwise non-adjacent resonant cells at once
-_COUNT, _RESONANCE = 0, 1
+def _cover_steps(g: Graph) -> list[list[tuple[int, int, int]]]:
+    """Per vertex u: (need, add, edge id) of each edge to a later vertex v, in id order.
+
+    A sweep state is one int whose low bits are the covered vertices from u
+    on, shifted down a bit per vertex, so a step costs the same on a long
+    chain as on a short one.  At u a state s with bit 0 set moves to s >> 1;
+    else the edge takes it to (s >> 1) + add if v is uncovered: s & need == 0.
+    """
+    steps: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    for eid, (u, v) in enumerate(g.edges):
+        steps[u].append((1 << v - u, 1 << v - u - 1, eid))
+    return steps
+
+
+def _sweep_count(h: HexSystem) -> int:
+    """The number of perfect matchings, forward only, keeping one layer: per state, its ways in."""
+    ways = {0: 1}
+    for tried in _cover_steps(h.graph):
+        after: dict[int, int] = {}
+        for s, k in ways.items():
+            for need, add, _ in tried if not s & 1 else ((0, 0, -1),):  # covered: one free move
+                if not s & need:
+                    t = (s >> 1) + add
+                    after[t] = after.get(t, 0) + k
+        ways = after
+    return ways.get(0, 0)
+
 
 # per vertex: each state's moves, (next state, edge id or -1, picks, resonant
 # closes), and each state's value, indexed as below: its completions with no
@@ -285,19 +309,14 @@ _PLAIN, _MOST, _LEAST, _PICKS = 0, 1, 2, 3
 _Clar = tuple[int, tuple[Matching, tuple[Cell, ...]]]  # the value, its matching and cells
 
 
-def _sweep_layers(h: HexSystem, mode: int) -> _Layers:
-    """The forward pass of the frontier sweep: every reachable state's moves, per vertex.
+def _sweep_layers(h: HexSystem) -> _Layers:
+    """The forward pass of the resonance sweep: every reachable state's moves, per vertex.
 
-    The sweep visits the vertices in id order and, like the matching
-    backtracker, matches each one still uncovered to a later neighbour, edges
-    in id order; a covered vertex has one move, with edge id -1.  A state is
-    one int.  Its low `width` bits hold the covered vertices from the one
-    being swept on, shifted down a bit per vertex, so a step costs the same
-    on a long chain as on a short one.  Above them (_RESONANCE) each open
-    cell has a 2-bit field counting its matched edges; open cells share
-    these slots.  A cell is open from its least vertex to its greatest,
-    where every edge of it has been decided and it closes: its field is
-    cleared, and a resonant close is counted when it read 3, that
+    A state holds one of _cover_steps in its low `width` bits and, above
+    them, each open cell's 2-bit field counting its matched edges; open cells
+    share these slots.  A cell is open from its least vertex to its
+    greatest, where every edge of it has been decided and it closes: its
+    field is cleared, and a resonant close is counted when it read 3, that
     is when the cell alternates.  Such a cell may instead be picked as a
     sextet, which zeroes the fields of the neighbours that close later: two
     vertices of each are covered already, so at most two more of its edges
@@ -326,25 +345,21 @@ def _sweep_layers(h: HexSystem, mode: int) -> _Layers:
             slot[c], top = top, top + 1
     field = [1 << width + 2 * s for s in slot]
 
-    # per vertex: (its bit, the bits the move adds, what the move keeps, edge
-    # id) of each edge to a later vertex.  An edge that covers a vertex of an
-    # open cell it does not border zeroes that cell's field: the cell cannot
+    # per vertex: each covering step, with the fields of its edge's cells
+    # added, and what the move keeps.  An edge that covers a vertex of an open
+    # cell it does not border zeroes that cell's field: the cell cannot
     # alternate, and at most two more of its edges can follow.
     tries: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n)]
-    for eid, (u, v) in enumerate(g.edges):
-        add, keep = 1 << v - u - 1, -1
-        if mode == _RESONANCE:
-            add += sum(field[c] for c in h.edge_cells[eid])
-            # the cells with a corner at u or v: those of the edges there
-            near = {c for x in (u, v) for _, e in g.adjacency[x] for c in h.edge_cells[e]}
-            for c in near.difference(h.edge_cells[eid]):
-                if lo[c] <= u:
-                    keep &= ~(3 * field[c])
-        tries[u].append((1 << v - u, add, keep, eid))
+    for u, steps in enumerate(_cover_steps(g)):
+        for need, add, eid in steps:
+            # the cells with a corner at u or v, all open at u: distinct fields
+            near = {c for x in g.edges[eid] for _, e in g.adjacency[x] for c in h.edge_cells[e]}
+            keep = ~sum(3 * field[c] for c in near.difference(h.edge_cells[eid]) if lo[c] <= u)
+            tries[u].append((need, add + sum(field[c] for c in h.edge_cells[eid]), keep, eid))
     # per vertex, in closing order (a stable sort: ties in cell order): (field
     # shift, what closing keeps, what a pick keeps) of each cell closing there
     closes: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-    for c in sorted(cells, key=hi.__getitem__) if mode == _RESONANCE else ():
+    for c in sorted(cells, key=hi.__getitem__):
         keep = ~(3 * field[c])
         later = sum(3 * field[d] for d in h.cell_adjacency[c] if (hi[d], d) > (hi[c], c))
         closes[hi[c]].append((field[c].bit_length() - 1, keep, keep & ~later))
@@ -379,7 +394,7 @@ def _sweep_layers(h: HexSystem, mode: int) -> _Layers:
 
 
 def _sweep_values(layers: _Layers) -> _Values:
-    """The backward pass: per vertex, each state that can complete and its value.
+    """The resonance sweep's backward pass: per vertex, each state that can complete and its value.
 
     A pick only zeroes fields, so a state that completes at all completes
     with no pick, and picks never fall along a path.  values[i] holds the

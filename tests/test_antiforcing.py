@@ -3,6 +3,7 @@
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from matchforce.generators import (
     glue_preset,
 )
 from matchforce.graphs import (
+    _iter_perfect_matchings,
     alternating_cycle_masks,
     build_graph,
     edge_mask,
@@ -184,6 +186,29 @@ def test_anti_forcing_edges_match_the_definition():
         found += len(expected)
     assert sum(g.color is None for g in cases) >= 20 and found > 500
     assert sum(len(anti_forcing_edges(g)) for g in cases if g.color is None) >= 15
+
+
+def test_anti_forcing_edges_match_deletion_on_the_benchmark_instances(monkeypatch):
+    # against G − e enumerated, capped at two matchings: on the polyhexes of at
+    # most 5 cells, the dodecahedron, and the large benzenoids and two seeded
+    # general graphs that perfbench runs
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from gengraph import DEFAULT_SEED, general_graphs
+    from workloads import KEKULE_TPS
+
+    cases = [h.graph for n in range(1, 6) for h in enumerate_hex_systems(n)]
+    cases += [gen_truncated_parallelogram(params).graph for params in KEKULE_TPS]
+    cases += [gen_named("dodecahedron")] + [g for _, g in general_graphs(DEFAULT_SEED)]
+    found = 0
+    for g in cases:
+        expected = tuple(
+            e
+            for e in range(g.m)
+            if len(list(itertools.islice(_iter_perfect_matchings(remove_edges(g, [e])), 2))) == 1
+        )
+        assert anti_forcing_edges(g) == expected, g
+        found += len(expected)
+    assert found > 100
 
 
 def test_truncated_parallelogram_unique_after_deleting_its_edge():

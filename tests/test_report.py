@@ -176,7 +176,9 @@ def kekule_calls(monkeypatch):
             ("search", graphs.enumerate_perfect_matchings),
             ("count", graphs.count_perfect_matchings),
             ("sweep", hexsys.kekule_count),
+            ("forward", hexsys._sweep_count),
             ("layers", hexsys._sweep_layers),
+            ("values", hexsys._sweep_values),
             ("hexagons", hexsys.alternating_hexagons),
         )
     }
@@ -199,12 +201,12 @@ def test_kekule_report_sweeps_and_enumerates_no_matchings(tmp_path, kekule_calls
     # witness matchings (Clar, Fries maximum and minimum) have their hexagons tested
     assert not kekule_calls["search"] and not kekule_calls["count"]
     assert kekule_calls["sweep"] and len(kekule_calls["hexagons"]) == 3
-    # one count pass, and one resonance pass for both clar and fries
-    assert kekule_calls["layers"] == [hexsys._COUNT, hexsys._RESONANCE]
+    # one forward count, and one resonance pass for both clar and fries
+    assert len(kekule_calls["forward"]) == len(kekule_calls["layers"]) == 1
     _reset(kekule_calls)
     assert replay(report, path) == []
     assert not kekule_calls["search"] and not kekule_calls["count"]
-    assert kekule_calls["layers"] == [hexsys._COUNT, hexsys._RESONANCE]
+    assert len(kekule_calls["forward"]) == len(kekule_calls["layers"]) == 1
     # the sweep's witnesses again, and the witness checks: one for clar and
     # one for each side of fries
     assert len(kekule_calls["hexagons"]) == 6
@@ -217,10 +219,10 @@ def test_kekule_report_with_a_per_matching_invariant_enumerates_once(tmp_path, k
     _reset(kekule_calls)
     report = compute_report(path, ["pm_count", "clar", "fries", "f"])
     # one search gives the matchings for f; pm_count, clar and fries still come
-    # from one count pass and one resonance pass, whose three witness matchings
-    # alone have their hexagons tested
+    # from one forward count and one resonance pass, whose three witness
+    # matchings alone have their hexagons tested
     assert kekule_calls["search"] == [graphs.DEFAULT_MATCHING_CAP]
-    assert kekule_calls["layers"] == [hexsys._COUNT, hexsys._RESONANCE]
+    assert len(kekule_calls["forward"]) == len(kekule_calls["layers"]) == 1
     assert len(kekule_calls["hexagons"]) == 3 < len(enumerate_perfect_matchings(h.graph))
     assert not kekule_calls["count"]
     # so the three equal the swept-only report's values and witnesses
@@ -237,14 +239,16 @@ def test_pm_count_alone_streams_the_count(tmp_path, kekule_calls):
     assert report["invariants"][0]["value"] == 36
     assert replay(report, path) == []
     assert not kekule_calls["search"] and len(kekule_calls["count"]) == 2
-    # on a hexagonal system it is swept
+    # on a hexagonal system it is counted forward, once per load, and the
+    # resonance pass does not run
     path = _write(tmp_path, "triphenylene", gen_named("triphenylene"))
     _reset(kekule_calls)
     report = compute_report(path, ["pm_count"])
     assert report["invariants"][0]["value"] == 9
     assert replay(report, path) == []
     assert not kekule_calls["search"] and not kekule_calls["count"]
-    assert len(kekule_calls["sweep"]) == 2
+    assert len(kekule_calls["sweep"]) == len(kekule_calls["forward"]) == 2
+    assert not kekule_calls["layers"] and not kekule_calls["values"]
 
 
 def test_pm_count_is_zero_without_a_perfect_matching(tmp_path):

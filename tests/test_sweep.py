@@ -3,13 +3,15 @@
 The sweep is held to the enumerative reference (every matching's
 alternating_hexagons, packed here by the tests) value for value and witness
 for witness, its count beyond the enumeration cap to the
-Dewar–Longuet-Higgins determinant, and verify's value-only Clar and Fries,
-read off the listed matchings (report.Profile), to the sweep.
+Dewar–Longuet-Higgins determinant and MacMahon's formula, and verify's
+value-only Clar and Fries, read off the listed matchings (report.Profile),
+to the sweep.
 """
 
 import ast
 import sys
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -34,6 +36,7 @@ from matchforce.hexsys import (
 )
 from matchforce.io import serialize_hex
 from matchforce.report import Caps, Profile, compute_report
+from matchforce.verify import polyhex_corpus, preset_corpus, tp_corpus
 from test_hexsys import _hexagon
 
 TP_LADDER = ((4, 4, 4), (5,) * 4, (6,) * 5, (7,) * 6)
@@ -213,6 +216,29 @@ def test_the_swept_count_is_the_kekule_determinant():
             kekule_count(h, max_matchings=k - 1)
 
 
+def _macmahon(n):
+    """MacMahon's box formula: K of the hexagon-shaped system with n cells along each edge."""
+    k = Fraction(1)
+    for i, j, l in product(range(1, n + 1), repeat=3):
+        k *= Fraction(i + j + l - 1, i + j + l - 2)
+    return k
+
+
+def test_the_forward_count_equals_the_enumeration_the_resonance_pass_and_macmahon():
+    corpus = polyhex_corpus(5) + tp_corpus(8) + preset_corpus()
+    assert len(corpus) == 245 + 66 + 4
+    for name, h in corpus:
+        count = hexsys._sweep_count(h)
+        assert count == len(enumerate_perfect_matchings(h.graph)), name
+        root = hexsys._sweep_values(hexsys._sweep_layers(h))[0]
+        assert count == root.get(0, (0,))[hexsys._PLAIN], name
+    counts = [kekule_count(_hexagon(n), max_matchings=10**20) for n in range(1, 7)]
+    assert counts == [_macmahon(n) for n in range(1, 7)]
+    assert counts[-1] == 1_478_619_421_136
+    # a linear chain of n hexagons has n + 1 perfect matchings
+    assert kekule_count(gen_truncated_parallelogram((600,))) == 601
+
+
 def test_a_long_chain_needs_no_recursion(tmp_path):
     # a linear chain of n hexagons has n + 1 perfect matchings, Clar number 1
     # and Fries numbers 2 and 1
@@ -242,7 +268,7 @@ def test_the_sweep_holds_no_recursion():
     sweep = [name for name in functions if name.startswith("_sweep")]
     assert {"_sweep_layers", "_sweep_values", "_sweep_walk"} <= set(sweep)
     # the entry points, the gate they share and the accessors that keep a sweep on the system
-    sweep += ["kekule_count", "_kekule_resonance", "clar_number", "fries_numbers"]
+    sweep += ["_cover_steps", "kekule_count", "_kekule_resonance", "clar_number", "fries_numbers"]
     sweep += ["_kekule_count", "_resonance"]
     # a call by name, or a read of a property of the system such as h._resonance
     calls = {
