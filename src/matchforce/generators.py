@@ -14,12 +14,14 @@ from .errors import (
     TooLarge,
     UnknownName,
 )
-from .graphs import Graph, _reach, build_graph
+from .graphs import Graph, build_graph
 from .hexsys import (
     Cell,
     HexSystem,
     NEIGHBOR_OFFSETS,
     VertexKey,
+    _cell_edges,
+    _is_tree,
     build_hex_system,
     cell_corners,
     transform_cell,
@@ -129,31 +131,14 @@ class GlueSpec:
 
 
 def _cell_edge_keys(cells: Iterable[Cell]) -> set[tuple[VertexKey, VertexKey]]:
-    edges = set()
-    for c in cells:
-        corners = cell_corners(c)
-        for i in range(6):
-            u, v = corners[i], corners[(i + 1) % 6]
-            edges.add((u, v) if u < v else (v, u))
-    return edges
+    return {e for c in cells for e in _cell_edges(cell_corners(c))}
 
 
 def _is_simple_path(edges: set[tuple[VertexKey, VertexKey]]) -> bool:
-    degree: dict[VertexKey, int] = {}
-    for u, v in edges:
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-    ends = [v for v, d in degree.items() if d == 1]
-    if len(ends) != 2 or any(d > 2 for d in degree.values()):
-        return False
-    # connected chain: edges == vertices - 1 and one sweep reaches all
-    if len(edges) != len(degree) - 1:
-        return False
-    adj: dict[VertexKey, list[VertexKey]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    return len(_reach(ends[0], adj.__getitem__)) == len(degree)
+    # a tree with no vertex of degree more than 2 is a simple path
+    index = {k: i for i, k in enumerate(sorted({k for e in edges for k in e}))}
+    g = Graph(n=len(index), edges=tuple((index[u], index[v]) for u, v in edges))
+    return _is_tree(g) and g.max_degree <= 2
 
 
 def glue_af2(spec: GlueSpec) -> HexSystem:

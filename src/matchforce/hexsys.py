@@ -88,7 +88,6 @@ class HexSystem:
     vertex_keys: tuple[VertexKey, ...]
     face_vertices: tuple[tuple[int, ...], ...]
     face_edges: tuple[tuple[int, ...], ...]
-    boundary_edges: frozenset[int]
 
     @property
     def n_cells(self) -> int:
@@ -106,6 +105,11 @@ class HexSystem:
             for eid in eids:
                 owners[eid].append(ci)
         return tuple(tuple(o) for o in owners)
+
+    @cached_property
+    def boundary_edges(self) -> frozenset[int]:
+        """The edge ids that border one cell only."""
+        return frozenset(eid for eid, owners in enumerate(self.edge_cells) if len(owners) == 1)
 
     @cached_property
     def cell_adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -132,7 +136,7 @@ class HexSystem:
         """Clar and Fries numbers with their witnesses, from one resonance sweep per system."""
         layers = _sweep_layers(self)
         values = _sweep_values(layers)
-        _, most, least, _ = values[0][0]
+        most, least, _ = values[0][0]
         most_m, least_m, clar_m = (_sweep_walk(layers, values, k) for k in (_MOST, _LEAST, _PICKS))
         best, pick = exact._max_independent(self.cell_conflicts, _resonant_mask(self, clar_m))
         witnesses = [(m, _mask_cells(self, _resonant_mask(self, m))) for m in (most_m, least_m)]
@@ -173,6 +177,11 @@ def _check_cells_connected(cells: set[Cell]) -> None:
         raise Disconnected(f"cell set is not edge-connected; unreachable: {missing}")
 
 
+def _cell_edges(corners: tuple) -> list[tuple]:
+    """A cell's six edges as sorted pairs of its corners (keys or ids), in corner order."""
+    return [(u, v) if u < v else (v, u) for u, v in zip(corners, corners[1:] + corners[:1])]
+
+
 def build_hex_system(cells: Iterable[Cell]) -> HexSystem:
     """Derive the vertex/edge graph of a cell set, with validation.
 
@@ -188,24 +197,10 @@ def build_hex_system(cells: Iterable[Cell]) -> HexSystem:
     keys = sorted({k for c in cell_list for k in cell_corners(c)})
     key_index = {k: i for i, k in enumerate(keys)}
 
-    edge_index: dict[tuple[int, int], int] = {}
-    edges: list[tuple[int, int]] = []
-    face_vertices = []
-    face_edge_keys = []
-    for c in cell_list:
-        corners = [key_index[k] for k in cell_corners(c)]
-        face_vertices.append(tuple(corners))
-        fe = []
-        for i in range(6):
-            u, v = corners[i], corners[(i + 1) % 6]
-            fe.append((u, v) if u < v else (v, u))
-        face_edge_keys.append(fe)
-        for e in fe:
-            if e not in edge_index:
-                edge_index[e] = 0
-    for e in sorted(edge_index):
-        edge_index[e] = len(edges)
-        edges.append(e)
+    face_vertices = tuple(tuple(key_index[k] for k in cell_corners(c)) for c in cell_list)
+    face_edge_keys = [_cell_edges(corners) for corners in face_vertices]
+    edges = sorted({e for fe in face_edge_keys for e in fe})
+    edge_index = {e: i for i, e in enumerate(edges)}
 
     n = len(keys)
     bounded_faces = len(edges) - n + 1
@@ -218,20 +213,12 @@ def build_hex_system(cells: Iterable[Cell]) -> HexSystem:
     color = tuple(BLACK if y % 3 == 2 else WHITE for _, y in keys)
     graph = Graph(n=n, edges=tuple(edges), color=color)
     face_edges = tuple(tuple(edge_index[e] for e in fe) for fe in face_edge_keys)
-
-    counts = [0] * len(edges)
-    for fe in face_edges:
-        for eid in fe:
-            counts[eid] += 1
-    boundary = frozenset(eid for eid, c in enumerate(counts) if c == 1)
-
     return HexSystem(
         cells=cell_list,
         graph=graph,
         vertex_keys=tuple(keys),
-        face_vertices=tuple(face_vertices),
+        face_vertices=face_vertices,
         face_edges=face_edges,
-        boundary_edges=boundary,
     )
 
 
@@ -301,11 +288,11 @@ def _sweep_count(h: HexSystem) -> int:
 
 
 # per vertex: each state's moves, (next state, edge id or -1, picks, resonant
-# closes), and each state's value, indexed as below: its completions with no
-# pick, the most and least resonant closes over those, and the most picks
+# closes), and each state's value, indexed as below: the most and least
+# resonant closes over its completions with no pick, and the most picks
 _Layers = list[dict[int, list[tuple[int, int, int, int]]]]
-_Values = list[dict[int, tuple[int, int, int, int]]]
-_PLAIN, _MOST, _LEAST, _PICKS = 0, 1, 2, 3
+_Values = list[dict[int, tuple[int, int, int]]]
+_MOST, _LEAST, _PICKS = 0, 1, 2
 _Clar = tuple[int, tuple[Matching, tuple[Cell, ...]]]  # the value, its matching and cells
 
 
@@ -344,6 +331,11 @@ def _sweep_layers(h: HexSystem) -> _Layers:
         else:
             slot[c], top = top, top + 1
     field = [1 << width + 2 * s for s in slot]
+    # per vertex: the cells with a corner there
+    at: list[list[int]] = [[] for _ in range(g.n)]
+    for c, corners in enumerate(h.face_vertices):
+        for x in corners:
+            at[x].append(c)
 
     # per vertex: each covering step, with the fields of its edge's cells
     # added, and what the move keeps.  An edge that covers a vertex of an open
@@ -353,7 +345,7 @@ def _sweep_layers(h: HexSystem) -> _Layers:
     for u, steps in enumerate(_cover_steps(g)):
         for need, add, eid in steps:
             # the cells with a corner at u or v, all open at u: distinct fields
-            near = {c for x in g.edges[eid] for _, e in g.adjacency[x] for c in h.edge_cells[e]}
+            near = set(at[u]).union(at[g.edges[eid][1]])
             keep = ~sum(3 * field[c] for c in near.difference(h.edge_cells[eid]) if lo[c] <= u)
             tries[u].append((need, add + sum(field[c] for c in h.edge_cells[eid]), keep, eid))
     # per vertex, in closing order (a stable sort: ties in cell order): (field
@@ -397,32 +389,34 @@ def _sweep_values(layers: _Layers) -> _Values:
     """The resonance sweep's backward pass: per vertex, each state that can complete and its value.
 
     A pick only zeroes fields, so a state that completes at all completes
-    with no pick, and picks never fall along a path.  values[i] holds the
+    with no pick, and picks never fall along a path: a state is kept exactly
+    when a move with no pick reaches a kept state.  values[i] holds the
     states before vertex i is swept, and values[n] the final state 0 alone.
+    Completions are counted by _sweep_count, not here.
     """
-    after = {0: (1, 0, 0, 0)}
+    after = {0: (0, 0, 0)}
     values = [after]
     for layer in reversed(layers):
         here = {}
         reach = after.get
         for s, moves in layer.items():
-            plain = most = picked = 0
-            least = len(layers)  # more than any number of cells
+            most = picked = 0
+            # more than any number of cells until a move with no pick reaches a kept state
+            least = len(layers)
             for t, _, picks, resonant in moves:
                 if (a := reach(t)) is None:
                     continue
                 # plain comparisons: a call of max or min per move costs more
-                completions, more, fewer, more_picks = a
+                more, fewer, more_picks = a
                 if not picks:
-                    plain += completions
                     if resonant + more > most:
                         most = resonant + more
                     if resonant + fewer < least:
                         least = resonant + fewer
                 if picks + more_picks > picked:
                     picked = picks + more_picks
-            if plain:
-                here[s] = (plain, most, least, picked)
+            if least < len(layers):
+                here[s] = (most, least, picked)
         values.append(here)
         after = here
     values.reverse()

@@ -59,9 +59,7 @@ def parse_graph(text: str) -> Graph:
         color = [colors[v] for v in range(n)]
     try:
         return build_graph(n, edges, color)
-    except MatchforceError as exc:
-        raise ParseError(str(exc)) from exc
-    except ValueError as exc:
+    except (MatchforceError, ValueError) as exc:
         raise ParseError(str(exc)) from exc
 
 

@@ -88,10 +88,10 @@ class Profile:
     Reports never read `resonant` or `clar`: on a hexagonal system pm_count,
     clar and fries come from the frontier sweep (kekule_count, clar_number,
     fries_numbers) whatever else the call names.  The two are verify's
-    value-only read-off for thm3, thm11, cor12, thm13 and thm15, which list
-    the matchings anyway: on its polyhexes of at most 5 cells the read-off
-    is several times cheaper than the sweep, and reading Clar and Fries off
-    the sweep instead made those suites about 15 % slower.
+    value-only read-off for thm3, thm11, cor12, thm13 and thm15: on its
+    polyhexes of at most 5 cells listing the matchings and reading them is
+    cheaper than the sweep, and reading Clar and Fries off the sweep
+    instead made those suites about 15 % slower.
     """
 
     def __init__(self, obj: Graph | HexSystem, caps: Caps) -> None:

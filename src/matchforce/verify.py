@@ -43,22 +43,6 @@ from .hexsys import (
 )
 from .report import Caps, Profile
 
-SUITE_IDS = (
-    "thm2",
-    "thm3",
-    "thm5",
-    "lem8",
-    "thm9",
-    "thm11",
-    "cor12",
-    "thm13",
-    "thm14",
-    "thm15",
-    "thm16",
-    "thm20",
-    "lem19",
-)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -486,6 +470,7 @@ _SUITES = {
     "thm20": _suite_thm20,
     "lem19": _suite_lem19,
 }
+SUITE_IDS = tuple(_SUITES)
 
 
 def run_suite(

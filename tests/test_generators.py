@@ -168,6 +168,12 @@ def test_glue_rejects_even_path():
         glue_af2(GlueSpec((2,), (1,), 0, (0, 1)))
 
 
+def test_glue_rejects_shared_edges_that_are_not_a_path():
+    # three shared edges in two pieces: one lone edge and a path of two
+    with pytest.raises(InvalidGlue, match="shared edges do not form a simple path"):
+        glue_af2(GlueSpec((2, 1), (3, 1), 3, (1, 2)))
+
+
 def test_glue_rejects_disjoint_blocks():
     with pytest.raises(InvalidGlue):
         glue_af2(GlueSpec((1,), (1,), 0, (4, 0)))

@@ -45,6 +45,13 @@ def test_single_cell_is_a_hexagon():
     assert h.face_vertices[0] == tuple(range(6)) or len(set(h.face_vertices[0])) == 6
 
 
+def test_boundary_edges_lie_in_exactly_one_cell():
+    for n in range(1, 6):
+        for h in enumerate_hex_systems(n):
+            faces = [eid for fe in h.face_edges for eid in fe]
+            assert h.boundary_edges == {eid for eid in faces if faces.count(eid) == 1}, h.cells
+
+
 def test_triphenylene_counts():
     h = gen_named("triphenylene")
     assert h.n_cells == 4
