@@ -34,6 +34,7 @@ from .graphs import (
     Graph,
     Matching,
     WHITE,
+    _bit_ids,
     _reach,
     build_graph,
     edge_mask,
@@ -134,13 +135,11 @@ class HexSystem:
     @cached_property
     def _resonance(self) -> tuple[_Clar, FriesNumbers]:
         """Clar and Fries numbers with their witnesses, from one resonance sweep per system."""
-        layers = _sweep_layers(self)
-        values = _sweep_values(layers)
-        most, least, _ = values[0][0]
-        most_m, least_m, clar_m = (_sweep_walk(layers, values, k) for k in (_MOST, _LEAST, _PICKS))
+        most, most_m, least, least_m, _, picked_m = _sweep_resonance(self)
+        clar_m, most_m, least_m = (Matching(_bit_ids(mask)) for mask in (picked_m, most_m, least_m))
         best, pick = exact._max_independent(self.cell_conflicts, _resonant_mask(self, clar_m))
         witnesses = [(m, _mask_cells(self, _resonant_mask(self, m))) for m in (most_m, least_m)]
-        return (best, (clar_m, _mask_cells(self, pick))), FriesNumbers(most, least, *witnesses)
+        return (best, (clar_m, _mask_cells(self, pick))), FriesNumbers(most, -least, *witnesses)
 
     @cached_property
     def cell_edge_masks(self) -> tuple[tuple[int, int, int], ...]:
@@ -287,17 +286,26 @@ def _sweep_count(h: HexSystem) -> int:
     return ways.get(0, 0)
 
 
-# per vertex: each state's moves, (next state, edge id or -1, picks, resonant
-# closes), and each state's value, indexed as below: the most and least
-# resonant closes over its completions with no pick, and the most picks
-_Layers = list[dict[int, list[tuple[int, int, int, int]]]]
-_Values = list[dict[int, tuple[int, int, int]]]
-_MOST, _LEAST, _PICKS = 0, 1, 2
 _Clar = tuple[int, tuple[Matching, tuple[Cell, ...]]]  # the value, its matching and cells
 
 
-def _sweep_layers(h: HexSystem) -> _Layers:
-    """The forward pass of the resonance sweep: every reachable state's moves, per vertex.
+def _first(a: int, b: int) -> bool:
+    """Does the path with edge mask a come before the one with mask b in canonical order?
+
+    Both reach one sweep state, so they have covered the same vertices and
+    hold the same number of edges.  Edge ids are sorted by end pair, so every
+    edge a later vertex adds has a larger id than these.  For two edge sets
+    of equal size, lexicographic order of their sorted ids puts first the one
+    that holds the lowest edge of their symmetric difference; so keeping, per
+    state and value, the first path by this rule keeps the first optimal
+    matching in canonical order, the witness the enumeration gives, to state 0.
+    """
+    d = a ^ b
+    return d & -d & a != 0
+
+
+def _sweep_resonance(h: HexSystem) -> list | None:
+    """The resonance sweep, forward only, keeping one layer: state 0's values and paths, or None.
 
     A state holds one of _cover_steps in its low `width` bits and, above
     them, each open cell's 2-bit field counting its matched edges; open cells
@@ -309,9 +317,11 @@ def _sweep_layers(h: HexSystem) -> _Layers:
     vertices of each are covered already, so at most two more of its edges
     can follow and it cannot read 3.  So the paths with no pick are the
     perfect matchings, and all paths are the perfect matchings each with a
-    set of pairwise non-adjacent resonant cells.  The states are found
-    forward only; the ones that cannot complete are left for _sweep_values
-    to drop.
+    set of pairwise non-adjacent resonant cells.  Each state keeps the most
+    and the fewest resonant closes over its paths with no pick (None when
+    only picks reach it; the fewest negated, so all three are maxima) and
+    the most picks over all its paths, each with the edge mask of the first
+    path to reach it, by _first.  Completions are counted by _sweep_count.
     """
     g, n_cells = h.graph, h.n_cells
     # a vertex covered by an earlier one lies less than this far ahead
@@ -356,93 +366,49 @@ def _sweep_layers(h: HexSystem) -> _Layers:
         later = sum(3 * field[d] for d in h.cell_adjacency[c] if (hi[d], d) > (hi[c], c))
         closes[hi[c]].append((field[c].bit_length() - 1, keep, keep & ~later))
 
-    layers: _Layers = []
-    states = {0}
+    # per state: [most resonant closes, its path's edges, fewest negated, its
+    # edges, most picks, its edges]
+    layer: dict[int, list] = {0: [0, 0, 0, 0, 0, 0]}
     for v in range(g.n):
         tried, closed_here = tries[v], closes[v]
-        layer: dict[int, list[tuple[int, int, int, int]]] = {}
-        for s in states:
+        after: dict[int, list] = {}
+        for s, (most, most_m, least, least_m, picked, picked_m) in layer.items():
             cov = s & low
             base = s - cov + (cov >> 1)
+            # moves: (next state, edge bit or 0 at a covered vertex, picks, resonant closes)
             if cov & 1:
-                moves = [(base, -1, 0, 0)]
+                moves = [(base, 0, 0, 0)]
             else:
                 moves = [
-                    (base + add & keep, eid, 0, 0) for need, add, keep, eid in tried if not cov & need
+                    (base + add & keep, 1 << eid, 0, 0) for need, add, keep, eid in tried if not cov & need
                 ]
             for shift, keep, pick_keep in closed_here:
                 closed = []
-                for t, eid, picks, resonant in moves:
+                for t, bit, picks, resonant in moves:
                     if t >> shift & 3 == 3:
-                        closed.append((t & keep, eid, picks, resonant + 1))
-                        closed.append((t & pick_keep, eid, picks + 1, resonant))
+                        closed.append((t & keep, bit, picks, resonant + 1))
+                        closed.append((t & pick_keep, bit, picks + 1, resonant))
                     else:
-                        closed.append((t & keep, eid, picks, resonant))
+                        closed.append((t & keep, bit, picks, resonant))
                 moves = closed
-            layer[s] = moves
-        layers.append(layer)
-        states = {t for moves in layer.values() for t, _, _, _ in moves}
-    return layers
-
-
-def _sweep_values(layers: _Layers) -> _Values:
-    """The resonance sweep's backward pass: per vertex, each state that can complete and its value.
-
-    A pick only zeroes fields, so a state that completes at all completes
-    with no pick, and picks never fall along a path: a state is kept exactly
-    when a move with no pick reaches a kept state.  values[i] holds the
-    states before vertex i is swept, and values[n] the final state 0 alone.
-    Completions are counted by _sweep_count, not here.
-    """
-    after = {0: (0, 0, 0)}
-    values = [after]
-    for layer in reversed(layers):
-        here = {}
-        reach = after.get
-        for s, moves in layer.items():
-            most = picked = 0
-            # more than any number of cells until a move with no pick reaches a kept state
-            least = len(layers)
-            for t, _, picks, resonant in moves:
-                if (a := reach(t)) is None:
+            for t, bit, picks, resonant in moves:
+                # plain comparisons: a call of max per move costs more
+                now = after.get(t)
+                if now is None:
+                    now = after[t] = [None, 0, None, 0, -1, 0]
+                value, mask = picked + picks, picked_m | bit
+                if value > now[4] or value == now[4] and _first(mask, now[5]):
+                    now[4], now[5] = value, mask
+                if most is None or picks:
                     continue
-                # plain comparisons: a call of max or min per move costs more
-                more, fewer, more_picks = a
-                if not picks:
-                    if resonant + more > most:
-                        most = resonant + more
-                    if resonant + fewer < least:
-                        least = resonant + fewer
-                if picks + more_picks > picked:
-                    picked = picks + more_picks
-            if least < len(layers):
-                here[s] = (most, least, picked)
-        values.append(here)
-        after = here
-    values.reverse()
-    return values
-
-
-def _sweep_walk(layers: _Layers, values: _Values, key: int) -> Matching:
-    """The first perfect matching, in canonical order, on a path that attains values[0][0][key].
-
-    At each vertex it takes the first move, so the first edge in id order,
-    after which the value is still reachable, and for _MOST and _LEAST one
-    with no pick.  Edge ids of a build_hex_system graph are sorted by end
-    pair, so the backtracker meets the matchings in canonical order and this
-    is the first one it would find.
-    """
-    s, edges = 0, []
-    for layer, here, after in zip(layers, values, values[1:]):
-        left = here[s][key]
-        for t, eid, picks, resonant in layer[s]:
-            gain = picks if key == _PICKS else resonant
-            if (key == _PICKS or not picks) and t in after and gain + after[t][key] == left:
-                break
-        if eid >= 0:
-            edges.append(eid)
-        s = t
-    return Matching(edges)
+                value, mask = most + resonant, most_m | bit
+                if now[0] is None or value > now[0] or value == now[0] and _first(mask, now[1]):
+                    now[0], now[1] = value, mask
+                value, mask = least - resonant, least_m | bit
+                if now[2] is None or value > now[2] or value == now[2] and _first(mask, now[3]):
+                    now[2], now[3] = value, mask
+        layer = after
+    return layer.get(0)
 
 
 def kekule_count(h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP) -> int:

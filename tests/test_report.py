@@ -7,8 +7,10 @@ to the library's per-matching functions, count the enumerations it makes,
 and bound its memory.
 """
 
+import importlib
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -177,8 +179,7 @@ def kekule_calls(monkeypatch):
             ("count", graphs.count_perfect_matchings),
             ("sweep", hexsys.kekule_count),
             ("forward", hexsys._sweep_count),
-            ("layers", hexsys._sweep_layers),
-            ("values", hexsys._sweep_values),
+            ("resonance", hexsys._sweep_resonance),
             ("hexagons", hexsys.alternating_hexagons),
         )
     }
@@ -202,11 +203,11 @@ def test_kekule_report_sweeps_and_enumerates_no_matchings(tmp_path, kekule_calls
     assert not kekule_calls["search"] and not kekule_calls["count"]
     assert kekule_calls["sweep"] and len(kekule_calls["hexagons"]) == 3
     # one forward count, and one resonance pass for both clar and fries
-    assert len(kekule_calls["forward"]) == len(kekule_calls["layers"]) == 1
+    assert len(kekule_calls["forward"]) == len(kekule_calls["resonance"]) == 1
     _reset(kekule_calls)
     assert replay(report, path) == []
     assert not kekule_calls["search"] and not kekule_calls["count"]
-    assert len(kekule_calls["forward"]) == len(kekule_calls["layers"]) == 1
+    assert len(kekule_calls["forward"]) == len(kekule_calls["resonance"]) == 1
     # the sweep's witnesses again, and the witness checks: one for clar and
     # one for each side of fries
     assert len(kekule_calls["hexagons"]) == 6
@@ -222,7 +223,7 @@ def test_kekule_report_with_a_per_matching_invariant_enumerates_once(tmp_path, k
     # from one forward count and one resonance pass, whose three witness
     # matchings alone have their hexagons tested
     assert kekule_calls["search"] == [graphs.DEFAULT_MATCHING_CAP]
-    assert len(kekule_calls["forward"]) == len(kekule_calls["layers"]) == 1
+    assert len(kekule_calls["forward"]) == len(kekule_calls["resonance"]) == 1
     assert len(kekule_calls["hexagons"]) == 3 < len(enumerate_perfect_matchings(h.graph))
     assert not kekule_calls["count"]
     # so the three equal the swept-only report's values and witnesses
@@ -248,7 +249,7 @@ def test_pm_count_alone_streams_the_count(tmp_path, kekule_calls):
     assert replay(report, path) == []
     assert not kekule_calls["search"] and not kekule_calls["count"]
     assert len(kekule_calls["sweep"]) == len(kekule_calls["forward"]) == 2
-    assert not kekule_calls["layers"] and not kekule_calls["values"]
+    assert not kekule_calls["resonance"]
 
 
 def test_pm_count_is_zero_without_a_perfect_matching(tmp_path):
@@ -283,3 +284,15 @@ def test_replay_describes_an_entry_it_cannot_recompute(tmp_path):
         "clar: cannot be recomputed: graph has no perfect matching",
         "pm_count: recomputed 0 != reported 1",
     ]
+
+
+def test_every_name_the_benchmark_traces_exists(monkeypatch):
+    # perfbench's tracer looks each name up when it installs, so a renamed
+    # function would break the benchmark and nothing here
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracer import LAYERS
+
+    for layer, names in LAYERS.items():
+        module = importlib.import_module(f"matchforce.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"

@@ -10,6 +10,7 @@ to the sweep.
 
 import ast
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -230,9 +231,8 @@ def test_the_forward_count_equals_the_enumeration_the_resonance_pass_and_macmaho
     for name, h in corpus:
         count = hexsys._sweep_count(h)
         assert count == len(enumerate_perfect_matchings(h.graph)), name
-        # the resonance pass keeps the root state exactly when some matching completes it
-        root = hexsys._sweep_values(hexsys._sweep_layers(h))[0]
-        assert (0 in root) == (count > 0), name
+        # the resonance pass ends in state 0 exactly when some matching completes it
+        assert (hexsys._sweep_resonance(h) is not None) == (count > 0), name
     counts = [kekule_count(_hexagon(n), max_matchings=10**20) for n in range(1, 7)]
     assert counts == [_macmahon(n) for n in range(1, 7)]
     assert counts[-1] == 1_478_619_421_136
@@ -267,9 +267,11 @@ def test_the_sweep_holds_no_recursion():
         if isinstance(node, ast.FunctionDef)
     }
     sweep = [name for name in functions if name.startswith("_sweep")]
-    assert {"_sweep_layers", "_sweep_values", "_sweep_walk"} <= set(sweep)
-    # the entry points, the gate they share and the accessors that keep a sweep on the system
-    sweep += ["_cover_steps", "kekule_count", "_kekule_resonance", "clar_number", "fries_numbers"]
+    assert {"_sweep_count", "_sweep_resonance"} <= set(sweep)
+    # the tie rule, the entry points, the gate they share and the accessors
+    # that keep a sweep on the system
+    sweep += ["_first", "_cover_steps", "kekule_count", "_kekule_resonance"]
+    sweep += ["clar_number", "fries_numbers"]
     sweep += ["_kekule_count", "_resonance"]
     # a call by name, or a read of a property of the system such as h._resonance
     calls = {
@@ -296,3 +298,36 @@ def test_the_sweep_holds_no_recursion():
                     reached.add(callee)
                     frontier.append(callee)
         assert name not in reached, name
+
+
+@st.composite
+def equal_size_masks(draw):
+    """Two edge masks with the same number of edges."""
+    size = draw(st.integers(min_value=1, max_value=12))
+    ids = st.sets(st.integers(min_value=0, max_value=40), min_size=size, max_size=size)
+    return sum(1 << i for i in draw(ids)), sum(1 << i for i in draw(ids))
+
+
+@settings(max_examples=300, deadline=None)
+@given(equal_size_masks())
+def test_the_tie_rule_is_canonical_order(masks):
+    # of two distinct edge sets of one size reaching one state, the sweep
+    # keeps the one whose sorted ids come first
+    a, b = masks
+    assume(a != b)
+    bits = [[i for i in range(mask.bit_length()) if mask >> i & 1] for mask in masks]
+    assert hexsys._first(a, b) == (bits[0] < bits[1]) != hexsys._first(b, a)
+
+
+def test_the_resonance_pass_keeps_one_layer():
+    # one layer peaks near 80 KiB on hexagon-3; every layer's moves took 912 KiB
+    h = _hexagon(3)
+    # the system's cached graph properties stay out of the peak
+    h.edge_cells, h.cell_adjacency, h.cell_conflicts, h.cell_edge_masks
+    tracemalloc.start()
+    try:
+        h._resonance
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
