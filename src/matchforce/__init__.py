@@ -48,8 +48,6 @@ from .hexsys import (
     inner_dual,
     is_all_kink_catahex,
     is_truncated_parallelogram,
-    kekule_count,
-    sachs_cut_check,
     tree_independent_domination,
 )
 from .generators import (
@@ -93,12 +91,10 @@ __all__ = [
     "is_antiforcing_set",
     "is_forcing_set",
     "is_truncated_parallelogram",
-    "kekule_count",
     "max_compatible_alternating_set",
     "max_disjoint_alternating_cycles",
     "min_feedback_arc_set",
     "normal_components",
     "orient_and_contract",
-    "sachs_cut_check",
     "tree_independent_domination",
 ]

@@ -47,7 +47,7 @@ EXITS: dict[type[Exception], tuple[int, str]] = {
     **dict.fromkeys(
         (
             errors.InapplicableInvariant, errors.NoPerfectMatching, errors.NotBipartite,
-            errors.NotATree, errors.NotAValidCut,
+            errors.NotATree,
         ),
         (EXIT_INAPPLICABLE, "inapplicable invariant"),
     ),

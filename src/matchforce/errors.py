@@ -53,10 +53,6 @@ class NotATree(MatchforceError):
     pass
 
 
-class NotAValidCut(MatchforceError):
-    pass
-
-
 class BadRowSequence(MatchforceError):
     pass
 

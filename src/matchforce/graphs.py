@@ -28,6 +28,8 @@ BLACK = 1
 
 DEFAULT_MATCHING_CAP = 10**6
 DEFAULT_CYCLE_CAP = 10**6
+# LimitExceeded once one layer of a frontier sweep holds more states than this
+FRONTIER_STATE_CAP = 2**18
 
 FIXED_SINGLE = "fixed-single"
 FIXED_DOUBLE = "fixed-double"
@@ -54,6 +56,25 @@ class Graph:
             adj[u].append((v, eid))
             adj[v].append((u, eid))
         return tuple(tuple(a) for a in adj)
+
+    @cached_property
+    def _pm_count(self) -> int:
+        """The number of perfect matchings, swept on a BFS order; see count_perfect_matchings."""
+        rank = _bfs(self.n, self.edges)[0]
+        steps = _cover_steps(self.n, ((rank[a], rank[b]) for a, b in self.edges))
+        ways = {0: 1}  # per state of the vertex being swept: the partial matchings that reach it
+        for v, tried in enumerate(steps):
+            after: dict[int, int] = {}
+            for s, k in ways.items():
+                for need, add, _ in tried if not s & 1 else ((0, 0, -1),):  # covered: one free move
+                    if not s & need:
+                        t = (s >> 1) + add
+                        after[t] = after.get(t, 0) + k
+            if not after:
+                return 0
+            _check_frontier(len(after), v, self.n)
+            ways = after
+        return ways.get(0, 0)
 
     @cached_property
     def _degrees(self) -> tuple[int, ...]:
@@ -136,27 +157,35 @@ class InducedSubgraph(NamedTuple):
     edge_ids: tuple[int, ...]
 
 
-def two_coloring(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...] | None:
-    """BFS 2-coloring; None when an odd cycle makes it impossible."""
+def _bfs(n: int, edges: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Each vertex's place in BFS order and its depth, restarting at the least unvisited id.
+
+    Neighbours come in edge order, from plain lists: Graph.adjacency's kept pairs made the
+    collector run more often, and sorted neighbours cost more and narrowed no frontier.
+    """
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    color = [-1] * n
+    rank, depth = [-1] * n, [0] * n
+    k = 0  # the next place
     for start in range(n):
-        if color[start] != -1:
-            continue
-        color[start] = WHITE
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in adj[u]:
-                if color[w] == -1:
-                    color[w] = color[u] ^ 1
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
-    return tuple(color)
+        if rank[start] < 0:
+            rank[start], k = k, k + 1
+            queue = [start]
+            for u in queue:  # a list's iterator sees what is appended to it
+                for w in adj[u]:
+                    if rank[w] < 0:
+                        rank[w], k = k, k + 1
+                        depth[w] = depth[u] + 1
+                        queue.append(w)
+    return rank, depth
+
+
+def two_coloring(n: int, edges: Sequence[tuple[int, int]]) -> tuple[int, ...] | None:
+    """BFS 2-coloring, each component's least vertex white; None when an odd cycle forbids one."""
+    color = tuple(d & 1 for d in _bfs(n, edges)[1])
+    return None if any(color[u] == color[v] for u, v in edges) else color
 
 
 def _reach(start, neighbours: Callable[[Any], Iterable]) -> set:
@@ -289,6 +318,31 @@ def _iter_perfect_matchings(g: Graph, without: Collection[int] = ()) -> Iterator
             return
 
 
+def _cover_steps(n: int, edges: Iterable[tuple[int, int]]) -> list[list[tuple[int, int, int]]]:
+    """Per vertex u: (need, add, edge id) of each edge from u to a later vertex v, in id order.
+
+    A sweep state is one int whose low bits are the covered vertices from u
+    on, shifted down a bit per vertex, so a step costs the same on a long
+    chain as on a short one.  At u a state s with bit 0 set moves to s >> 1;
+    else the edge takes it to (s >> 1) + add if v is uncovered: s & need == 0.
+    """
+    steps: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(edges):
+        if u > v:
+            u, v = v, u
+        steps[u].append((1 << v - u, 1 << v - u - 1, eid))
+    return steps
+
+
+def _check_frontier(states: int, v: int, n: int) -> None:
+    """LimitExceeded when a sweep's layer at vertex v of n holds over FRONTIER_STATE_CAP states."""
+    if states > FRONTIER_STATE_CAP:
+        raise LimitExceeded(
+            f"frontier sweep holds {states} states at vertex {v} of {n}, "
+            f"more than {FRONTIER_STATE_CAP}"
+        )
+
+
 def _capped(g: Graph, max_matchings: int) -> Iterator[tuple[int, ...]]:
     """_iter_perfect_matchings of g; LimitExceeded once there are more than max_matchings."""
     for count, chosen in enumerate(_iter_perfect_matchings(g), 1):
@@ -313,7 +367,14 @@ def enumerate_perfect_matchings(
 
 
 def count_perfect_matchings(g: Graph, max_matchings: int = DEFAULT_MATCHING_CAP) -> int:
-    return sum(1 for _ in _capped(g, max_matchings))
+    """The number of perfect matchings (Kekulé structures), swept on a BFS order, none listed.
+
+    LimitExceeded past `max_matchings`, or past FRONTIER_STATE_CAP states in one sweep layer.
+    """
+    count = g._pm_count
+    if count > max_matchings:
+        raise LimitExceeded(f"more than {max_matchings} perfect matchings")
+    return count
 
 
 def _pendant_reduction(g: Graph, without: Collection[int] = ()) -> list[int] | None:

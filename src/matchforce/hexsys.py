@@ -21,11 +21,9 @@ from . import exact
 from .errors import (
     Disconnected,
     HasHole,
-    LimitExceeded,
     MatchforceError,
     NoPerfectMatching,
     NotATree,
-    NotAValidCut,
 )
 from .graphs import (
     BLACK,
@@ -35,10 +33,12 @@ from .graphs import (
     Matching,
     WHITE,
     _bit_ids,
+    _check_frontier,
+    _cover_steps,
     _reach,
     build_graph,
+    count_perfect_matchings,
     edge_mask,
-    enumerate_perfect_matchings,
     normal_components,
 )
 
@@ -126,11 +126,6 @@ class HexSystem:
     def cell_conflicts(self) -> tuple[int, ...]:
         """Per cell c: the bits d of the cells d adjacent to it."""
         return tuple(sum(1 << d for d in nbrs) for nbrs in self.cell_adjacency)
-
-    @cached_property
-    def _kekule_count(self) -> int:
-        """The number of perfect matchings, counted once per system; see kekule_count."""
-        return _sweep_count(self)
 
     @cached_property
     def _resonance(self) -> tuple[_Clar, FriesNumbers]:
@@ -258,34 +253,6 @@ def _mask_cells(h: HexSystem, mask: int) -> tuple[Cell, ...]:
     return tuple(cell for c, cell in enumerate(h.cells) if mask >> c & 1)
 
 
-def _cover_steps(g: Graph) -> list[list[tuple[int, int, int]]]:
-    """Per vertex u: (need, add, edge id) of each edge to a later vertex v, in id order.
-
-    A sweep state is one int whose low bits are the covered vertices from u
-    on, shifted down a bit per vertex, so a step costs the same on a long
-    chain as on a short one.  At u a state s with bit 0 set moves to s >> 1;
-    else the edge takes it to (s >> 1) + add if v is uncovered: s & need == 0.
-    """
-    steps: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-    for eid, (u, v) in enumerate(g.edges):
-        steps[u].append((1 << v - u, 1 << v - u - 1, eid))
-    return steps
-
-
-def _sweep_count(h: HexSystem) -> int:
-    """The number of perfect matchings, forward only, keeping one layer: per state, its ways in."""
-    ways = {0: 1}
-    for tried in _cover_steps(h.graph):
-        after: dict[int, int] = {}
-        for s, k in ways.items():
-            for need, add, _ in tried if not s & 1 else ((0, 0, -1),):  # covered: one free move
-                if not s & need:
-                    t = (s >> 1) + add
-                    after[t] = after.get(t, 0) + k
-        ways = after
-    return ways.get(0, 0)
-
-
 _Clar = tuple[int, tuple[Matching, tuple[Cell, ...]]]  # the value, its matching and cells
 
 
@@ -321,7 +288,8 @@ def _sweep_resonance(h: HexSystem) -> list | None:
     and the fewest resonant closes over its paths with no pick (None when
     only picks reach it; the fewest negated, so all three are maxima) and
     the most picks over all its paths, each with the edge mask of the first
-    path to reach it, by _first.  Completions are counted by _sweep_count.
+    path to reach it, by _first.  count_perfect_matchings counts the
+    completions; both stop at FRONTIER_STATE_CAP states in one layer.
     """
     g, n_cells = h.graph, h.n_cells
     # a vertex covered by an earlier one lies less than this far ahead
@@ -352,7 +320,7 @@ def _sweep_resonance(h: HexSystem) -> list | None:
     # cell it does not border zeroes that cell's field: the cell cannot
     # alternate, and at most two more of its edges can follow.
     tries: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n)]
-    for u, steps in enumerate(_cover_steps(g)):
+    for u, steps in enumerate(_cover_steps(g.n, g.edges)):
         for need, add, eid in steps:
             # the cells with a corner at u or v, all open at u: distinct fields
             near = set(at[u]).union(at[g.edges[eid][1]])
@@ -407,20 +375,9 @@ def _sweep_resonance(h: HexSystem) -> list | None:
                 value, mask = least - resonant, least_m | bit
                 if now[2] is None or value > now[2] or value == now[2] and _first(mask, now[3]):
                     now[2], now[3] = value, mask
+        _check_frontier(len(after), v, g.n)
         layer = after
     return layer.get(0)
-
-
-def kekule_count(h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP) -> int:
-    """The number of perfect matchings (Kekulé structures), by the frontier sweep.
-
-    Nothing is enumerated, but LimitExceeded past `max_matchings` keeps the
-    cap of the enumerating searches.
-    """
-    count = h._kekule_count
-    if count > max_matchings:
-        raise LimitExceeded(f"more than {max_matchings} perfect matchings")
-    return count
 
 
 def _resonant_mask(h: HexSystem, m: Matching) -> int:
@@ -430,7 +387,7 @@ def _resonant_mask(h: HexSystem, m: Matching) -> int:
 
 def _kekule_resonance(h: HexSystem, max_matchings: int) -> tuple[_Clar, FriesNumbers]:
     # every call checks its own cap and empty case, whether h keeps the sweep yet or not
-    if not kekule_count(h, max_matchings):
+    if not count_perfect_matchings(h.graph, max_matchings):
         raise NoPerfectMatching("graph has no perfect matching")
     return h._resonance
 
@@ -578,30 +535,6 @@ def parallel_cuts(h: HexSystem) -> tuple[tuple[int, ...], ...]:
             eid = nxt
         cuts.add(tuple(sorted(cut)))
     return tuple(sorted(cuts))
-
-
-def sachs_cut_check(
-    h: HexSystem,
-    cut_edges: Iterable[int],
-    max_matchings: int = DEFAULT_MATCHING_CAP,
-) -> tuple[bool, int | None]:
-    """Check that the cut meets every perfect matching in the same count.
-
-    Returns (is_invariant, count).  The count should always be invariant for
-    a valid cut; the boolean exists so the verification harness can catch a
-    violation rather than trust it.
-    """
-    cut = tuple(sorted(set(cut_edges)))
-    if cut not in set(parallel_cuts(h)):
-        raise NotAValidCut(f"{list(cut)} is not a maximal parallel cut")
-    pms = enumerate_perfect_matchings(h.graph, max_matchings)
-    if not pms:
-        raise NoPerfectMatching("graph has no perfect matching")
-    cutset = set(cut)
-    values = {len(cutset.intersection(m.edge_ids)) for m in pms}
-    if len(values) == 1:
-        return True, values.pop()
-    return False, None
 
 
 def normal_hex_components(h: HexSystem, labels: tuple[str, ...]) -> tuple[HexSystem, ...]:

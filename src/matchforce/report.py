@@ -43,7 +43,6 @@ from .hexsys import (
     alternating_hexagons,
     clar_number,
     fries_numbers,
-    kekule_count,
 )
 from .io import load_instance, serialize_instance
 
@@ -85,9 +84,10 @@ class Profile:
     enumerated once per call of `values` and every family it still misses
     is read from them, so only ints are kept.
 
-    Reports never read `resonant` or `clar`: on a hexagonal system pm_count,
-    clar and fries come from the frontier sweep (kekule_count, clar_number,
-    fries_numbers) whatever else the call names.  The two are verify's
+    Reports never read `resonant` or `clar`: pm_count is the frontier count
+    (count_perfect_matchings) on every instance, and on a hexagonal system
+    clar and fries come from the resonance sweep (clar_number,
+    fries_numbers), whatever else the call names.  The two are verify's
     value-only read-off for thm3, thm11, cor12, thm13 and thm15: on its
     polyhexes of at most 5 cells listing the matchings and reading them is
     cheaper than the sweep, and reading Clar and Fries off the sweep
@@ -171,11 +171,6 @@ def _per_matching(family: str, extreme: Callable | None) -> Callable[[Profile, A
 
 
 def _inv_pm_count(p: Profile, names):
-    # swept on a hexagonal system; on a graph, read off listed matchings or streamed
-    if isinstance(p.obj, HexSystem):
-        return kekule_count(p.obj, p.caps.max_matchings), None
-    if any(n in _PER_MATCHING for n in names):
-        return len(p.pms), None
     return count_perfect_matchings(p.graph, p.caps.max_matchings), None
 
 
@@ -345,7 +340,8 @@ def replay(report: dict[str, Any], path: str | Path) -> list[str]:
         except (InapplicableInvariant, NoPerfectMatching) as e:
             problems.append(f"{name}: cannot be recomputed: {e}")
             continue
-        if value != entry["value"]:
+        # as JSON, so that true or 1.0 does not pass for 1
+        if json.dumps(value, sort_keys=True) != json.dumps(entry["value"], sort_keys=True):
             problems.append(f"{name}: recomputed {value!r} != reported {entry['value']!r}")
         if entry.get("witness") is not None:
             try:

@@ -1,8 +1,11 @@
 """Graph core: construction, matchings, alternating cycles, contraction."""
 
 import random
+from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from matchforce.errors import (
     BadColoring,
@@ -158,6 +161,65 @@ def test_dodecahedron_count_is_order_independent():
     g = gen_named("dodecahedron")
     reversed_g = relabel_graph(g, [g.n - 1 - v for v in range(g.n)])
     assert count_perfect_matchings(g) == count_perfect_matchings(reversed_g) == 36
+
+
+def test_the_count_equals_the_enumeration_on_general_graphs(monkeypatch):
+    # the frontier count on a BFS order against the listed matchings on the
+    # dodecahedron and the seeded general graphs perfbench runs; test_sweep
+    # holds it to them on the hexagonal corpora
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from gengraph import DEFAULT_SEED, RECHECK_SEED, general_graphs
+
+    cases = [gen_named("dodecahedron")]
+    cases += [g for seed in (DEFAULT_SEED, RECHECK_SEED) for _, g in general_graphs(seed)]
+    for g in cases:
+        assert g.color is None
+        assert count_perfect_matchings(g) == len(enumerate_perfect_matchings(g)), g
+
+
+@st.composite
+def small_graphs(draw):
+    """Any simple graph on at most 10 vertices, odd, empty, disconnected or not bipartite."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return build_graph(n, [e for e in pairs if draw(st.booleans())])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+@example(build_graph(0, []))  # one perfect matching, the empty one
+@example(build_graph(3, [(0, 1), (1, 2), (0, 2)]))  # odd order
+# two disjoint copies of K4: disconnected and not bipartite, 3 * 3 matchings
+@example(build_graph(8, [(a + k, b + k) for k in (0, 4) for a, b in combinations(range(4), 2)]))
+def test_the_count_equals_the_enumeration_on_random_graphs(g):
+    assert count_perfect_matchings(g) == len(enumerate_perfect_matchings(g))
+
+
+def _stack_coloring(n, edges):
+    """The depth-first 2-coloring that two_coloring's BFS replaced: least vertex white."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    color = [-1] * n
+    for start in range(n):
+        if color[start] == -1:
+            color[start], stack = 0, [start]
+            while stack:
+                u = stack.pop()
+                for w in adj[u]:
+                    if color[w] == -1:
+                        color[w] = color[u] ^ 1
+                        stack.append(w)
+                    elif color[w] == color[u]:
+                        return None
+    return tuple(color)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_the_bfs_coloring_is_the_depth_first_one(g):
+    assert graphs.two_coloring(g.n, g.edges) == _stack_coloring(g.n, g.edges) == g.color
 
 
 def test_matching_cap_raises():

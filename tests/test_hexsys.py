@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from matchforce.errors import Disconnected, HasHole, LimitExceeded, NotATree, NotAValidCut
+from matchforce.errors import Disconnected, HasHole, LimitExceeded, NotATree
 from matchforce.generators import (
     GLUE_PRESETS,
     enumerate_hex_systems,
@@ -32,10 +32,10 @@ from matchforce.hexsys import (
     is_truncated_parallelogram,
     normal_hex_components,
     parallel_cuts,
-    sachs_cut_check,
     transform_cell,
     tree_independent_domination,
 )
+from matchforce.verify import run_suite
 
 
 def test_single_cell_is_a_hexagon():
@@ -242,33 +242,32 @@ def test_idom_matches_brute_force_on_fixed_trees():
 
 # -------------------------------------------------------------------- cuts
 
+def _cut_counts(h, cut):
+    """The numbers of the cut's edges that the perfect matchings of h hold."""
+    return {len(set(cut).intersection(m.edge_ids)) for m in enumerate_perfect_matchings(h.graph)}
+
+
 def test_single_hexagon_cuts():
     h = build_hex_system([(0, 0)])
     cuts = parallel_cuts(h)
     assert len(cuts) == 3 and all(len(c) == 2 for c in cuts)
-    for cut in cuts:
-        ok, value = sachs_cut_check(h, cut)
-        assert ok and value == 1
-
-
-def test_invalid_cut_rejected():
-    h = build_hex_system([(0, 0)])
-    with pytest.raises(NotAValidCut):
-        sachs_cut_check(h, [0, 1])
+    assert all(_cut_counts(h, cut) == {1} for cut in cuts)
 
 
 def test_linear_chain_cuts_are_invariant():
     h = gen_truncated_parallelogram((3,))
     for cut in parallel_cuts(h):
-        ok, value = sachs_cut_check(h, cut)
-        assert ok and value >= 1
+        counts = _cut_counts(h, cut)
+        assert len(counts) == 1 and min(counts) >= 1
 
 
 def test_triphenylene_cuts_are_invariant():
     h = gen_named("triphenylene")
-    for cut in parallel_cuts(h):
-        ok, _ = sachs_cut_check(h, cut)
-        assert ok
+    assert all(len(_cut_counts(h, cut)) == 1 for cut in parallel_cuts(h))
+    # lem19 checks the same on its corpus, the single hexagon and TP(3,) among it
+    result = run_suite("lem19", max_cells=4)
+    assert result.ok
+    assert {"polyhex-1-0000", "tp-3"} <= {c.instance for c in result.checks}
 
 
 # ------------------------------------------------------- normal components

@@ -2,8 +2,11 @@
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -20,7 +23,7 @@ from matchforce.generators import (
     gen_truncated_parallelogram,
     glue_preset,
 )
-from matchforce.graphs import Matching, enumerate_perfect_matchings
+from matchforce.graphs import Matching, build_graph, enumerate_perfect_matchings
 from matchforce.hexsys import alternating_hexagons
 from matchforce.io import (
     load_instance,
@@ -420,6 +423,32 @@ def test_cli_takes_zero_caps_as_caps(tmp_path, capsys):
     )
     assert code == 4
     assert err == "cap exceeded: more than 0 perfect matchings\n"
+
+
+def _random_cubic(n, seed):
+    """A simple 3-regular graph on n vertices from the pairing model."""
+    rng = random.Random(seed)
+    stubs = [v for v in range(n) for _ in range(3)]
+    while True:
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(stubs[i : i + 2])) for i in range(0, len(stubs), 2)}
+        if len(pairs) * 2 == len(stubs) and all(u != v for u, v in pairs):
+            return build_graph(n, sorted(pairs))
+
+
+def test_cli_pm_count_stops_at_the_state_cap(tmp_path, capsys):
+    # a random cubic graph on 100 vertices leaves a wide frontier in any BFS
+    # order; the count stops at the state cap, naming the vertex it reached,
+    # in about 0.5 s (2-vCPU shared host) where listing its matchings ran
+    # until the matching cap
+    gp = tmp_path / "cubic-100.graph"
+    gp.write_text(serialize_graph(_random_cubic(100, 0)))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "compute", "--in", str(gp), "--inv", "pm_count")
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (4, "")
+    past = r"frontier sweep holds \d+ states at vertex \d+ of 100, more than 262144"
+    assert re.fullmatch(f"cap exceeded: {past}\n", err), err
 
 
 @pytest.mark.parametrize("inv", ["f", "clar", "fries"])

@@ -8,6 +8,7 @@ and bound its memory.
 """
 
 import importlib
+import json
 import sys
 import tracemalloc
 from pathlib import Path
@@ -24,7 +25,7 @@ from matchforce.generators import (
     gen_truncated_parallelogram,
     glue_preset,
 )
-from matchforce.graphs import enumerate_alternating_cycles, enumerate_perfect_matchings
+from matchforce.graphs import build_graph, enumerate_alternating_cycles, enumerate_perfect_matchings
 from matchforce.io import serialize_instance
 from matchforce.report import compute_report, replay
 
@@ -171,14 +172,13 @@ def test_report_memory_does_not_grow_with_cycles_of_all_matchings(tmp_path):
 
 @pytest.fixture
 def kekule_calls(monkeypatch):
-    """Calls of the matching search, the streamed and swept counts, the hexagon check and the passes."""
+    """Calls of the matching search, the count, its sweep, the resonance pass, the hexagon test."""
     return {
         name: _count_calls(monkeypatch, fn)
         for name, fn in (
             ("search", graphs.enumerate_perfect_matchings),
             ("count", graphs.count_perfect_matchings),
-            ("sweep", hexsys.kekule_count),
-            ("forward", hexsys._sweep_count),
+            ("steps", graphs._cover_steps),  # once per sweep, the count's or the resonance pass's
             ("resonance", hexsys._sweep_resonance),
             ("hexagons", hexsys.alternating_hexagons),
         )
@@ -200,14 +200,15 @@ def test_kekule_report_sweeps_and_enumerates_no_matchings(tmp_path, kekule_calls
     assert report["invariants"][0]["value"] == n_pm
     # pm_count, clar and fries all come from the frontier sweep; only its three
     # witness matchings (Clar, Fries maximum and minimum) have their hexagons tested
-    assert not kekule_calls["search"] and not kekule_calls["count"]
-    assert kekule_calls["sweep"] and len(kekule_calls["hexagons"]) == 3
-    # one forward count, and one resonance pass for both clar and fries
-    assert len(kekule_calls["forward"]) == len(kekule_calls["resonance"]) == 1
+    assert not kekule_calls["search"] and len(kekule_calls["hexagons"]) == 3
+    # pm_count and the gates of clar and fries ask the count, which sweeps
+    # once; one resonance pass serves both clar and fries
+    assert kekule_calls["count"] == [graphs.DEFAULT_MATCHING_CAP] * 3
+    assert len(kekule_calls["steps"]) == 2 and len(kekule_calls["resonance"]) == 1
     _reset(kekule_calls)
     assert replay(report, path) == []
-    assert not kekule_calls["search"] and not kekule_calls["count"]
-    assert len(kekule_calls["forward"]) == len(kekule_calls["resonance"]) == 1
+    assert not kekule_calls["search"] and len(kekule_calls["count"]) == 3
+    assert len(kekule_calls["steps"]) == 2 and len(kekule_calls["resonance"]) == 1
     # the sweep's witnesses again, and the witness checks: one for clar and
     # one for each side of fries
     assert len(kekule_calls["hexagons"]) == 6
@@ -223,33 +224,32 @@ def test_kekule_report_with_a_per_matching_invariant_enumerates_once(tmp_path, k
     # from one forward count and one resonance pass, whose three witness
     # matchings alone have their hexagons tested
     assert kekule_calls["search"] == [graphs.DEFAULT_MATCHING_CAP]
-    assert len(kekule_calls["forward"]) == len(kekule_calls["resonance"]) == 1
+    assert len(kekule_calls["steps"]) == 2 and len(kekule_calls["resonance"]) == 1
     assert len(kekule_calls["hexagons"]) == 3 < len(enumerate_perfect_matchings(h.graph))
-    assert not kekule_calls["count"]
     # so the three equal the swept-only report's values and witnesses
     read = report["invariants"][:3]
     assert [(e["value"], e["witness"]) for e in read] == [(e["value"], e["witness"]) for e in swept]
     assert replay(report, path) == []
 
 
-def test_pm_count_alone_streams_the_count(tmp_path, kekule_calls):
-    # on a graph the count is streamed
+def test_pm_count_is_swept_once_per_load(tmp_path, kekule_calls):
+    # on a graph and on a hexagonal system alike, the count sweeps forward
+    # once per load, lists no matching, and the resonance pass does not run
+    for name, value in (("dodecahedron", 36), ("triphenylene", 9)):
+        path = _write(tmp_path, name, gen_named(name))
+        _reset(kekule_calls)
+        report = compute_report(path, ["pm_count"])
+        assert report["invariants"][0]["value"] == value
+        assert replay(report, path) == []
+        assert not kekule_calls["search"] and not kekule_calls["resonance"]
+        assert len(kekule_calls["count"]) == len(kekule_calls["steps"]) == 2
+    # with a per-matching invariant in the call, the matchings are listed
+    # for it, and pm_count is still the count
     path = _write(tmp_path, "dodecahedron", gen_named("dodecahedron"))
     _reset(kekule_calls)
-    report = compute_report(path, ["pm_count"])
+    report = compute_report(path, ["pm_count", "f"])
     assert report["invariants"][0]["value"] == 36
-    assert replay(report, path) == []
-    assert not kekule_calls["search"] and len(kekule_calls["count"]) == 2
-    # on a hexagonal system it is counted forward, once per load, and the
-    # resonance pass does not run
-    path = _write(tmp_path, "triphenylene", gen_named("triphenylene"))
-    _reset(kekule_calls)
-    report = compute_report(path, ["pm_count"])
-    assert report["invariants"][0]["value"] == 9
-    assert replay(report, path) == []
-    assert not kekule_calls["search"] and not kekule_calls["count"]
-    assert len(kekule_calls["sweep"]) == len(kekule_calls["forward"]) == 2
-    assert not kekule_calls["resonance"]
+    assert len(kekule_calls["search"]) == len(kekule_calls["count"]) == 1
 
 
 def test_pm_count_is_zero_without_a_perfect_matching(tmp_path):
@@ -283,6 +283,27 @@ def test_replay_describes_an_entry_it_cannot_recompute(tmp_path):
     assert replay(report, path) == [
         "clar: cannot be recomputed: graph has no perfect matching",
         "pm_count: recomputed 0 != reported 1",
+    ]
+
+
+@pytest.mark.parametrize("reported", [True, 1.0])
+def test_replay_tells_an_int_from_a_bool_or_a_float(tmp_path, reported):
+    # K2's one perfect matching, reported as JSON true or 1.0
+    path = _write(tmp_path, "k2", build_graph(2, [(0, 1)]))
+    report = json.loads(json.dumps(compute_report(path, ["pm_count"])))
+    assert replay(report, path) == []
+    report["invariants"][0]["value"] = reported
+    assert replay(report, path) == [f"pm_count: recomputed 1 != reported {reported!r}"]
+
+
+def test_replay_tells_an_int_from_a_float_inside_a_value(tmp_path):
+    # triphenylene's Fries numbers are 4 and 1; a float 4.0 for the 4 is one line
+    path = _write(tmp_path, "triphenylene", gen_named("triphenylene"))
+    report = json.loads(json.dumps(compute_report(path, ["fries"])))
+    assert report["invariants"][0]["value"] == {"max": 4, "min": 1}
+    report["invariants"][0]["value"]["max"] = 4.0
+    assert replay(report, path) == [
+        "fries: recomputed {'max': 4, 'min': 1} != reported {'max': 4.0, 'min': 1}"
     ]
 
 

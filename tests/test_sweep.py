@@ -17,7 +17,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from matchforce import hexsys
+from matchforce import graphs, hexsys
 from matchforce.errors import HasHole, LimitExceeded, NoPerfectMatching
 from matchforce.exact import max_independent_indices, max_independent_size
 from matchforce.generators import (
@@ -25,7 +25,7 @@ from matchforce.generators import (
     gen_truncated_parallelogram,
     glue_preset,
 )
-from matchforce.graphs import BLACK, enumerate_perfect_matchings
+from matchforce.graphs import BLACK, count_perfect_matchings, enumerate_perfect_matchings
 from matchforce.hexsys import (
     NEIGHBOR_OFFSETS,
     FriesNumbers,
@@ -33,7 +33,6 @@ from matchforce.hexsys import (
     build_hex_system,
     clar_number,
     fries_numbers,
-    kekule_count,
 )
 from matchforce.io import serialize_hex
 from matchforce.report import Caps, Profile, compute_report
@@ -74,7 +73,7 @@ def _reference(h):
 
 
 def _swept(h):
-    count = kekule_count(h)
+    count = count_perfect_matchings(h.graph)
     if not count:
         for search in (clar_number, fries_numbers):
             with pytest.raises(NoPerfectMatching):
@@ -146,7 +145,7 @@ def test_the_profile_read_off_equals_the_sweep():
     # polyhex of at most 5 cells with a perfect matching
     checked = 0
     for h in (h for n in range(1, 6) for h in enumerate_hex_systems(n)):
-        if not kekule_count(h):
+        if not count_perfect_matchings(h.graph):
             continue
         p = Profile(h, Caps())
         fries = fries_numbers(h)
@@ -209,12 +208,12 @@ def _dewar_longuet_higgins(h):
 def test_the_swept_count_is_the_kekule_determinant():
     for n in range(1, 7):
         for h in enumerate_hex_systems(n):
-            assert kekule_count(h) == _dewar_longuet_higgins(h), h.cells
+            assert count_perfect_matchings(h.graph) == _dewar_longuet_higgins(h), h.cells
     for side, k in ((3, 980), (4, 232_848), (5, 267_227_532)):
         h = _hexagon(side)
-        assert kekule_count(h, max_matchings=k) == k == _dewar_longuet_higgins(h)
+        assert count_perfect_matchings(h.graph, max_matchings=k) == k == _dewar_longuet_higgins(h)
         with pytest.raises(LimitExceeded):
-            kekule_count(h, max_matchings=k - 1)
+            count_perfect_matchings(h.graph, max_matchings=k - 1)
 
 
 def _macmahon(n):
@@ -229,15 +228,15 @@ def test_the_forward_count_equals_the_enumeration_the_resonance_pass_and_macmaho
     corpus = polyhex_corpus(5) + tp_corpus(8) + preset_corpus()
     assert len(corpus) == 245 + 66 + 4
     for name, h in corpus:
-        count = hexsys._sweep_count(h)
+        count = count_perfect_matchings(h.graph)
         assert count == len(enumerate_perfect_matchings(h.graph)), name
         # the resonance pass ends in state 0 exactly when some matching completes it
         assert (hexsys._sweep_resonance(h) is not None) == (count > 0), name
-    counts = [kekule_count(_hexagon(n), max_matchings=10**20) for n in range(1, 7)]
+    counts = [count_perfect_matchings(_hexagon(n).graph, max_matchings=10**20) for n in range(1, 7)]
     assert counts == [_macmahon(n) for n in range(1, 7)]
     assert counts[-1] == 1_478_619_421_136
     # a linear chain of n hexagons has n + 1 perfect matchings
-    assert kekule_count(gen_truncated_parallelogram((600,))) == 601
+    assert count_perfect_matchings(gen_truncated_parallelogram((600,)).graph) == 601
 
 
 def test_a_long_chain_needs_no_recursion(tmp_path):
@@ -255,49 +254,58 @@ def test_a_long_chain_needs_no_recursion(tmp_path):
     assert values == {"pm_count": 601, "clar": 1, "fries": {"max": 2, "min": 1}}
 
 
+# per module: the class whose methods it holds, and the sweep's functions
+SWEEPS = (
+    # the count: the graph's cached sweep, its order, steps and cap, and the entry point
+    (graphs, "Graph", [
+        "_pm_count", "_bfs", "_cover_steps", "_check_frontier", "count_perfect_matchings",
+    ]),
+    # the resonance pass, the tie rule, the gate the entry points share, the
+    # entry points and the accessor that keeps the pass on the system
+    (hexsys, "HexSystem", [
+        "_sweep_resonance", "_first", "_kekule_resonance", "clar_number", "fries_numbers",
+        "_resonance",
+    ]),
+)
+
+
 def test_the_sweep_holds_no_recursion():
     # a nested function or a call cycle in the sweep would bring back a depth
     # bounded by the interpreter's recursion limit
-    with open(hexsys.__file__, encoding="utf-8") as f:
-        tree = ast.parse(f.read())
-    hex_system = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "HexSystem")
-    functions = {
-        node.name: node
-        for node in tree.body + hex_system.body
-        if isinstance(node, ast.FunctionDef)
-    }
-    sweep = [name for name in functions if name.startswith("_sweep")]
-    assert {"_sweep_count", "_sweep_resonance"} <= set(sweep)
-    # the tie rule, the entry points, the gate they share and the accessors
-    # that keep a sweep on the system
-    sweep += ["_first", "_cover_steps", "kekule_count", "_kekule_resonance"]
-    sweep += ["clar_number", "fries_numbers"]
-    sweep += ["_kekule_count", "_resonance"]
-    # a call by name, or a read of a property of the system such as h._resonance
-    calls = {
-        name: {
-            n.func.id if isinstance(n, ast.Call) else n.attr
-            for n in ast.walk(node)
-            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in functions
-            or isinstance(n, ast.Attribute) and n.attr in functions
+    for module, cls, sweep in SWEEPS:
+        with open(module.__file__, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        owner = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
+        functions = {
+            node.name: node
+            for node in tree.body + owner.body
+            if isinstance(node, ast.FunctionDef)
         }
-        for name, node in functions.items()
-    }
-    for name in sweep:
-        node = functions[name]
-        nested = [
-            n
-            for n in ast.walk(node)
-            if n is not node and isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-        ]
-        assert not nested, name
-        reached, frontier = set(), [name]
-        while frontier:
-            for callee in calls[frontier.pop()]:
-                if callee not in reached:
-                    reached.add(callee)
-                    frontier.append(callee)
-        assert name not in reached, name
+        # a call by name, or a read of a property such as g._pm_count or h._resonance
+        calls = {
+            name: {
+                n.func.id if isinstance(n, ast.Call) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in functions
+                or isinstance(n, ast.Attribute) and n.attr in functions
+            }
+            for name, node in functions.items()
+        }
+        for name in sweep:
+            node = functions[name]
+            nested = [
+                n
+                for n in ast.walk(node)
+                if n is not node and isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            ]
+            assert not nested, name
+            reached, frontier = set(), [name]
+            while frontier:
+                for callee in calls[frontier.pop()]:
+                    if callee not in reached:
+                        reached.add(callee)
+                        frontier.append(callee)
+            assert name not in reached, name
 
 
 @st.composite
@@ -317,6 +325,23 @@ def test_the_tie_rule_is_canonical_order(masks):
     assume(a != b)
     bits = [[i for i in range(mask.bit_length()) if mask >> i & 1] for mask in masks]
     assert hexsys._first(a, b) == (bits[0] < bits[1]) != hexsys._first(b, a)
+
+
+def test_both_passes_stop_at_the_state_cap(monkeypatch):
+    # past the cap, the count and the resonance pass each name the vertex they reached
+    h = _hexagon(3)
+    past = r"^frontier sweep holds \d+ states at vertex \d+ of 54, more than 4$"
+    with monkeypatch.context() as m:
+        m.setattr(graphs, "FRONTIER_STATE_CAP", 4)
+        with pytest.raises(LimitExceeded, match=past):
+            count_perfect_matchings(h.graph)
+    assert count_perfect_matchings(h.graph) == 980  # a stopped sweep keeps nothing
+    with monkeypatch.context() as m:
+        m.setattr(graphs, "FRONTIER_STATE_CAP", 4)
+        # the graph keeps its count, so here the resonance pass raises
+        with pytest.raises(LimitExceeded, match=past):
+            clar_number(h)
+    assert clar_number(h)[0] == 7
 
 
 def test_the_resonance_pass_keeps_one_layer():
