@@ -21,7 +21,7 @@ from .graphs import (
     Graph,
     Matching,
     _unique_matching,
-    alternating_cycle_masks,
+    all_alternating_cycle_masks,
     edge_mask,
     enumerate_alternating_cycles,
     enumerate_perfect_matchings,
@@ -145,4 +145,5 @@ def value_spectrum(value_fn, g: Graph, max_matchings: int, max_cycles: int) -> S
     pms = enumerate_perfect_matchings(g, max_matchings)
     if not pms:
         raise NoPerfectMatching("graph has no perfect matching")
-    return Spectrum(tuple(value_fn(g, m, alternating_cycle_masks(g, m, max_cycles)) for m in pms))
+    rows = all_alternating_cycle_masks(g, pms, max_cycles)
+    return Spectrum(tuple(value_fn(g, m, masks) for m, masks in zip(pms, rows)))

@@ -569,6 +569,79 @@ def alternating_cycle_masks(
     return tuple(mask for _, mask in _alternating_walk(g, m, max_cycles)[1])
 
 
+def all_alternating_cycle_masks(
+    g: Graph, pms: Sequence[Matching], max_cycles: int = DEFAULT_CYCLE_CAP
+) -> Iterator[tuple[int, ...]]:
+    """Each matching's alternating-cycle masks, in order; `pms` lists every perfect matching of g.
+
+    For an M-alternating cycle C, M ⊕ C is a perfect matching M'; and the
+    difference of two perfect matchings M ⊕ M' is a union of disjoint cycles
+    that alternate in both.  So M's alternating cycles are exactly the
+    differences M ⊕ M' that are one cycle, one per such M'.  The difference d
+    of a pair is one cycle when the walk from an end of d's lowest edge,
+    alternating the two matchings' partners, covers all of d's edges before
+    it returns.  Under 8 edges d is one cycle without a walk, since an
+    alternating cycle has at least 4.  Which pairs are cycles is kept as one
+    K-bit int per matching, and a matching's masks are rebuilt from its int
+    when it is handed out, so no list of masks outlives its row.  A row is
+    complete, and handed out, once its pairs with every later matching are
+    walked, so a consumer that stops early pays for the rows it read.  Held
+    throughout: each matching's partner list and edge mask, and at most
+    K(K - 1)/2 bits of the pair relation.
+
+    The pairs cost K(K - 1)/2 walks however few of them are cycles, while the
+    per-matching kernel (alternating_cycle_masks) costs about what it finds.
+    So the first row is derived, and if fewer than 1/16 of its K - 1 pairs
+    are cycles, every later matching takes the kernel.  Measured on zigzag
+    chains and on disjoint pairs of systems, the two routes broke even at a
+    first-row share between 0.035 and 0.056: the pairs took as long as the
+    kernel on the 14-cell zigzag chain (0.035, 0.29 s each), 1.4 times as
+    long on two disjoint TP(4,4,4) (0.056) and 4.4 times on two disjoint
+    TP(4,4,4,4) (0.028), all three of which take the kernel.  At a share of
+    0.07 the pairs took 0.44–0.68 of the kernel's time, and on TP(200,),
+    where every pair is a cycle, 0.25 s against 48 s.  The first-row share
+    is at least 0.41 on every perfbench compute-replay instance and at least
+    0.23 on the 512 instances that verify's suites solve at 5 cells.
+
+    LimitExceeded once a matching has more than max_cycles alternating
+    cycles, with alternating_cycle_masks's message.
+    """
+    k = len(pms)
+    masks = [edge_mask(m.edge_ids) for m in pms]
+    partners = [matching_partner(g, m) for m in pms]
+    edges = g.edges
+    cycles = [0] * k  # bit j of cycles[i]: pms[i] ⊕ pms[j] is one cycle
+    for i, mi in enumerate(masks):
+        pi, row = partners[i], cycles[i]
+        for j in range(i + 1, k):
+            d = mi ^ masks[j]
+            left = d.bit_count()
+            if left >= 8:
+                pj = partners[j]
+                u = edges[(d & -d).bit_length() - 1][0]
+                x, left = pj[pi[u]], left - 2
+                while x != u:
+                    x, left = pj[pi[x]], left - 2
+                if left:  # d holds another cycle
+                    continue
+            row |= 1 << j
+            cycles[j] |= 1 << i
+        cycles[i] = 0
+        found = row.bit_count()
+        if found > max_cycles:
+            raise LimitExceeded(f"more than {max_cycles} alternating cycles")
+        out = []
+        while row:
+            low = row & -row
+            out.append(mi ^ masks[low.bit_length() - 1])
+            row ^= low
+        yield tuple(out)
+        if i == 0 and 16 * found < k - 1:
+            for m in pms[1:]:
+                yield alternating_cycle_masks(g, m, max_cycles)
+            return
+
+
 def enumerate_alternating_cycles(
     g: Graph, m: Matching, max_cycles: int = DEFAULT_CYCLE_CAP
 ) -> tuple[AltCycle, ...]:

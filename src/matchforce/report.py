@@ -32,7 +32,7 @@ from .graphs import (
     Graph,
     Matching,
     _fixedness,
-    alternating_cycle_masks,
+    all_alternating_cycle_masks,
     count_perfect_matchings,
     enumerate_perfect_matchings,
     matching_partner,
@@ -80,9 +80,11 @@ class Profile:
     Each fact is computed once, when first asked for: the perfect matchings,
     the edge labels, each matching's value of each VALUE_OF family, and on
     a hexagonal system each matching's resonant cells and the Clar number.
-    A matching's alternating cycles are never kept: their edge masks are
-    enumerated once per call of `values` and every family it still misses
-    is read from them, so only ints are kept.
+    A matching's alternating cycles are never kept.  A call of `values` that
+    misses a family derives every matching's cycle masks once, from the
+    pairs of the listed matchings (all_alternating_cycle_masks), and reads
+    each missing family from one matching's masks before the next
+    matching's are built, so only the values are kept.
 
     Reports never read `resonant` or `clar`: pm_count is the frontier count
     (count_perfect_matchings) on every instance, and on a hexagonal system
@@ -136,10 +138,11 @@ class Profile:
         """Per-matching values of each named VALUE_OF family, in matching order."""
         missing = [f for f in families if f not in self._values]
         if missing:
-            rows = []
-            for m in self.matchings:
-                masks = alternating_cycle_masks(self.graph, m, self.caps.max_cycles)
-                rows.append(tuple(VALUE_OF[f](self.graph, m, masks) for f in missing))
+            g, pms = self.graph, self.matchings
+            rows = [
+                tuple(VALUE_OF[f](g, m, masks) for f in missing)
+                for m, masks in zip(pms, all_alternating_cycle_masks(g, pms, self.caps.max_cycles))
+            ]
             self._values.update(zip(missing, zip(*rows)))
         return self._values
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from matchforce import forcing, graphs
+from matchforce.antiforcing import antiforcing_spectrum
 from matchforce.errors import NotSubsetOfM
 from matchforce.forcing import (
     Spectrum,
@@ -62,6 +64,23 @@ def test_triphenylene_spectrum():
     assert s.value_set == (1, 3)
     assert s.min == 1 and s.max == 3
     assert len(s.values) == 9
+
+
+def test_spectra_derive_every_matchings_cycles_at_once(monkeypatch):
+    # the spectra and report.Profile read the cycles through the same derivation
+    g = gen_named("triphenylene").graph
+    calls = []
+    derive = graphs.all_alternating_cycle_masks
+
+    def counted(g, pms, *args):
+        calls.append(pms)
+        return derive(g, pms, *args)
+
+    monkeypatch.setattr(forcing, "all_alternating_cycle_masks", counted)
+    monkeypatch.setattr(graphs, "alternating_cycle_masks", None)  # the per-matching kernel
+    assert forcing_spectrum(g).value_set == (1, 3)
+    assert antiforcing_spectrum(g).values
+    assert calls == [enumerate_perfect_matchings(g)] * 2
 
 
 def test_c6_spectrum():

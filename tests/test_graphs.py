@@ -22,6 +22,7 @@ from matchforce.generators import (
     gen_truncated_parallelogram,
     glue_preset,
 )
+from matchforce.hexsys import build_hex_system
 from matchforce import graphs
 from matchforce.antiforcing import anti_forcing_edges, antiforcing_number
 from matchforce.forcing import compatible_cycles, forcing_number
@@ -34,6 +35,7 @@ from matchforce.graphs import (
     DirectedCycle,
     Graph,
     Matching,
+    all_alternating_cycle_masks,
     alternating_cycle_masks,
     build_graph,
     directed_cycle_masks,
@@ -646,6 +648,125 @@ def test_cycle_masks_decide_disjointness_and_compatibility():
                 assert (not a.vertex_set & b.vertex_set) == (not masks[i] & masks[j] & in_m)
                 pairs += 1
     assert pairs > 40_000
+
+
+def _tp_params(cells):
+    """Every row-length sequence of a truncated parallelogram of at most `cells` cells."""
+    out = []
+    todo = [()]
+    while todo:
+        rows = todo.pop()
+        if rows:
+            out.append(rows)
+        top = rows[-1] if rows else cells
+        todo += [rows + (n,) for n in range(1, min(top, cells - sum(rows)) + 1)]
+    return out
+
+
+def _random_regular_graphs(count, seed):
+    """count simple non-bipartite regular graphs of degree 3 or 4, by the pairing model."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, d = rng.choice(((8, 3), (10, 3), (12, 3), (14, 3), (8, 4), (10, 4), (12, 4)))
+        points = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(points)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(points[::2], points[1::2]) if u != v}
+        if 2 * len(edges) == n * d:
+            g = build_graph(n, sorted(edges))
+            if g.color is None:
+                out.append(g)
+    return out
+
+
+def _zigzag(cells):
+    return build_hex_system([(k // 2 + k % 2, k // 2) for k in range(cells)])
+
+
+def _two_copies(g):
+    return build_graph(2 * g.n, [*g.edges, *((u + g.n, v + g.n) for u, v in g.edges)])
+
+
+def _kernel_calls(monkeypatch):
+    calls = []
+    kernel = graphs.alternating_cycle_masks
+
+    def counted(g, m, *args):
+        calls.append(m)
+        return kernel(g, m, *args)
+
+    monkeypatch.setattr(graphs, "alternating_cycle_masks", counted)
+    return calls
+
+
+def _assert_derived_masks_match_the_kernel(g):
+    pms = enumerate_perfect_matchings(g)
+    rows = list(all_alternating_cycle_masks(g, pms))
+    assert len(rows) == len(pms)
+    for m, row in zip(pms, rows):
+        assert sorted(row) == sorted(alternating_cycle_masks(g, m)), (g, m)
+    return pms, rows
+
+
+def test_cycles_read_off_pairs_of_matchings_match_the_kernel(monkeypatch):
+    cases = [h.graph for n in range(1, 6) for h in enumerate_hex_systems(n)]
+    cases += [gen_truncated_parallelogram(p).graph for p in _tp_params(6)]
+    cases += [glue_preset(k).graph for k in (1, 2, 3, 4)]
+    for name in ("triphenylene", "dodecahedron", "C4", "C6"):
+        obj = gen_named(name)
+        cases.append(getattr(obj, "graph", obj))
+    regular = _random_regular_graphs(24, seed=11)
+    cases += regular
+    kernel_calls = _kernel_calls(monkeypatch)
+    cycles = 0
+    for g in cases:
+        cycles += sum(map(len, _assert_derived_masks_match_the_kernel(g)[1]))
+    assert cycles > 10_000
+    assert sum(len(enumerate_perfect_matchings(g)) > 1 for g in regular) >= 20
+    # every first matching of these shares a cycle with at least 1/16 of the others
+    assert not kernel_calls
+
+
+def test_cycles_of_a_product_of_systems_take_the_kernel(monkeypatch):
+    # two disjoint zigzag chains of 6 cells: 21 * 21 matchings, and the first
+    # is one cycle away from 2 * 9 of the other 440, under 1/16 of them
+    g = _two_copies(_zigzag(6).graph)
+    kernel_calls = _kernel_calls(monkeypatch)
+    pms, rows = _assert_derived_masks_match_the_kernel(g)
+    assert len(pms) == 441 and len(rows[0]) == 18
+    # the derivation asks the kernel for every matching after the first
+    assert kernel_calls == list(pms[1:])
+
+
+@pytest.mark.parametrize(
+    "g, sizes",
+    [
+        (build_graph(2, [(0, 1)]), [0]),
+        (gen_named("C6"), [1, 1]),
+        (build_graph(8, [(v, (v + 1) % 8) for v in range(8)]), [1, 1]),  # a pair to walk
+    ],
+    ids=["K2", "C6", "C8"],
+)
+def test_cycles_read_off_one_or_two_matchings(g, sizes):
+    pms, rows = _assert_derived_masks_match_the_kernel(g)
+    assert list(map(len, rows)) == sizes
+
+
+@pytest.mark.parametrize(
+    "g", [gen_named("dodecahedron"), _two_copies(_zigzag(6).graph)], ids=["pairs", "kernel"]
+)
+def test_cycle_cap_is_the_kernels_on_both_routes(g):
+    pms = enumerate_perfect_matchings(g)
+    counts = [len(alternating_cycle_masks(g, m)) for m in pms]
+    most = max(counts)
+    widest = pms[counts.index(most)]
+    with pytest.raises(LimitExceeded) as kernel:
+        alternating_cycle_masks(g, widest, most - 1)
+    with pytest.raises(LimitExceeded) as derived:
+        list(all_alternating_cycle_masks(g, pms, most - 1))
+    assert str(derived.value) == str(kernel.value) == f"more than {most - 1} alternating cycles"
+    assert len(alternating_cycle_masks(g, widest, most)) == most
+    assert max(map(len, all_alternating_cycle_masks(g, pms, most))) == most
 
 
 def test_long_chain_cycles_without_recursion():

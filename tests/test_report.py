@@ -107,27 +107,29 @@ def _count_calls(monkeypatch, orig):
 
 @pytest.fixture
 def alt_cycle_calls(monkeypatch):
-    """Calls of the cycle kernel's mask entry point, and of the cycle-object builder."""
+    """Calls of the masks' derivation over all matchings, the kernel and the cycle builder."""
     return (
+        _count_calls(monkeypatch, graphs.all_alternating_cycle_masks),
         _count_calls(monkeypatch, graphs.alternating_cycle_masks),
         _count_calls(monkeypatch, graphs.enumerate_alternating_cycles),
     )
 
 
 def test_report_solves_each_matching_once_and_replay_recomputes(tmp_path, alt_cycle_calls):
-    mask_calls, cycle_calls = alt_cycle_calls
+    derive_calls, kernel_calls, cycle_calls = alt_cycle_calls
     obj = gen_named("triphenylene")
-    n_pm = len(enumerate_perfect_matchings(obj.graph))
+    pms = enumerate_perfect_matchings(obj.graph)
     path = _write(tmp_path, "triphenylene", obj)
     report = compute_report(path, SIX)
-    # one solve per matching, plus one witness rebuild for each of f, F, af, Af
-    assert len(mask_calls) + len(cycle_calls) <= n_pm + 4
-    assert set(mask_calls) == set(enumerate_perfect_matchings(obj.graph))
-    # only the witness rebuilds build cycle objects
+    # one derivation hands every matching its cycle masks once, for f and af
+    # together; triphenylene's matchings are read off their pairs, not walked
+    assert derive_calls == [pms]
+    assert not kernel_calls
+    # only the witness rebuilds, one for each of f, F, af, Af, build cycle objects
     assert len(cycle_calls) <= 4
-    del mask_calls[:]
+    del derive_calls[:]
     assert replay(report, path) == []
-    assert len(mask_calls) >= n_pm
+    assert derive_calls == [pms]
 
 
 def test_replay_builds_no_witness(tmp_path, monkeypatch):

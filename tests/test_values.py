@@ -128,18 +128,19 @@ def _counted(monkeypatch, mod, attr):
 
 def test_verify_enumerates_each_matchings_cycles_once(monkeypatch):
     # verify reads every per-instance fact through report.Profile
-    alt_calls = _counted(monkeypatch, report, "alternating_cycle_masks")
+    derive_calls = _counted(monkeypatch, report, "all_alternating_cycle_masks")
     hitting_set_calls = _counted(monkeypatch, exact, "min_hitting_set")
     independent_calls = _counted(monkeypatch, exact, "max_independent_indices")
     _clear_verify_caches()
     try:
         assert verify.run_suite("thm9", max_cells=3).ok
-        # af and c' are read from one enumeration per (graph, matching)
-        assert alt_calls and len(alt_calls) == len(set(alt_calls))
+        # af and c' are read from one derivation per graph, over all its matchings
+        assert derive_calls and len(derive_calls) == len(set(derive_calls))
+        assert all(pms == enumerate_perfect_matchings(g) for g, pms in derive_calls)
         assert not hitting_set_calls
-        del alt_calls[:]
+        del derive_calls[:]
         assert verify.run_suite("thm9", max_cells=3).ok
-        assert not alt_calls
+        assert not derive_calls
         assert verify.run_suite("cor12", max_cells=3).ok
         assert not independent_calls
     finally:
@@ -147,17 +148,19 @@ def test_verify_enumerates_each_matchings_cycles_once(monkeypatch):
 
 
 def test_verify_reads_cached_families_for_a_subset(monkeypatch):
-    alt_calls = _counted(monkeypatch, report, "alternating_cycle_masks")
+    derive_calls = _counted(monkeypatch, report, "all_alternating_cycle_masks")
     search_calls = _counted(monkeypatch, report, "enumerate_perfect_matchings")
     _clear_verify_caches()
     try:
         assert verify.run_suite("thm5", max_cells=4).ok
-        assert alt_calls
-        del alt_calls[:]
+        # one derivation per instance, over all its matchings (told apart by
+        # identity, as two distinct systems may share a graph)
+        assert derive_calls and len(derive_calls) == len({id(g) for g, _ in derive_calls})
+        del derive_calls[:]
         # thm3 reads f and thm11 reads af, both filled in by thm5's (f, af)
         assert verify.run_suite("thm3", max_cells=4).ok
         assert verify.run_suite("thm11", max_cells=4).ok
-        assert not alt_calls
+        assert not derive_calls
         # every instance was searched once, by thm5 (two distinct systems may
         # share a graph, so the graph objects are told apart by identity)
         assert search_calls and len(search_calls) == len({id(g) for g, _ in search_calls})
