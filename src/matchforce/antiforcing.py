@@ -24,14 +24,7 @@ from .graphs import (
     enumerate_directed_cycles,
     matching_partner,
 )
-from .forcing import (
-    COMPATIBLE,
-    CycleFamily,
-    Spectrum,
-    disjoint_value,
-    forcing_value,
-    value_spectrum,
-)
+from .forcing import COMPATIBLE, CycleFamily, Spectrum, value_spectrum
 
 
 def is_antiforcing_set(g: Graph, m: Matching, edge_ids) -> bool:
@@ -53,12 +46,6 @@ def antiforcing_number(
     return exact.min_hitting_set(c.edge_ids - m.edge_set for c in cycles)
 
 
-def antiforcing_value(g: Graph, m: Matching, masks: tuple[int, ...]) -> int:
-    """Anti-forcing number of m from its alternating cycles' edge masks, without a witness."""
-    side = ~edge_mask(m.edge_ids)
-    return exact.min_hitting_size(c & side for c in masks)
-
-
 def max_compatible_alternating_set(
     g: Graph, m: Matching, max_cycles: int = DEFAULT_CYCLE_CAP
 ) -> tuple[int, CycleFamily]:
@@ -71,28 +58,13 @@ def max_compatible_alternating_set(
     return size, CycleFamily(tuple(cycles[i] for i in picked), COMPATIBLE)
 
 
-def compatible_value(g: Graph, m: Matching, masks: tuple[int, ...]) -> int:
-    """Size of max_compatible_alternating_set from m's cycle masks, without a witness."""
-    return exact.max_independent_size(exact.overlap_conflicts(masks, ~edge_mask(m.edge_ids)))
-
-
-# family -> its value for one matching, read from the edge masks of that
-# matching's alternating cycles; each equals the size its witness solver reports
-VALUE_OF = {
-    "f": forcing_value,
-    "af": antiforcing_value,
-    "disjoint": disjoint_value,
-    "compatible": compatible_value,
-}
-
-
 def antiforcing_spectrum(
     g: Graph,
     max_matchings: int = DEFAULT_MATCHING_CAP,
     max_cycles: int = DEFAULT_CYCLE_CAP,
 ) -> Spectrum:
     """af per perfect matching; min is af(G), max is Af(G)."""
-    return value_spectrum(antiforcing_value, g, max_matchings, max_cycles)
+    return value_spectrum("af", g, max_matchings, max_cycles)
 
 
 def anti_forcing_edges(g: Graph) -> tuple[int, ...]:

@@ -4,10 +4,16 @@ A forcing set of a perfect matching is a subset of it contained in no other
 perfect matching; equivalently, one meeting every alternating cycle.  The
 forcing number is the smallest such set, computed here as an exact minimum
 hitting set over the enumerated alternating cycles.
+
+Every per-matching value without a witness is read here, from the edge
+masks of the matching's alternating cycles: VALUE_OF is the one table of
+families (f, af, disjoint, compatible), and matching_values the one loop
+that reads them for every perfect matching of a graph.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -108,12 +114,6 @@ def forcing_number(
     return exact.min_hitting_set(c.edge_ids & m.edge_set for c in cycles)
 
 
-def forcing_value(g: Graph, m: Matching, masks: tuple[int, ...]) -> int:
-    """Forcing number of m from its alternating cycles' edge masks, without a witness."""
-    side = edge_mask(m.edge_ids)
-    return exact.min_hitting_size(c & side for c in masks)
-
-
 def max_disjoint_alternating_cycles(
     g: Graph, m: Matching, max_cycles: int = DEFAULT_CYCLE_CAP
 ) -> tuple[int, CycleFamily]:
@@ -126,9 +126,33 @@ def max_disjoint_alternating_cycles(
     return size, CycleFamily(tuple(cycles[i] for i in picked), DISJOINT)
 
 
-def disjoint_value(g: Graph, m: Matching, masks: tuple[int, ...]) -> int:
-    """Size of max_disjoint_alternating_cycles from m's cycle masks, without a witness."""
-    return exact.max_independent_size(exact.overlap_conflicts(masks, edge_mask(m.edge_ids)))
+# family -> its value for one matching, from the matching's edge mask and its
+# alternating cycles' edge masks; each equals the size its witness solver
+# reports.  f and af hit every cycle's part in M, or outside M; disjoint and
+# compatible pack cycles whose parts in M, or outside M, do not meet.
+VALUE_OF = {
+    "f": lambda m, masks: exact.min_hitting_size(c & m for c in masks),
+    "af": lambda m, masks: exact.min_hitting_size(c & ~m for c in masks),
+    "disjoint": lambda m, masks: exact.max_independent_size(exact.overlap_conflicts(masks, m)),
+    "compatible": lambda m, masks: exact.max_independent_size(exact.overlap_conflicts(masks, ~m)),
+}
+
+
+def matching_values(
+    g: Graph, pms: Sequence[Matching], families: Iterable[str], max_cycles: int
+) -> dict[str, tuple[int, ...]]:
+    """Each named VALUE_OF family's value of every matching in pms, in order.
+
+    pms lists every perfect matching of g.  One all_alternating_cycle_masks
+    pass hands out each matching's cycle masks, and every family reads them
+    before the next matching's are built, so only the values are kept.
+    """
+    columns: dict[str, list[int]] = {f: [] for f in families}
+    for m, masks in zip(pms, all_alternating_cycle_masks(g, pms, max_cycles)):
+        side = edge_mask(m.edge_ids)
+        for f, column in columns.items():
+            column.append(VALUE_OF[f](side, masks))
+    return {f: tuple(column) for f, column in columns.items()}
 
 
 def forcing_spectrum(
@@ -137,13 +161,12 @@ def forcing_spectrum(
     max_cycles: int = DEFAULT_CYCLE_CAP,
 ) -> Spectrum:
     """f per perfect matching; min is f(G), max is F(G)."""
-    return value_spectrum(forcing_value, g, max_matchings, max_cycles)
+    return value_spectrum("f", g, max_matchings, max_cycles)
 
 
-def value_spectrum(value_fn, g: Graph, max_matchings: int, max_cycles: int) -> Spectrum:
-    """value_fn(g, m, masks) of every perfect matching m, from its cycles' edge masks."""
+def value_spectrum(family: str, g: Graph, max_matchings: int, max_cycles: int) -> Spectrum:
+    """The VALUE_OF family's value of every perfect matching of g, in canonical order."""
     pms = enumerate_perfect_matchings(g, max_matchings)
     if not pms:
         raise NoPerfectMatching("graph has no perfect matching")
-    rows = all_alternating_cycle_masks(g, pms, max_cycles)
-    return Spectrum(tuple(value_fn(g, m, masks) for m, masks in zip(pms, rows)))
+    return Spectrum(matching_values(g, pms, (family,), max_cycles)[family])

@@ -13,29 +13,30 @@ from typing import Any, Callable
 
 from . import exact
 from .antiforcing import (
-    VALUE_OF,
     anti_forcing_edges,
     antiforcing_number,
+    feedback_value,
     is_antiforcing_set,
 )
 from .errors import (
     InapplicableInvariant,
     IntersectsM,
+    LimitExceeded,
     NoPerfectMatching,
     NotPerfect,
     NotSubsetOfM,
 )
-from .forcing import Spectrum, forcing_number, is_forcing_set
+from .forcing import Spectrum, forcing_number, is_forcing_set, matching_values
 from .graphs import (
     DEFAULT_CYCLE_CAP,
     DEFAULT_MATCHING_CAP,
     Graph,
     Matching,
     _fixedness,
-    all_alternating_cycle_masks,
     count_perfect_matchings,
     enumerate_perfect_matchings,
     matching_partner,
+    orient_and_contract,
 )
 from .hexsys import (
     HexSystem,
@@ -49,7 +50,7 @@ from .io import load_instance, serialize_instance
 SCHEMA_VERSION = 1
 
 # family -> ((value, witness) of a matching, witness check, what a witness
-#            must be); the value alone comes from VALUE_OF
+#            must be); the value alone comes from forcing.VALUE_OF
 _FAMILIES = {
     "f": (forcing_number, is_forcing_set, "a forcing set"),
     "af": (antiforcing_number, is_antiforcing_set, "an anti-forcing set"),
@@ -78,13 +79,14 @@ class Profile:
     """The per-instance facts that every invariant and identity is read from.
 
     Each fact is computed once, when first asked for: the perfect matchings,
-    the edge labels, each matching's value of each VALUE_OF family, and on
-    a hexagonal system each matching's resonant cells and the Clar number.
-    A matching's alternating cycles are never kept.  A call of `values` that
-    misses a family derives every matching's cycle masks once, from the
-    pairs of the listed matchings (all_alternating_cycle_masks), and reads
-    each missing family from one matching's masks before the next
-    matching's are built, so only the values are kept.
+    the edge labels, each matching's value of each forcing.VALUE_OF family,
+    each matching's minimum feedback arc set on a bipartite graph, and on a
+    hexagonal system each matching's resonant cells and the Clar number.
+    A matching's alternating cycles are never kept: a call of `values` that
+    misses a family reads every missing family in one
+    forcing.matching_values pass, which keeps only the values.  `feedback`
+    comes from each matching's contraction (orient_and_contract), never
+    from its alternating cycles, so thm9's third equality stays a check.
 
     Reports never read `resonant` or `clar`: pm_count is the frontier count
     (count_perfect_matchings) on every instance, and on a hexagonal system
@@ -134,16 +136,19 @@ class Profile:
                 best = max(best, exact._max_independent(self.obj.cell_conflicts, mask)[0])
         return best
 
+    @cached_property
+    def feedback(self) -> tuple[int, ...]:
+        """Each matching's minimum feedback arc set size on its contraction, in matching order."""
+        g, cap = self.graph, self.caps.max_cycles
+        return tuple(feedback_value(orient_and_contract(g, m), cap) for m in self.pms)
+
     def values(self, families: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
-        """Per-matching values of each named VALUE_OF family, in matching order."""
+        """Per-matching values of each named forcing.VALUE_OF family, in matching order."""
         missing = [f for f in families if f not in self._values]
         if missing:
-            g, pms = self.graph, self.matchings
-            rows = [
-                tuple(VALUE_OF[f](g, m, masks) for f in missing)
-                for m, masks in zip(pms, all_alternating_cycle_masks(g, pms, self.caps.max_cycles))
-            ]
-            self._values.update(zip(missing, zip(*rows)))
+            self._values.update(
+                matching_values(self.graph, self.matchings, missing, self.caps.max_cycles)
+            )
         return self._values
 
 
@@ -340,7 +345,7 @@ def replay(report: dict[str, Any], path: str | Path) -> list[str]:
             continue
         try:
             value, _ = REGISTRY[name](profile, names)
-        except (InapplicableInvariant, NoPerfectMatching) as e:
+        except (InapplicableInvariant, LimitExceeded, NoPerfectMatching) as e:
             problems.append(f"{name}: cannot be recomputed: {e}")
             continue
         # as JSON, so that true or 1.0 does not pass for 1

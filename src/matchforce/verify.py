@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .antiforcing import anti_forcing_edges, feedback_value
+from .antiforcing import anti_forcing_edges
 from .errors import UnknownSuite
 from .generators import (
     GLUE_PRESETS,
@@ -29,7 +29,6 @@ from .graphs import (
     Graph,
     enumerate_alternating_cycles,  # noqa: F401  (perfbench traces it in every namespace)
     enumerate_perfect_matchings,
-    orient_and_contract,
 )
 from .hexsys import (
     HexSystem,
@@ -222,13 +221,11 @@ def _suite_thm9(max_cells: int | None, caps: Caps) -> list[CheckResult]:
 
     def problem(h: HexSystem, p: Profile) -> str:
         v = p.values(("af", "compatible"))
-        bad = []
-        for i, m in enumerate(p.pms):
-            af, cp = v["af"][i], v["compatible"][i]
-            fb = feedback_value(orient_and_contract(h.graph, m), caps.max_cycles)
-            if not af == cp == fb:
-                bad.append(f"matching {i}: af={af} c'={cp} feedback={fb}")
-        return "; ".join(bad)
+        return "; ".join(
+            f"matching {i}: af={af} c'={cp} feedback={fb}"
+            for i, (af, cp, fb) in enumerate(zip(v["af"], v["compatible"], p.feedback))
+            if not af == cp == fb
+        )
 
     return _checks(corpus, caps, problem)
 

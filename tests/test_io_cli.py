@@ -14,9 +14,10 @@ import pytest
 
 import matchforce
 from matchforce import cli
-from matchforce.antiforcing import is_antiforcing_set
+from matchforce.antiforcing import antiforcing_spectrum, is_antiforcing_set
 from matchforce.cli import main
-from matchforce.errors import MatchforceError, ParseError, UnknownName
+from matchforce.errors import MatchforceError, NoPerfectMatching, ParseError, UnknownName
+from matchforce.forcing import forcing_spectrum
 from matchforce.generators import (
     enumerate_hex_systems,
     gen_named,
@@ -395,6 +396,21 @@ def test_cli_compute_rejects_negative_counts_in_a_graph_file(tmp_path, capsys, c
 
 
 @pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("x.graph", "p 4 x\n", "bad problem line 'p 4 x'"),
+        ("c.graph", "p 2 1\ne 0 1\nc 0 0\nc 0 1\n", "vertex 0 colored twice"),
+        ("c6.txt", "p 2 1\ne 0 1\n", "unknown instance extension '.txt' (want .graph or .hex)"),
+    ],
+)
+def test_cli_compute_names_a_parse_error(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "compute", "--in", str(path), "--inv", "pm_count")
+    assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ("compute", "--inv", "pm_count", "--max-matchings", "-5"),
@@ -449,6 +465,17 @@ def test_cli_pm_count_stops_at_the_state_cap(tmp_path, capsys):
     assert (code, out) == (4, "")
     past = r"frontier sweep holds \d+ states at vertex \d+ of 100, more than 262144"
     assert re.fullmatch(f"cap exceeded: {past}\n", err), err
+
+
+def test_spectra_without_a_perfect_matching_are_inapplicable(tmp_path, capsys):
+    path3 = build_graph(3, [(0, 1), (1, 2)])
+    for spectrum in (forcing_spectrum, antiforcing_spectrum):
+        with pytest.raises(NoPerfectMatching, match="^graph has no perfect matching$"):
+            spectrum(path3)
+    path = tmp_path / "p3.graph"
+    path.write_text(serialize_graph(path3))
+    code, out, err = run_cli(capsys, "compute", "--in", str(path), "--inv", "f_spectrum")
+    assert (code, out, err) == (3, "", "inapplicable invariant: graph has no perfect matching\n")
 
 
 @pytest.mark.parametrize("inv", ["f", "clar", "fries"])

@@ -28,6 +28,7 @@ from matchforce.generators import (
 from matchforce.graphs import build_graph, enumerate_alternating_cycles, enumerate_perfect_matchings
 from matchforce.io import serialize_instance
 from matchforce.report import compute_report, replay
+from test_hexsys import _hexagon
 
 SIX = ["f", "F", "af", "Af", "f_spectrum", "af_spectrum"]
 
@@ -286,6 +287,47 @@ def test_replay_describes_an_entry_it_cannot_recompute(tmp_path):
         "clar: cannot be recomputed: graph has no perfect matching",
         "pm_count: recomputed 0 != reported 1",
     ]
+
+
+def test_replay_describes_a_cap_it_hits(tmp_path):
+    # a report made with a raised cap is replayed under the default caps
+    path = _write(tmp_path, "hexagon-5", _hexagon(5))
+    report = compute_report(path, ["pm_count"], max_matchings=10**9)
+    assert report["invariants"][0]["value"] == 267227532
+    assert replay(report, path) == [
+        "pm_count: cannot be recomputed: more than 1000000 perfect matchings"
+    ]
+
+
+def _entry(report, name):
+    return next(e for e in report["invariants"] if e["name"] == name)
+
+
+@pytest.mark.parametrize(
+    "tamper, line",
+    [
+        (
+            lambda r: _entry(r, "clar")["witness"]["hexagons"].pop(),
+            "clar: witness hexagons are not all alternating",
+        ),
+        (
+            lambda r: _entry(r, "fries")["witness"]["max_hexagons"].pop(),
+            "fries: max witness does not re-validate",
+        ),
+        (lambda r: r.update(invariants="x"), "malformed invariant list"),
+        (None, "instance hash differs from the report"),  # replayed on TP(3,3)
+    ],
+    ids=["clar-cell", "fries-max-cell", "invariant-list", "other-instance"],
+)
+def test_replay_names_each_tampering_by_its_line(tmp_path, tamper, line):
+    path = _write(tmp_path, "triphenylene", gen_named("triphenylene"))
+    report = compute_report(path, ["clar", "fries"])
+    if tamper is None:
+        other = _write(tmp_path, "tp-3,3", gen_truncated_parallelogram((3, 3)))
+        assert replay(report, other)[0] == line
+    else:
+        tamper(report)
+        assert replay(report, path) == [line]
 
 
 @pytest.mark.parametrize("reported", [True, 1.0])

@@ -1,31 +1,33 @@
 """Value-only per-matching functions against the solvers that return witnesses.
 
 Every per-matching value has one library implementation, read from the
-edge masks of the matching's alternating cycles (`antiforcing.VALUE_OF`),
-plus the value-only feedback set and Clar count.  These tests hold each to
-the size its witness solver reports, count the cycle enumerations the
-verify suites make, and check that the searches free what they build
-without the cyclic garbage collector.
+edge masks of the matching's alternating cycles (`forcing.VALUE_OF`, read
+for every matching by `forcing.matching_values`), plus the value-only
+feedback set and Clar count.  These tests hold each to the size its witness
+solver reports, count the cycle enumerations the verify suites make, pin
+the one table and the one loop, and check that the searches free what they
+build without the cyclic garbage collector.
 """
 
 import ast
 import gc
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from matchforce import exact, graphs, hexsys, report, verify
+from matchforce import antiforcing, exact, forcing, graphs, hexsys, report, verify
 from matchforce.antiforcing import (
-    VALUE_OF,
     antiforcing_number,
     feedback_value,
     max_compatible_alternating_set,
     min_feedback_arc_set,
 )
-from matchforce.forcing import forcing_number, max_disjoint_alternating_cycles
+from matchforce.forcing import VALUE_OF, forcing_number, max_disjoint_alternating_cycles
 from matchforce.generators import enumerate_hex_systems, gen_named, glue_preset
 from matchforce.graphs import (
     alternating_cycle_masks,
+    edge_mask,
     enumerate_alternating_cycles,
     enumerate_directed_cycles,
     enumerate_perfect_matchings,
@@ -67,10 +69,10 @@ def test_value_functions_match_witness_solvers():
     compatible_below_af = 0
     for name, g in _graphs():
         for m in enumerate_perfect_matchings(g):
-            masks = alternating_cycle_masks(g, m)
+            side, masks = edge_mask(m.edge_ids), alternating_cycle_masks(g, m)
             values = {}
             for family, value_fn in VALUE_OF.items():
-                values[family] = value_fn(g, m, masks)
+                values[family] = value_fn(side, masks)
                 size = SOLVER_OF[family](g, m)[0]
                 assert values[family] == size, (name, m.edge_ids, family)
             compatible_below_af += values["compatible"] < values["af"]
@@ -128,7 +130,8 @@ def _counted(monkeypatch, mod, attr):
 
 def test_verify_enumerates_each_matchings_cycles_once(monkeypatch):
     # verify reads every per-instance fact through report.Profile
-    derive_calls = _counted(monkeypatch, report, "all_alternating_cycle_masks")
+    derive_calls = _counted(monkeypatch, forcing, "all_alternating_cycle_masks")
+    directed_calls = _counted(monkeypatch, antiforcing, "directed_cycle_masks")
     hitting_set_calls = _counted(monkeypatch, exact, "min_hitting_set")
     independent_calls = _counted(monkeypatch, exact, "max_independent_indices")
     _clear_verify_caches()
@@ -138,9 +141,11 @@ def test_verify_enumerates_each_matchings_cycles_once(monkeypatch):
         assert derive_calls and len(derive_calls) == len(set(derive_calls))
         assert all(pms == enumerate_perfect_matchings(g) for g, pms in derive_calls)
         assert not hitting_set_calls
-        del derive_calls[:]
+        assert directed_calls
+        del derive_calls[:], directed_calls[:]
+        # a warm rerun reads af, c' and the feedback values off the cached profiles
         assert verify.run_suite("thm9", max_cells=3).ok
-        assert not derive_calls
+        assert not derive_calls and not directed_calls
         assert verify.run_suite("cor12", max_cells=3).ok
         assert not independent_calls
     finally:
@@ -148,7 +153,7 @@ def test_verify_enumerates_each_matchings_cycles_once(monkeypatch):
 
 
 def test_verify_reads_cached_families_for_a_subset(monkeypatch):
-    derive_calls = _counted(monkeypatch, report, "all_alternating_cycle_masks")
+    derive_calls = _counted(monkeypatch, forcing, "all_alternating_cycle_masks")
     search_calls = _counted(monkeypatch, report, "enumerate_perfect_matchings")
     _clear_verify_caches()
     try:
@@ -239,8 +244,26 @@ def test_verify_reads_every_instance_fact_through_one_cached_profile():
     used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     used |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     banned = {"alternating_cycle_masks", "alternating_hexagons", "VALUE_OF"}
-    banned |= {"_max_independent", "_resonant_mask"}
+    banned |= {"_max_independent", "_resonant_mask", "feedback_value", "orient_and_contract"}
     assert not used & banned
+
+
+def test_one_value_table_and_one_loop_over_the_matchings():
+    # graphs defines the masks' derivation over all matchings, and only
+    # forcing.matching_values reads it; only forcing builds the family table
+    namers, assigners = set(), set()
+    for path in Path(graphs.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # a name, an attribute, a definition or an imported alias
+            named = {getattr(node, a, None) for a in ("id", "attr", "name")}
+            if "all_alternating_cycle_masks" in named:
+                namers.add(path.name)
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any("VALUE_OF" in ast.unparse(t) for t in targets):
+                    assigners.add(path.name)
+    assert namers == {"graphs.py", "forcing.py"}
+    assert assigners == {"forcing.py"}
 
 
 def _held(fn, module):
