@@ -9,6 +9,8 @@ or overlapping only in matching edges.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from . import exact
 from .errors import IntersectsM
 from .graphs import (
@@ -17,6 +19,7 @@ from .graphs import (
     DEFAULT_MATCHING_CAP,
     Graph,
     Matching,
+    _iter_perfect_matchings,
     _unique_matching,
     directed_cycle_masks,
     edge_mask,
@@ -70,9 +73,13 @@ def antiforcing_spectrum(
 def anti_forcing_edges(g: Graph) -> tuple[int, ...]:
     """Edges whose sole deletion leaves a unique perfect matching.
 
-    Each edge costs one pendant reduction of g with that edge left out.
+    Each edge tested costs one pendant reduction of g without it.  Given two
+    perfect matchings, only their union is tested: g − e keeps both for any
+    other edge e, which so is not anti-forcing.
     """
-    return tuple(e for e in range(g.m) if _unique_matching(g, (e,)) is not None)
+    first_two = list(islice(_iter_perfect_matchings(g), 2))
+    tested = sorted(set().union(*first_two)) if len(first_two) == 2 else range(g.m)
+    return tuple(e for e in tested if _unique_matching(g, (e,)) is not None)
 
 
 def min_feedback_arc_set(

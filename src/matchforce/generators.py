@@ -20,7 +20,6 @@ from .hexsys import (
     HexSystem,
     NEIGHBOR_OFFSETS,
     VertexKey,
-    _cell_edges,
     _is_tree,
     build_hex_system,
     cell_corners,
@@ -75,28 +74,27 @@ def gen_named(name: str) -> Graph | HexSystem:
     raise UnknownName(f"no generator named {name!r}")
 
 
-def _canonical_cells(cells: Iterable[Cell]) -> tuple[Cell, ...]:
-    """Translate so the (r, q)-least cell lands on the origin."""
-    cs = sorted(cells, key=lambda c: (c[1], c[0]))
-    q0, r0 = cs[0]
-    return tuple(sorted((q - q0, r - r0) for q, r in cs))
-
-
 @lru_cache(maxsize=None)
 def _cell_sets(n: int) -> tuple[tuple[Cell, ...], ...]:
-    """All connected n-cell sets up to translation, grown cell by cell."""
-    level: set[tuple[Cell, ...]] = {((0, 0),)}
-    for _ in range(n - 1):
-        grown: set[tuple[Cell, ...]] = set()
-        for cells in level:
-            cellset = set(cells)
-            for q, r in cells:
-                for dq, dr in NEIGHBOR_OFFSETS:
-                    nb = (q + dq, r + dr)
-                    if nb not in cellset:
-                        grown.add(_canonical_cells(cellset | {nb}))
-        level = grown
-    return tuple(sorted(level))
+    """All connected n-cell sets up to translation, each (n − 1)-cell set grown by one cell.
+
+    Each set is sorted, with its (r, q)-least cell on the origin, so a grown
+    set moves only when the new cell comes before the origin in (r, q).
+    """
+    if n <= 1:
+        return (((0, 0),),)
+    grown: set[tuple[Cell, ...]] = set()
+    for cells in _cell_sets(n - 1):
+        cellset = set(cells)
+        for q, r in cells:
+            for dq, dr in NEIGHBOR_OFFSETS:
+                nb = (q + dq, r + dr)
+                if nb not in cellset:
+                    more = cells + (nb,)
+                    if (nb[1], nb[0]) < (0, 0):
+                        more = tuple((a - nb[0], b - nb[1]) for a, b in more)
+                    grown.add(tuple(sorted(more)))
+    return tuple(sorted(grown))
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +129,12 @@ class GlueSpec:
 
 
 def _cell_edge_keys(cells: Iterable[Cell]) -> set[tuple[VertexKey, VertexKey]]:
-    return {e for c in cells for e in _cell_edges(cell_corners(c))}
+    """Every edge of the cells as a sorted pair of corner keys."""
+    return {
+        (u, v) if u < v else (v, u)
+        for cs in map(cell_corners, cells)
+        for u, v in zip(cs, cs[1:] + cs[:1])
+    }
 
 
 def _is_simple_path(edges: set[tuple[VertexKey, VertexKey]]) -> bool:

@@ -45,24 +45,17 @@ from .graphs import (
 Cell = tuple[int, int]
 VertexKey = tuple[int, int]
 
-CORNER_OFFSETS: tuple[VertexKey, ...] = (
-    (1, 1), (0, 2), (-1, 1), (-1, -1), (0, -2), (1, -1),
-)
-
 # neighbor offset across the edge between corners i and i+1 (mod 6)
 NEIGHBOR_OFFSETS: tuple[Cell, ...] = (
     (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0),
 )
 
 
-def cell_center(cell: Cell) -> VertexKey:
-    q, r = cell
-    return (2 * q + r, 3 * r)
-
-
 def cell_corners(cell: Cell) -> tuple[VertexKey, ...]:
-    cx, cy = cell_center(cell)
-    return tuple((cx + dx, cy + dy) for dx, dy in CORNER_OFFSETS)
+    """The six corner keys, in the cyclic order of the lattice convention above."""
+    q, r = cell
+    x, y = 2 * q + r, 3 * r
+    return (x + 1, y + 1), (x, y + 2), (x - 1, y + 1), (x - 1, y - 1), (x, y - 2), (x + 1, y - 1)
 
 
 def transform_cell(cell: Cell, symmetry: int) -> Cell:
@@ -171,48 +164,46 @@ def _check_cells_connected(cells: set[Cell]) -> None:
         raise Disconnected(f"cell set is not edge-connected; unreachable: {missing}")
 
 
-def _cell_edges(corners: tuple) -> list[tuple]:
-    """A cell's six edges as sorted pairs of its corners (keys or ids), in corner order."""
-    return [(u, v) if u < v else (v, u) for u, v in zip(corners, corners[1:] + corners[:1])]
-
-
 def build_hex_system(cells: Iterable[Cell]) -> HexSystem:
     """Derive the vertex/edge graph of a cell set, with validation.
 
     Cells must be nonempty, connected through shared edges, and hole-free:
     the number of bounded faces of the derived graph must equal the number
-    of cells.
+    of cells.  Vertex ids follow the sorted corner keys, edge ids the sorted (u, v) pairs.
     """
     cell_list = tuple(sorted({(int(q), int(r)) for q, r in cells}))
     if not cell_list:
         raise Disconnected("empty cell set")
     _check_cells_connected(set(cell_list))
 
-    keys = sorted({k for c in cell_list for k in cell_corners(c)})
+    corners = [cell_corners(c) for c in cell_list]
+    keys = sorted({k for cs in corners for k in cs})
     key_index = {k: i for i, k in enumerate(keys)}
+    face_vertices = tuple(tuple(map(key_index.__getitem__, cs)) for cs in corners)
 
-    face_vertices = tuple(tuple(key_index[k] for k in cell_corners(c)) for c in cell_list)
-    face_edge_keys = [_cell_edges(corners) for corners in face_vertices]
-    edges = sorted({e for fe in face_edge_keys for e in fe})
-    edge_index = {e: i for i, e in enumerate(edges)}
-
+    # a cell's corners 3, 2, 4, 1, 5, 0 have ascending keys, so ascending ids:
+    # each edge is its pair (u, v), u < v, coded as u * n + v, which sorts as the pair does
     n = len(keys)
-    bounded_faces = len(edges) - n + 1
+    face_codes = [
+        (b * n + a, c * n + b, d * n + c, d * n + e, e * n + f, f * n + a)
+        for a, b, c, d, e, f in face_vertices
+    ]
+    codes = sorted({k for fc in face_codes for k in fc})
+    bounded_faces = len(codes) - n + 1
     if bounded_faces != len(cell_list):
         raise HasHole(
             f"{bounded_faces} bounded faces for {len(cell_list)} cells; "
             "the cell set encloses a hole"
         )
 
+    edge_index = {k: i for i, k in enumerate(codes)}
     color = tuple(BLACK if y % 3 == 2 else WHITE for _, y in keys)
-    graph = Graph(n=n, edges=tuple(edges), color=color)
-    face_edges = tuple(tuple(edge_index[e] for e in fe) for fe in face_edge_keys)
     return HexSystem(
         cells=cell_list,
-        graph=graph,
+        graph=Graph(n=n, edges=tuple(divmod(k, n) for k in codes), color=color),
         vertex_keys=tuple(keys),
         face_vertices=face_vertices,
-        face_edges=face_edges,
+        face_edges=tuple(tuple(map(edge_index.__getitem__, fc)) for fc in face_codes),
     )
 
 
@@ -414,8 +405,14 @@ def fries_numbers(h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP) -> Fr
 
 
 def is_all_kink_catahex(h: HexSystem) -> bool:
-    """Catacondensed (tree inner dual) with no cell fused along parallel edges."""
-    if not _is_tree(inner_dual(h)):
+    """Catacondensed (tree inner dual) with no cell fused along parallel edges.
+
+    Adjacent cells share one edge, so the inner dual of c cells and m edges
+    has 6c − m edges.  It is connected, as build_hex_system, the only maker of
+    a HexSystem, rejects disconnected cell sets; so it is a tree exactly when
+    6c − m = c − 1, that is m = 5c + 1.
+    """
+    if h.graph.m != 5 * h.n_cells + 1:
         return False
     # a cell fused on two opposite edges has neighbours at offsets d and -d
     cellset = set(h.cells)
@@ -427,27 +424,33 @@ def is_all_kink_catahex(h: HexSystem) -> bool:
 
 
 def _row_params(cells: Iterable[Cell]) -> tuple[int, ...] | None:
-    """Row sizes if the cells form contiguous right-aligned descending rows."""
-    rows: dict[int, list[int]] = {}
-    for q, r in cells:
-        rows.setdefault(r, []).append(q)
-    rs = sorted(rows)
-    if rs != list(range(rs[0], rs[0] + len(rs))):
-        return None
-    sizes = []
-    right_end = None
-    for r in rs:
-        qs = sorted(rows[r])
-        if qs != list(range(qs[0], qs[0] + len(qs))):
-            return None
-        if right_end is None:
-            right_end = qs[-1]
-        elif qs[-1] != right_end:
-            return None
-        sizes.append(len(qs))
-    if any(a < b for a, b in zip(sizes, sizes[1:])):
+    """Row sizes if the cells form contiguous right-aligned descending rows.
+
+    One pass over the cells sorted by (r, q), ended by the first break.  Rows
+    that end where the first does descend when no left end moves left.
+    """
+    sizes: list[int] = []
+    prev_r = prev_q = left = right = None
+    for r, q in sorted((r, q) for q, r in cells):
+        if r == prev_r:
+            if q != prev_q + 1:
+                return None
+            sizes[-1] += 1
+        else:
+            if prev_r is not None:
+                right = prev_q if right is None else right
+                if r != prev_r + 1 or q < left or prev_q != right:
+                    return None
+            left = q
+            sizes.append(1)
+        prev_r, prev_q = r, q
+    if right is not None and prev_q != right:
         return None
     return tuple(sizes)
+
+
+# transform_cell is linear in (q, r): each symmetry as its 2×2 map, the images of (1, 0), (0, 1)
+_SYMMETRY_MAPS = tuple((transform_cell((1, 0), s), transform_cell((0, 1), s)) for s in range(12))
 
 
 def is_truncated_parallelogram(h: HexSystem) -> tuple[bool, tuple[int, ...] | None]:
@@ -458,8 +461,8 @@ def is_truncated_parallelogram(h: HexSystem) -> tuple[bool, tuple[int, ...] | No
     greatest one is returned as the canonical parameter tuple.
     """
     readings = []
-    for sym in range(12):
-        params = _row_params(transform_cell(c, sym) for c in h.cells)
+    for (a, b), (c, d) in _SYMMETRY_MAPS:
+        params = _row_params([(a * q + c * r, b * q + d * r) for q, r in h.cells])
         if params is not None:
             readings.append(params)
     if not readings:

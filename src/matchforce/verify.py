@@ -27,6 +27,7 @@ from .graphs import (
     DEFAULT_MATCHING_CAP,
     FIXED_SINGLE,
     Graph,
+    edge_mask,
     enumerate_alternating_cycles,  # noqa: F401  (perfbench traces it in every namespace)
     enumerate_perfect_matchings,
 )
@@ -442,9 +443,11 @@ def _suite_lem19(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     corpus += preset_corpus()
 
     def problem(h: HexSystem, p: Profile) -> str:
+        masks = [edge_mask(m.edge_ids) for m in p.pms]
         bad = []
         for cut in parallel_cuts(h):
-            values = {len(set(cut).intersection(m.edge_ids)) for m in p.pms}
+            cut_mask = edge_mask(cut)
+            values = {(cut_mask & mask).bit_count() for mask in masks}
             if len(values) != 1:
                 bad.append(f"cut {cut}: counts {sorted(values)}")
         return "; ".join(bad)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from matchforce import graphs
+from matchforce import antiforcing, graphs
 from matchforce.antiforcing import (
     anti_forcing_edges,
     antiforcing_number,
@@ -186,6 +186,30 @@ def test_anti_forcing_edges_match_the_definition():
         found += len(expected)
     assert sum(g.color is None for g in cases) >= 20 and found > 500
     assert sum(len(anti_forcing_edges(g)) for g in cases if g.color is None) >= 15
+
+
+def test_anti_forcing_edges_ask_only_about_the_union_of_two_matchings(monkeypatch):
+    # two perfect matchings that avoid e both survive in g − e, so only the
+    # edges of the first two can be anti-forcing; with fewer, every edge is asked
+    asked = []
+
+    def recording(g, without=()):
+        asked.extend(without)
+        return graphs._unique_matching(g, without)
+
+    monkeypatch.setattr(antiforcing, "_unique_matching", recording)
+    skipped = 0
+    for g in _edge_deletion_corpus():
+        asked.clear()
+        first_two = list(itertools.islice(_iter_perfect_matchings(g), 2))
+        anti_forcing_edges(g)
+        if len(first_two) == 2:
+            union = sorted(set(first_two[0]) | set(first_two[1]))
+            assert asked == union, g
+            skipped += g.m - len(union)
+        else:
+            assert asked == list(range(g.m)), g
+    assert skipped > 1000
 
 
 def test_anti_forcing_edges_match_deletion_on_the_benchmark_instances(monkeypatch):

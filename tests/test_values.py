@@ -11,6 +11,8 @@ build without the cyclic garbage collector.
 
 import ast
 import gc
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -303,3 +305,39 @@ def test_directed_cycle_enumeration_frees_its_cycles_without_gc():
 def test_exact_searches_free_their_closures_without_gc(solve):
     solve()
     assert _held(solve, exact) == 0
+
+
+_COLD_RUN = """
+import gc, sys, weakref
+sys.path.insert(0, sys.argv[1])
+from workloads import clear_caches
+from matchforce import verify
+from matchforce.hexsys import HexSystem
+from matchforce.report import Profile
+
+def run_all():
+    for suite in verify.SUITE_IDS:
+        assert verify.run_suite(suite, max_cells=3).ok, suite
+
+run_all()
+gc.collect()
+first = [weakref.ref(o) for o in gc.get_objects() if isinstance(o, (HexSystem, Profile))]
+clear_caches()
+run_all()
+gc.collect()
+print(len(first), sum(ref() is not None for ref in first))
+"""
+
+
+def test_clearing_the_caches_frees_every_system_and_profile():
+    # The benchmark's cold pass empties the package's functools caches; a cache
+    # kept anywhere else would carry one run's systems and profiles into the
+    # next.  A fresh interpreter holds no object of another test.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_RUN, str(perfbench)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    seen, survived = map(int, done.stdout.split())
+    assert seen > 20 and survived == 0
