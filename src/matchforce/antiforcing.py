@@ -61,13 +61,9 @@ def max_compatible_alternating_set(
     return size, CycleFamily(tuple(cycles[i] for i in picked), COMPATIBLE)
 
 
-def antiforcing_spectrum(
-    g: Graph,
-    max_matchings: int = DEFAULT_MATCHING_CAP,
-    max_cycles: int = DEFAULT_CYCLE_CAP,
-) -> Spectrum:
+def antiforcing_spectrum(g: Graph, max_matchings: int = DEFAULT_MATCHING_CAP) -> Spectrum:
     """af per perfect matching; min is af(G), max is Af(G)."""
-    return value_spectrum("af", g, max_matchings, max_cycles)
+    return value_spectrum("af", g, max_matchings)
 
 
 def anti_forcing_edges(g: Graph) -> tuple[int, ...]:

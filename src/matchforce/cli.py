@@ -19,7 +19,7 @@ from .generators import (
     glue_preset,
     enumerate_hex_systems,
 )
-from .graphs import DEFAULT_CYCLE_CAP, DEFAULT_MATCHING_CAP
+from .graphs import DEFAULT_MATCHING_CAP
 from .io import serialize_hex, serialize_instance
 from .hexsys import HexSystem
 from .report import REGISTRY, compute_report, dumps_report
@@ -80,13 +80,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_compute.add_argument("--out", help="write the report here instead of stdout")
     p_compute.add_argument("--max-matchings", type=_count, default=DEFAULT_MATCHING_CAP)
-    p_compute.add_argument("--max-cycles", type=_count, default=DEFAULT_CYCLE_CAP)
 
     p_verify = sub.add_parser("verify", help="run one verification suite")
     p_verify.add_argument("--suite", required=True, choices=SUITE_IDS)
     p_verify.add_argument("--max-cells", type=_count, default=None)
     p_verify.add_argument("--max-matchings", type=_count, default=DEFAULT_MATCHING_CAP)
-    p_verify.add_argument("--max-cycles", type=_count, default=DEFAULT_CYCLE_CAP)
     p_verify.add_argument("--out", help="also write the check results as JSON")
 
     p_gen = sub.add_parser("generate", help="write instance files")
@@ -100,12 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compute(args) -> int:
     invariants = [s for s in args.inv.split(",") if s]
-    report = compute_report(
-        args.infile,
-        invariants,
-        max_matchings=args.max_matchings,
-        max_cycles=args.max_cycles,
-    )
+    report = compute_report(args.infile, invariants, max_matchings=args.max_matchings)
     text = dumps_report(report)
     if args.out:
         Path(args.out).write_text(text)
@@ -115,12 +108,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    result = run_suite(
-        args.suite,
-        max_cells=args.max_cells,
-        max_matchings=args.max_matchings,
-        max_cycles=args.max_cycles,
-    )
+    result = run_suite(args.suite, max_cells=args.max_cells, max_matchings=args.max_matchings)
     for check in result.checks:
         if check.ok:
             print(f"ok   {check.instance}")

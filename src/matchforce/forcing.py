@@ -139,7 +139,7 @@ VALUE_OF = {
 
 
 def matching_values(
-    g: Graph, pms: Sequence[Matching], families: Iterable[str], max_cycles: int
+    g: Graph, pms: Sequence[Matching], families: Iterable[str]
 ) -> dict[str, tuple[int, ...]]:
     """Each named VALUE_OF family's value of every matching in pms, in order.
 
@@ -148,25 +148,21 @@ def matching_values(
     before the next matching's are built, so only the values are kept.
     """
     columns: dict[str, list[int]] = {f: [] for f in families}
-    for m, masks in zip(pms, all_alternating_cycle_masks(g, pms, max_cycles)):
+    for m, masks in zip(pms, all_alternating_cycle_masks(g, pms)):
         side = edge_mask(m.edge_ids)
         for f, column in columns.items():
             column.append(VALUE_OF[f](side, masks))
     return {f: tuple(column) for f, column in columns.items()}
 
 
-def forcing_spectrum(
-    g: Graph,
-    max_matchings: int = DEFAULT_MATCHING_CAP,
-    max_cycles: int = DEFAULT_CYCLE_CAP,
-) -> Spectrum:
+def forcing_spectrum(g: Graph, max_matchings: int = DEFAULT_MATCHING_CAP) -> Spectrum:
     """f per perfect matching; min is f(G), max is F(G)."""
-    return value_spectrum("f", g, max_matchings, max_cycles)
+    return value_spectrum("f", g, max_matchings)
 
 
-def value_spectrum(family: str, g: Graph, max_matchings: int, max_cycles: int) -> Spectrum:
+def value_spectrum(family: str, g: Graph, max_matchings: int) -> Spectrum:
     """The VALUE_OF family's value of every perfect matching of g, in canonical order."""
     pms = enumerate_perfect_matchings(g, max_matchings)
     if not pms:
         raise NoPerfectMatching("graph has no perfect matching")
-    return Spectrum(matching_values(g, pms, (family,), max_cycles)[family])
+    return Spectrum(matching_values(g, pms, (family,))[family])

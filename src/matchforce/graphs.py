@@ -238,10 +238,11 @@ def build_graph(
 def matching_partner(g: Graph, m: Matching) -> list[int]:
     """partner[v] for a perfect matching; raises NotPerfect otherwise."""
     partner = [-1] * g.n
+    edges, size = g.edges, g.m
     for eid in m.edge_ids:
-        if eid < 0 or eid >= g.m:
+        if eid < 0 or eid >= size:
             raise NotPerfect(f"edge id {eid} not in graph")
-        u, v = g.edges[eid]
+        u, v = edges[eid]
         if partner[u] != -1 or partner[v] != -1:
             raise NotPerfect(f"edge {eid} overlaps another matching edge")
         partner[u] = v
@@ -569,9 +570,7 @@ def alternating_cycle_masks(
     return tuple(mask for _, mask in _alternating_walk(g, m, max_cycles)[1])
 
 
-def all_alternating_cycle_masks(
-    g: Graph, pms: Sequence[Matching], max_cycles: int = DEFAULT_CYCLE_CAP
-) -> Iterator[tuple[int, ...]]:
+def all_alternating_cycle_masks(g: Graph, pms: Sequence[Matching]) -> Iterator[tuple[int, ...]]:
     """Each matching's alternating-cycle masks, in order; `pms` lists every perfect matching of g.
 
     For an M-alternating cycle C, M ⊕ C is a perfect matching M'; and the
@@ -603,8 +602,9 @@ def all_alternating_cycle_masks(
     is at least 0.41 on every perfbench compute-replay instance and at least
     0.23 on the 512 instances that verify's suites solve at 5 cells.
 
-    LimitExceeded once a matching has more than max_cycles alternating
-    cycles, with alternating_cycle_masks's message.
+    There is no cycle cap: by that bijection a row holds at most K − 1
+    masks, so the `max_matchings` that bounds the listing bounds them too.
+    The kernel route passes K as the kernel's cap, which it never reaches.
     """
     k = len(pms)
     masks = [edge_mask(m.edge_ids) for m in pms]
@@ -627,18 +627,15 @@ def all_alternating_cycle_masks(
             row |= 1 << j
             cycles[j] |= 1 << i
         cycles[i] = 0
-        found = row.bit_count()
-        if found > max_cycles:
-            raise LimitExceeded(f"more than {max_cycles} alternating cycles")
         out = []
         while row:
             low = row & -row
             out.append(mi ^ masks[low.bit_length() - 1])
             row ^= low
         yield tuple(out)
-        if i == 0 and 16 * found < k - 1:
+        if i == 0 and 16 * len(out) < k - 1:
             for m in pms[1:]:
-                yield alternating_cycle_masks(g, m, max_cycles)
+                yield alternating_cycle_masks(g, m, k)
             return
 
 

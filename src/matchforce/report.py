@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
@@ -28,7 +27,6 @@ from .errors import (
 )
 from .forcing import Spectrum, forcing_number, is_forcing_set, matching_values
 from .graphs import (
-    DEFAULT_CYCLE_CAP,
     DEFAULT_MATCHING_CAP,
     Graph,
     Matching,
@@ -67,14 +65,6 @@ _PER_MATCHING = {
 }
 
 
-@dataclass(frozen=True)
-class Caps:
-    """LimitExceeded past this many perfect matchings, or cycles of one matching."""
-
-    max_matchings: int = DEFAULT_MATCHING_CAP
-    max_cycles: int = DEFAULT_CYCLE_CAP
-
-
 class Profile:
     """The per-instance facts that every invariant and identity is read from.
 
@@ -88,6 +78,14 @@ class Profile:
     comes from each matching's contraction (orient_and_contract), never
     from its alternating cycles, so thm9's third equality stays a check.
 
+    `max_matchings` is the one cap: LimitExceeded past that many perfect
+    matchings.  It bounds each matching's alternating cycles too, since each
+    M-alternating cycle C gives its own perfect matching M ⊕ C, so a matching
+    has fewer cycles than there are matchings.  Where a single-matching
+    solver meets a listed matching (`feedback`, on a contraction whose
+    directed cycles are the alternating cycles one to one, and a report's f
+    or af witness), its cycle cap is the number of matchings, never reached.
+
     Reports never read `resonant` or `clar`: pm_count is the frontier count
     (count_perfect_matchings) on every instance, and on a hexagonal system
     clar and fries come from the resonance sweep (clar_number,
@@ -98,16 +96,16 @@ class Profile:
     instead made a cold run of all 13 suites at 5 cells about 13 % slower.
     """
 
-    def __init__(self, obj: Graph | HexSystem, caps: Caps) -> None:
+    def __init__(self, obj: Graph | HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP) -> None:
         self.obj = obj
         self.graph = obj.graph if isinstance(obj, HexSystem) else obj
-        self.caps = caps
+        self.max_matchings = max_matchings
         self._values: dict[str, tuple[int, ...]] = {}
 
     @cached_property
     def pms(self) -> tuple[Matching, ...]:
         """Every perfect matching in canonical order, possibly none."""
-        return enumerate_perfect_matchings(self.graph, self.caps.max_matchings)
+        return enumerate_perfect_matchings(self.graph, self.max_matchings)
 
     @property
     def matchings(self) -> tuple[Matching, ...]:
@@ -139,16 +137,14 @@ class Profile:
     @cached_property
     def feedback(self) -> tuple[int, ...]:
         """Each matching's minimum feedback arc set size on its contraction, in matching order."""
-        g, cap = self.graph, self.caps.max_cycles
+        g, cap = self.graph, len(self.pms)
         return tuple(feedback_value(orient_and_contract(g, m), cap) for m in self.pms)
 
     def values(self, families: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
         """Per-matching values of each named forcing.VALUE_OF family, in matching order."""
         missing = [f for f in families if f not in self._values]
         if missing:
-            self._values.update(
-                matching_values(self.graph, self.matchings, missing, self.caps.max_cycles)
-            )
+            self._values.update(matching_values(self.graph, self.matchings, missing))
         return self._values
 
 
@@ -172,27 +168,27 @@ def _per_matching(family: str, extreme: Callable | None) -> Callable[[Profile, A
         m = p.matchings[values.index(value)]
         return value, lambda: {
             "matching": list(m.edge_ids),
-            "edge_set": list(number_fn(p.graph, m, p.caps.max_cycles)[1]),
+            "edge_set": list(number_fn(p.graph, m, len(p.pms))[1]),
         }
 
     return invariant
 
 
 def _inv_pm_count(p: Profile, names):
-    return count_perfect_matchings(p.graph, p.caps.max_matchings), None
+    return count_perfect_matchings(p.graph, p.max_matchings), None
 
 
 def _inv_clar(p: Profile, names):
     if not isinstance(p.obj, HexSystem):
         raise InapplicableInvariant("clar needs a hexagonal system")
-    value, (m, cells) = clar_number(p.obj, p.caps.max_matchings)
+    value, (m, cells) = clar_number(p.obj, p.max_matchings)
     return value, lambda: {"matching": list(m.edge_ids), "hexagons": [list(c) for c in cells]}
 
 
 def _inv_fries(p: Profile, names):
     if not isinstance(p.obj, HexSystem):
         raise InapplicableInvariant("fries needs a hexagonal system")
-    fr = fries_numbers(p.obj, p.caps.max_matchings)
+    fr = fries_numbers(p.obj, p.max_matchings)
     return {"max": fr.maximum, "min": fr.minimum}, lambda: {
         "max_matching": list(fr.max_witness[0].edge_ids),
         "max_hexagons": [list(c) for c in fr.max_witness[1]],
@@ -220,11 +216,10 @@ def compute_report(
     path: str | Path,
     invariants: list[str],
     max_matchings: int = DEFAULT_MATCHING_CAP,
-    max_cycles: int = DEFAULT_CYCLE_CAP,
 ) -> dict[str, Any]:
     kind, obj = load_instance(path)
     # a fresh profile per call: nothing is reused across calls or kept after one
-    profile = Profile(obj, Caps(max_matchings, max_cycles))
+    profile = Profile(obj, max_matchings)
     canonical = serialize_instance(obj)
     entries = []
     for name in invariants:
@@ -329,7 +324,7 @@ def replay(report: dict[str, Any], path: str | Path) -> list[str]:
         problems.append("malformed instance record")
     elif digest != instance["sha256"]:
         problems.append("instance hash differs from the report")
-    profile = Profile(obj, Caps())
+    profile = Profile(obj)
     entries = report.get("invariants")
     if not isinstance(entries, list):
         problems.append("malformed invariant list")

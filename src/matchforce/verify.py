@@ -23,7 +23,6 @@ from .generators import (
     glue_preset,
 )
 from .graphs import (
-    DEFAULT_CYCLE_CAP,
     DEFAULT_MATCHING_CAP,
     FIXED_SINGLE,
     Graph,
@@ -41,7 +40,7 @@ from .hexsys import (
     parallel_cuts,
     tree_independent_domination,
 )
-from .report import Caps, Profile
+from .report import Profile
 
 
 @dataclass(frozen=True)
@@ -122,33 +121,36 @@ def named_corpus() -> list[tuple[str, Graph | HexSystem]]:
 # ------------------------------------------------------- cached profiles
 
 @lru_cache(maxsize=None)
-def _profile(obj: Graph | HexSystem, caps: Caps) -> Profile:
+def _profile(obj: Graph | HexSystem, max_matchings: int) -> Profile:
     """The one profile of an instance, shared by every suite that reads it.
 
-    thm3 and thm11 read the f and af values thm5 filled in.  The cache is not
-    bounded: an entry holds only the instance's matchings, ints and edge
-    labels, never its cycles; the corpora are capped by MAX_ENUMERATED_CELLS;
-    and the benchmark and the tests clear it wherever a run has to start cold.
+    It is keyed by the instance and the one cap, max_matchings, which also
+    bounds every matching's alternating cycles: each cycle C of M gives its
+    own perfect matching M ⊕ C.  thm3 and thm11 read the f and af values
+    thm5 filled in.  The cache is not bounded: an entry holds only the
+    instance's matchings, ints and edge labels, never its cycles; the
+    corpora are capped by MAX_ENUMERATED_CELLS; and the benchmark and the
+    tests clear it wherever a run has to start cold.
     """
-    return Profile(obj, caps)
+    return Profile(obj, max_matchings)
 
 
 # ------------------------------------------------------------ the suites
 
-def _checks(corpus, caps: Caps, problem, keep=lambda obj: True) -> list[CheckResult]:
+def _checks(corpus, max_matchings: int, problem, keep=lambda obj: True) -> list[CheckResult]:
     """One check per kept instance with a perfect matching; problem(obj, p) is "" when it holds.
 
     keep is asked first, so an instance it drops has no matchings enumerated.
     """
     checks = []
     for name, obj in corpus:
-        if keep(obj) and (p := _profile(obj, caps)).pms:
+        if keep(obj) and (p := _profile(obj, max_matchings)).pms:
             detail = problem(obj, p)
             checks.append(CheckResult(name, not detail, detail))
     return checks
 
 
-def _pair_checks(corpus, caps: Caps, families, shown: str, holds) -> list[CheckResult]:
+def _pair_checks(corpus, max_matchings: int, families, shown: str, holds) -> list[CheckResult]:
     """One check per instance with a matching: holds(g, a, b) on each matching's two values."""
 
     def problem(obj, p: Profile) -> str:
@@ -159,32 +161,34 @@ def _pair_checks(corpus, caps: Caps, families, shown: str, holds) -> list[CheckR
             if not holds(p.graph, a, b)
         )
 
-    return _checks(corpus, caps, problem)
+    return _checks(corpus, max_matchings, problem)
 
 
-def _polyhex_checks(max_cells, caps: Caps, problem, keep=lambda h: True) -> list[CheckResult]:
+def _polyhex_checks(max_cells, max_matchings, problem, keep=lambda h: True) -> list[CheckResult]:
     mc = max_cells if max_cells is not None else MAX_ENUMERATED_CELLS
-    return _checks(polyhex_corpus(mc), caps, problem, keep)
+    return _checks(polyhex_corpus(mc), max_matchings, problem, keep)
 
 
-def _suite_thm2(max_cells: int | None, caps: Caps) -> list[CheckResult]:
+def _suite_thm2(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
     """f(G,M) equals the maximum disjoint cycle packing (bipartite planar)."""
     mc = max_cells if max_cells is not None else 8
     corpus: list[tuple[str, Graph | HexSystem]] = []
     corpus += polyhex_corpus(mc)
     corpus += tp_corpus(min(mc, 8))
     corpus += [(n, g) for n, g in named_corpus() if n in ("named-C4", "named-C6")]
-    return _pair_checks(corpus, caps, ("f", "disjoint"), "f={} c={}", lambda g, f, c: f == c)
+    return _pair_checks(
+        corpus, max_matchings, ("f", "disjoint"), "f={} c={}", lambda g, f, c: f == c
+    )
 
 
-def _suite_thm3(max_cells: int | None, caps: Caps) -> list[CheckResult]:
+def _suite_thm3(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
     """Maximum forcing number equals the Clar number on hexagonal systems."""
 
     def problem(h: HexSystem, p: Profile) -> str:
         big_f, cl = max(p.values(("f",))["f"]), p.clar
         return "" if big_f == cl else f"F={big_f} cl={cl}"
 
-    return _polyhex_checks(max_cells, caps, problem)
+    return _polyhex_checks(max_cells, max_matchings, problem)
 
 
 def _sandwich_corpus(max_cells: int | None):
@@ -196,23 +200,23 @@ def _sandwich_corpus(max_cells: int | None):
     return corpus
 
 
-def _suite_thm5(max_cells: int | None, caps: Caps) -> list[CheckResult]:
+def _suite_thm5(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
     """f(G,M) <= af(G,M) <= (max degree - 1) * f(G,M) for every matching."""
     return _pair_checks(
-        _sandwich_corpus(max_cells), caps, ("f", "af"), "f={} af={}",
+        _sandwich_corpus(max_cells), max_matchings, ("f", "af"), "f={} af={}",
         lambda g, f, af: f <= af <= (g.max_degree - 1) * f,
     )
 
 
-def _suite_lem8(max_cells: int | None, caps: Caps) -> list[CheckResult]:
+def _suite_lem8(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
     """af(G,M) is at least the maximum compatible alternating set size."""
     return _pair_checks(
-        _sandwich_corpus(max_cells), caps, ("af", "compatible"), "af={} c'={}",
+        _sandwich_corpus(max_cells), max_matchings, ("af", "compatible"), "af={} c'={}",
         lambda g, af, cp: af >= cp,
     )
 
 
-def _suite_thm9(max_cells: int | None, caps: Caps) -> list[CheckResult]:
+def _suite_thm9(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
     """Minimax: af(G,M) = c'(M) = minimum feedback set of the contraction."""
     mc = max_cells if max_cells is not None else 12
     corpus: list[tuple[str, HexSystem]] = []
@@ -228,30 +232,30 @@ def _suite_thm9(max_cells: int | None, caps: Caps) -> list[CheckResult]:
             if not af == cp == fb
         )
 
-    return _checks(corpus, caps, problem)
+    return _checks(corpus, max_matchings, problem)
 
 
-def _suite_thm11(max_cells: int | None, caps: Caps) -> list[CheckResult]:
+def _suite_thm11(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
     """Maximum anti-forcing number equals the Fries number."""
 
     def problem(h: HexSystem, p: Profile) -> str:
         big_af, fries = max(p.values(("af",))["af"]), max(map(int.bit_count, p.resonant))
         return "" if big_af == fries else f"Af={big_af} Fries={fries}"
 
-    return _polyhex_checks(max_cells, caps, problem)
+    return _polyhex_checks(max_cells, max_matchings, problem)
 
 
-def _suite_cor12(max_cells: int | None, caps: Caps) -> list[CheckResult]:
+def _suite_cor12(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
     """cl(H) <= Fries(H) <= 2 cl(H)."""
 
     def problem(h: HexSystem, p: Profile) -> str:
         cl, fries = p.clar, max(map(int.bit_count, p.resonant))
         return "" if cl <= fries <= 2 * cl else f"cl={cl} Fries={fries}"
 
-    return _polyhex_checks(max_cells, caps, problem)
+    return _polyhex_checks(max_cells, max_matchings, problem)
 
 
-def _suite_thm13(max_cells: int | None, caps: Caps) -> list[CheckResult]:
+def _suite_thm13(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
     """Fries(H) = n exactly for all-kink catahexes; otherwise strictly below."""
 
     def problem(h: HexSystem, p: Profile) -> str:
@@ -259,7 +263,7 @@ def _suite_thm13(max_cells: int | None, caps: Caps) -> list[CheckResult]:
         ok = (fries == h.n_cells) == all_kink and fries <= h.n_cells
         return "" if ok else f"Fries={fries} n={h.n_cells} all-kink={all_kink}"
 
-    return _polyhex_checks(max_cells, caps, problem)
+    return _polyhex_checks(max_cells, max_matchings, problem)
 
 
 def _tree_matching_number(g: Graph) -> int:
@@ -290,14 +294,14 @@ def _independence_number(g: Graph) -> int:
     return best
 
 
-def _suite_thm14(max_cells: int | None, caps: Caps) -> list[CheckResult]:
+def _suite_thm14(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
     """All-kink catahex: Af = 2F exactly when the inner dual has a PM."""
 
     def problem(h: HexSystem, p: Profile) -> str:
         dual = inner_dual(h)
         v = p.values(("f", "af"))
         big_af, big_f = max(v["af"]), max(v["f"])
-        dual_pm = bool(enumerate_perfect_matchings(dual, caps.max_matchings))
+        dual_pm = bool(enumerate_perfect_matchings(dual, max_matchings))
         nu = _tree_matching_number(dual)
         alpha = _independence_number(dual)
         bad = []
@@ -309,7 +313,7 @@ def _suite_thm14(max_cells: int | None, caps: Caps) -> list[CheckResult]:
             bad.append(f"dual PM flag inconsistent with nu={nu}")
         return "; ".join(bad)
 
-    return _polyhex_checks(max_cells, caps, problem, keep=is_all_kink_catahex)
+    return _polyhex_checks(max_cells, max_matchings, problem, keep=is_all_kink_catahex)
 
 
 def _brute_independent_domination(g: Graph) -> int:
@@ -331,7 +335,7 @@ def _brute_independent_domination(g: Graph) -> int:
     return best
 
 
-def _suite_thm15(max_cells: int | None, caps: Caps) -> list[CheckResult]:
+def _suite_thm15(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
     """All-kink catahex: f(H) = i(inner dual) = minimum Fries count."""
 
     def problem(h: HexSystem, p: Profile) -> str:
@@ -357,7 +361,7 @@ def _suite_thm15(max_cells: int | None, caps: Caps) -> list[CheckResult]:
             bad.append("witness does not dominate at optimal size")
         return "; ".join(bad)
 
-    return _polyhex_checks(max_cells, caps, problem, keep=is_all_kink_catahex)
+    return _polyhex_checks(max_cells, max_matchings, problem, keep=is_all_kink_catahex)
 
 
 _THM16_EXTRAS: tuple[tuple[tuple[int, ...], int], ...] = (
@@ -382,13 +386,13 @@ def _af_is_one(h: HexSystem, p: Profile) -> bool:
     return bool(anti_forcing_edges(h.graph))
 
 
-def _suite_thm16(max_cells: int | None, caps: Caps) -> list[CheckResult]:
+def _suite_thm16(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
     """af(H) = 1 exactly for truncated parallelograms; plus edge-count goldens."""
     mc = max_cells if max_cells is not None else MAX_ENUMERATED_CELLS
     checks = []
     for name, h in polyhex_corpus(mc):
         is_tp, _ = is_truncated_parallelogram(h)
-        p = _profile(h, caps)
+        p = _profile(h, max_matchings)
         if not p.pms:
             detail = "recognized TP has no perfect matching" if is_tp else ""
         else:
@@ -415,14 +419,14 @@ _THM20_CONSTRUCTED: tuple[tuple[str, tuple[tuple[int, int], ...]], ...] = (
 )
 
 
-def _suite_thm20(max_cells: int | None, caps: Caps) -> list[CheckResult]:
+def _suite_thm20(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
     """With a fixed single edge: af = 2 iff exactly two normal components, both TPs."""
     mc = max_cells if max_cells is not None else MAX_ENUMERATED_CELLS
     corpus = list(polyhex_corpus(mc))
     corpus += [(name, build_hex_system(cells)) for name, cells in _THM20_CONSTRUCTED]
     checks = []
     for name, h in corpus:
-        p = _profile(h, caps)
+        p = _profile(h, max_matchings)
         if not p.pms or FIXED_SINGLE not in p.labels:
             continue
         af_min = min(p.values(("af",))["af"])
@@ -434,7 +438,7 @@ def _suite_thm20(max_cells: int | None, caps: Caps) -> list[CheckResult]:
     return checks
 
 
-def _suite_lem19(max_cells: int | None, caps: Caps) -> list[CheckResult]:
+def _suite_lem19(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
     """Every maximal parallel cut meets every perfect matching equally often."""
     mc = max_cells if max_cells is not None else MAX_ENUMERATED_CELLS
     corpus: list[tuple[str, HexSystem]] = []
@@ -452,7 +456,7 @@ def _suite_lem19(max_cells: int | None, caps: Caps) -> list[CheckResult]:
                 bad.append(f"cut {cut}: counts {sorted(values)}")
         return "; ".join(bad)
 
-    return _checks(corpus, caps, problem)
+    return _checks(corpus, max_matchings, problem)
 
 
 _SUITES = {
@@ -477,10 +481,8 @@ def run_suite(
     suite: str,
     max_cells: int | None = None,
     max_matchings: int = DEFAULT_MATCHING_CAP,
-    max_cycles: int = DEFAULT_CYCLE_CAP,
 ) -> SuiteResult:
     if suite not in _SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; have {', '.join(SUITE_IDS)}")
-    caps = Caps(max_matchings=max_matchings, max_cycles=max_cycles)
-    checks = _SUITES[suite](max_cells, caps)
+    checks = _SUITES[suite](max_cells, max_matchings)
     return SuiteResult(suite, tuple(checks))

@@ -708,15 +708,20 @@ def _assert_derived_masks_match_the_kernel(g):
     return pms, rows
 
 
-def test_cycles_read_off_pairs_of_matchings_match_the_kernel(monkeypatch):
+def _derivation_corpus():
+    """Polyhexes to 5 cells, TPs to 6, the presets, the named graphs and random regular graphs."""
     cases = [h.graph for n in range(1, 6) for h in enumerate_hex_systems(n)]
     cases += [gen_truncated_parallelogram(p).graph for p in _tp_params(6)]
     cases += [glue_preset(k).graph for k in (1, 2, 3, 4)]
     for name in ("triphenylene", "dodecahedron", "C4", "C6"):
         obj = gen_named(name)
         cases.append(getattr(obj, "graph", obj))
-    regular = _random_regular_graphs(24, seed=11)
-    cases += regular
+    return cases + _random_regular_graphs(24, seed=11)
+
+
+def test_cycles_read_off_pairs_of_matchings_match_the_kernel(monkeypatch):
+    cases = _derivation_corpus()
+    regular = cases[-24:]
     kernel_calls = _kernel_calls(monkeypatch)
     cycles = 0
     for g in cases:
@@ -756,17 +761,37 @@ def test_cycles_read_off_one_or_two_matchings(g, sizes):
     "g", [gen_named("dodecahedron"), _two_copies(_zigzag(6).graph)], ids=["pairs", "kernel"]
 )
 def test_cycle_cap_is_the_kernels_on_both_routes(g):
+    # the derivation takes no cap: its rows are bounded by the listed
+    # matchings (test_each_alternating_cycle_gives_its_own_listed_matching)
     pms = enumerate_perfect_matchings(g)
     counts = [len(alternating_cycle_masks(g, m)) for m in pms]
     most = max(counts)
     widest = pms[counts.index(most)]
     with pytest.raises(LimitExceeded) as kernel:
         alternating_cycle_masks(g, widest, most - 1)
-    with pytest.raises(LimitExceeded) as derived:
-        list(all_alternating_cycle_masks(g, pms, most - 1))
-    assert str(derived.value) == str(kernel.value) == f"more than {most - 1} alternating cycles"
+    assert str(kernel.value) == f"more than {most - 1} alternating cycles"
     assert len(alternating_cycle_masks(g, widest, most)) == most
-    assert max(map(len, all_alternating_cycle_masks(g, pms, most))) == most
+    assert max(map(len, all_alternating_cycle_masks(g, pms))) == most
+
+
+def test_each_alternating_cycle_gives_its_own_listed_matching():
+    # M ⊕ C is a perfect matching for each M-alternating cycle C, a different
+    # one per cycle, so a row has fewer than K masks on either route; on
+    # bipartite input the contraction's directed cycles are as many
+    rows_seen = contracted = 0
+    for g in _derivation_corpus() + [_two_copies(_zigzag(6).graph)]:
+        pms = enumerate_perfect_matchings(g)
+        listed = {edge_mask(m.edge_ids) for m in pms}
+        for m, row in zip(pms, all_alternating_cycle_masks(g, pms)):
+            mask = edge_mask(m.edge_ids)
+            assert len(row) < len(pms)
+            others = {mask ^ c for c in row}
+            assert len(others) == len(row) and mask not in others and others <= listed
+            if g.color is not None:
+                assert len(directed_cycle_masks(orient_and_contract(g, m))) == len(row)
+                contracted += 1
+            rows_seen += 1
+    assert rows_seen > 2_000 and contracted > 1_000
 
 
 def test_long_chain_cycles_without_recursion():

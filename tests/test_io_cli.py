@@ -414,10 +414,10 @@ def test_cli_compute_names_a_parse_error(tmp_path, capsys, name, text, message):
     "args",
     [
         ("compute", "--inv", "pm_count", "--max-matchings", "-5"),
-        ("compute", "--inv", "f", "--max-cycles", "-1"),
+        ("compute", "--inv", "f", "--max-matchings", "-1"),
         ("verify", "--suite", "thm2", "--max-cells", "-3"),
         ("verify", "--suite", "thm2", "--max-matchings", "-1"),
-        ("verify", "--suite", "thm2", "--max-cycles", "-1"),
+        ("verify", "--suite", "thm9", "--max-matchings", "-1"),
     ],
 )
 def test_cli_rejects_negative_caps_and_cell_counts(tmp_path, capsys, args):
@@ -429,6 +429,17 @@ def test_cli_rejects_negative_caps_and_cell_counts(tmp_path, capsys, args):
     assert code == 2
     assert out == ""
     assert "must not be negative" in err
+
+
+def test_cli_has_no_cycle_cap(tmp_path, capsys):
+    # max_matchings bounds every matching's alternating cycles, so there is
+    # no second cap to set
+    gp = tmp_path / "c6.graph"
+    gp.write_text(serialize_graph(gen_named("C6")))
+    for args in (("compute", "--in", str(gp), "--inv", "f"), ("verify", "--suite", "thm2")):
+        code, out, err = run_cli(capsys, *args, "--max-cycles", "5")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --max-cycles 5\n")
 
 
 def test_cli_takes_zero_caps_as_caps(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Property tests over randomly generated instances."""
 
-from itertools import islice
+import tempfile
+from itertools import combinations, islice
+from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 
 from matchforce.antiforcing import antiforcing_number
-from matchforce.errors import ParseError
+from matchforce.errors import MatchforceError, ParseError
 from matchforce.forcing import forcing_number
 from matchforce.graphs import (
     build_graph,
@@ -16,8 +18,16 @@ from matchforce.graphs import (
     orient_and_contract,
     _iter_perfect_matchings,
 )
-from matchforce.hexsys import tree_independent_domination
-from matchforce.io import parse_graph, parse_hex, serialize_graph, serialize_hex
+from matchforce.generators import enumerate_hex_systems
+from matchforce.hexsys import HexSystem, tree_independent_domination
+from matchforce.io import (
+    parse_graph,
+    parse_hex,
+    serialize_graph,
+    serialize_hex,
+    serialize_instance,
+)
+from matchforce.report import REGISTRY, compute_report, replay
 
 
 @st.composite
@@ -203,3 +213,32 @@ def test_parsers_raise_nothing_but_parse_errors(text):
             parse(text)
         except ParseError:
             pass
+
+
+@st.composite
+def small_graph(draw):
+    """Any simple graph on at most 10 vertices, with at most 20 edges."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=20, unique=True)) if pairs else []
+    return build_graph(n, edges)
+
+
+_SMALL_POLYHEXES = [h for n in range(1, 5) for h in enumerate_hex_systems(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(small_graph(), st.sampled_from(_SMALL_POLYHEXES)),
+    st.lists(st.sampled_from(sorted(REGISTRY) + ["nonesuch"]), min_size=1, max_size=4),
+    st.sampled_from([0, 1, 2, 5, 10**6]),
+)
+def test_compute_report_gives_a_report_that_replays_or_a_typed_error(obj, invariants, cap):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / ("instance.hex" if isinstance(obj, HexSystem) else "instance.graph")
+        path.write_text(serialize_instance(obj))
+        try:
+            report = compute_report(path, invariants, max_matchings=cap)
+        except MatchforceError:
+            return
+        assert replay(report, path) == []

@@ -35,7 +35,7 @@ from matchforce.hexsys import (
     fries_numbers,
 )
 from matchforce.io import serialize_hex
-from matchforce.report import Caps, Profile, compute_report
+from matchforce.report import Profile, compute_report
 from matchforce.verify import polyhex_corpus, preset_corpus, tp_corpus
 from test_hexsys import _hexagon
 
@@ -147,7 +147,7 @@ def test_the_profile_read_off_equals_the_sweep():
     for h in (h for n in range(1, 6) for h in enumerate_hex_systems(n)):
         if not count_perfect_matchings(h.graph):
             continue
-        p = Profile(h, Caps())
+        p = Profile(h)
         fries = fries_numbers(h)
         assert p.clar == clar_number(h)[0], h.cells
         counts = [mask.bit_count() for mask in p.resonant]

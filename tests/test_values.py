@@ -42,7 +42,7 @@ from matchforce.hexsys import (
     is_all_kink_catahex,
 )
 from matchforce.io import serialize_instance
-from matchforce.report import Caps, compute_report
+from matchforce.report import compute_report
 
 SOLVER_OF = {
     "f": forcing_number,
@@ -190,7 +190,8 @@ def test_resonance_is_tested_only_where_it_is_read(monkeypatch, tmp_path):
         compute_report(path, ["f", "af"])
         assert not hexagon_calls
         assert verify.run_suite("thm3", max_cells=4).ok
-        profiles = [verify._profile(h, Caps()) for _, h in verify.polyhex_corpus(4)]
+        cap = graphs.DEFAULT_MATCHING_CAP
+        profiles = [verify._profile(h, cap) for _, h in verify.polyhex_corpus(4)]
         assert hexagon_calls == [(p.obj, m) for p in profiles for m in p.pms]
         del hexagon_calls[:]
         assert verify.run_suite("cor12", max_cells=4).ok
