@@ -8,24 +8,29 @@ limit and no function here calls itself.
 
 - Hitting set: `_hit_search` asks whether a budget of k elements can hit
   every set, branching on the elements of a smallest unhit set and pruning
-  where a greedy packing of pairwise disjoint sets exceeds the budget.  The
+  where a greedy packing of pairwise disjoint sets exceeds the budget; it
+  settles budgets 1 and 2 by set intersection, without branching.  The
   optimum counts up from that packing bound, the natural lower bound of the
   minimax between hitting sets and disjoint packings, on the family reduced
   once; `_hit_feasible` masks and reduces a family for the witness rebuild.
 - Independent set: `_independent_feasible` picks k items, or None when no
   k fit.  A greedy pick answers at once when it reaches k; otherwise the
-  search branches on the lowest item, taking it first, and prunes with a
-  greedy clique cover.  The optimum counts down from that cover bound.
+  search branches on the lowest item, taking it first, prunes with a greedy
+  clique cover, and takes the lowest item outright when one is left to
+  pick.  The optimum counts down from that cover bound.
 
 Both witnesses are the lexicographically least optimal ones, so repeated
 runs give identical output.  The independent-set witness is the first pick
-found at the optimum; the hitting-set witness is rebuilt element by element
-with `_hit_feasible`, since its search branches on a smallest unhit set and
-need not find the least hitting set first.
+found at the optimum, which the outright last pick leaves as it was.  The
+hitting-set search only answers yes or no, and need not meet the least
+hitting set first, so its witness is rebuilt element by element with
+`_hit_feasible`, skipping elements that no unhit set holds.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
 from typing import Iterable, Sequence
 
 
@@ -69,18 +74,35 @@ def _hit_feasible(sets: list[int], allowed: int, budget: int) -> bool:
         if not s:
             return False
         masked.append(s)
-    return _hit_search(_reduce(masked), budget)
+    masked = _reduce(masked)
+    return _greedy_disjoint(masked) <= budget and _hit_search(masked, budget)
 
 
 def _hit_search(node: list[int], left: int) -> bool:
-    """True iff the reduced family `node` can be hit with ≤ left elements."""
-    # open nodes: (sets left unhit, budget after one more pick, untried pivot elements)
+    """True iff the reduced family `node` can be hit with ≤ left elements.
+
+    Budgets 1 and 2 need no branching: one element hits every set iff the
+    sets share one, two iff some b in the smallest set `node[0]` leaves the
+    sets missing b a common element.  Larger budgets branch on `node[0]`,
+    pruning children by packing; callers start at or above the root's bound.
+    """
+    # open nodes: (sets left unhit, budget after one more pick, untried pivot elements);
+    # every list stays smallest-first, so node[0] is a smallest set
     stack: list[tuple[list[int], int, int]] = []
     while True:
         if not node:
             return True
-        if left > 0 and _greedy_disjoint(node) <= left:
-            # every list stays smallest-first, so node[0] is a smallest set
+        if left == 1:
+            if reduce(and_, node):
+                return True
+        elif left == 2:
+            pivots = node[0]
+            while pivots:
+                b = pivots & -pivots
+                pivots ^= b
+                if reduce(and_, [s for s in node if not s & b], -1):
+                    return True
+        elif left > 2:
             stack.append((node, left - 1, node[0]))
         while stack:
             parent, left, untried = stack[-1]
@@ -88,8 +110,10 @@ def _hit_search(node: list[int], left: int) -> bool:
                 b = untried & -untried
                 stack[-1] = (parent, left, untried ^ b)
                 node = [s for s in parent if not s & b]
-                break
-            stack.pop()
+                if left < 2 or _greedy_disjoint(node) <= left:
+                    break
+            else:
+                stack.pop()
         else:
             return False
 
@@ -105,6 +129,9 @@ def min_hitting_set(sets: Iterable[Iterable[int]]) -> tuple[int, tuple[int, ...]
     Returns (size, witness) where the witness is the lexicographically least
     optimal hitting set as a sorted tuple.  Raises ValueError on an empty
     member set, which no element could ever hit.
+
+    The witness rebuild skips an element no unhit set holds untested: the
+    same sets with one element less would beat the optimum.
     """
     family = [frozenset(s) for s in sets]
     elements = sorted(set().union(*family))
@@ -122,7 +149,7 @@ def min_hitting_set(sets: Iterable[Iterable[int]]) -> tuple[int, tuple[int, ...]
             break
         higher = ~((1 << (idx + 1)) - 1)
         after = [s for s in remaining if not s & (1 << idx)]
-        if _hit_feasible(after, higher, budget - 1):
+        if len(after) < len(remaining) and _hit_feasible(after, higher, budget - 1):
             witness.append(e)
             remaining = after
             budget -= 1
@@ -165,7 +192,8 @@ def _independent_feasible(conflicts: Sequence[int], pool: int, target: int) -> i
     The search branches on the lowest item and tries taking it first, so its
     leaves come in lexicographic order of their sorted items; the greedy pick
     is its first leaf, and a prune cuts only subtrees that hold no solution.
-    The pick returned is therefore the lexicographically least one.
+    The pick returned is therefore the lexicographically least one; a node
+    short of one item returns its first leaf, its lowest item, at once.
     """
     # a greedy pick (lowest item, drop its conflicts, repeat) often suffices
     rest, pick, count = pool, 0, 0
@@ -181,6 +209,8 @@ def _independent_feasible(conflicts: Sequence[int], pool: int, target: int) -> i
         pool, target, pick = stack.pop()
         if target <= 0:
             return pick
+        if target == 1 and pool:
+            return pick | pool & -pool
         if pool.bit_count() < target or _clique_cover_bound(pool, conflicts) < target:
             continue
         b = pool & -pool

@@ -415,6 +415,108 @@ def test_deepening_reduces_the_family_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_hit_search_decides_every_budget():
+    # budgets 1 and 2 are decided without branching, so each k from 0 to one
+    # past the optimum is checked in both directions; the optimum is brute
+    # force on random families and the recursive solver's on the corpus
+    rng = random.Random(3)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        sets = [
+            set(rng.sample(range(n), rng.randint(1, min(4, n)))) for _ in range(rng.randint(1, 8))
+        ]
+        cases.append(([sum(1 << e for e in s) for s in sets], brute_min_hitting(sets)[0]))
+    corpus = set()
+    for g, m in _cycle_corpus():
+        masks = alternating_cycle_masks(g, m)
+        in_m = edge_mask(m.edge_ids)
+        for within in (in_m, ~in_m):  # the f and the af family
+            corpus.add(tuple(exact._reduce([c & within for c in masks])))
+    cases += [(list(fam), _ref_min_hit_size(list(fam))) for fam in corpus]
+    optima = set()
+    for family, opt in cases:
+        family = exact._reduce(family)
+        for k in range(opt + 2):
+            assert exact._hit_search(family, k) == (k >= opt), (family, k, opt)
+        optima.add(opt)
+    assert {0, 1, 2, 3, 4, 5} <= optima
+
+
+def _least_pick(conflicts, pool, target):
+    """The lexicographically least `target` pairwise non-conflicting items of pool, or None."""
+    for combo in combinations(_bits(pool), target):
+        if all(not conflicts[i] >> j & 1 for i, j in combinations(combo, 2)):
+            return sum(1 << i for i in combo)
+    return None
+
+
+def _ref_least_pick(conflicts, pool, target):
+    """_least_pick by the recursive feasibility test, item by item."""
+    if not _ref_independent_feasible(conflicts, pool, target):
+        return None
+    pick = 0
+    for v in _bits(pool):
+        if target == 0:
+            break
+        if not pool >> v & 1:  # dropped by an earlier pick
+            continue
+        rest = pool & ~conflicts[v] & ~((1 << (v + 1)) - 1)
+        if _ref_independent_feasible(conflicts, rest, target - 1):
+            pick |= 1 << v
+            pool = rest
+            target -= 1
+    return pick
+
+
+def test_independent_feasible_gives_the_least_pick_at_every_target():
+    # a node short of one item returns its lowest item; each target from 0 to
+    # one past the optimum is checked in both directions, against brute force
+    # on random families and the recursive test on the corpus
+    rng = random.Random(41)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        conflicts = [0] * n
+        for i, j in combinations(range(n), 2):
+            if rng.random() < 0.4:
+                conflicts[i] |= 1 << j
+                conflicts[j] |= 1 << i
+        pool = rng.getrandbits(n) | rng.getrandbits(n)
+        cases.append((conflicts, pool, _least_pick))
+    corpus = set()
+    for g, m in _cycle_corpus():
+        masks = alternating_cycle_masks(g, m)
+        in_m = edge_mask(m.edge_ids)
+        for within in (in_m, ~in_m):  # the disjoint and the compatible family
+            corpus.add(tuple(exact.overlap_conflicts(masks, within)))
+    cases += [(list(c), (1 << len(c)) - 1, _ref_least_pick) for c in corpus]
+    optima = set()
+    for conflicts, pool, least in cases:
+        opt = _ref_max_independent_size(conflicts, pool)
+        for target in range(opt + 2):
+            expected = least(conflicts, pool, target)
+            assert (expected is None) == (target > opt)
+            got = exact._independent_feasible(conflicts, pool, target)
+            assert got == expected, (conflicts, pool, target)
+        optima.add(opt)
+    assert {0, 1, 2, 3, 4} <= optima
+
+
+def test_witness_rebuild_tests_no_element_outside_the_unhit_sets(monkeypatch):
+    calls = []
+    feasible = exact._hit_feasible
+
+    def counted(sets, allowed, budget):
+        calls.append(budget)
+        return feasible(sets, allowed, budget)
+
+    monkeypatch.setattr(exact, "_hit_feasible", counted)
+    # once 0 is taken, 1 and 2 lie in no unhit set and cannot finish {3, 4}
+    assert exact.min_hitting_set([[0, 1], [0, 2], [3, 4]]) == (2, (0, 3))
+    assert calls == [1, 0]
+
+
 def test_solvers_hold_no_recursion():
     # a nested function or a call cycle among exact's functions would bring
     # back a search depth bounded by the interpreter's recursion limit

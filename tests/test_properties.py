@@ -1,6 +1,8 @@
 """Property tests over randomly generated instances."""
 
+import json
 import tempfile
+from functools import cache
 from itertools import combinations, islice
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from matchforce.graphs import (
     orient_and_contract,
     _iter_perfect_matchings,
 )
-from matchforce.generators import enumerate_hex_systems
+from matchforce.generators import enumerate_hex_systems, gen_named
 from matchforce.hexsys import HexSystem, tree_independent_domination
 from matchforce.io import (
     parse_graph,
@@ -242,3 +244,76 @@ def test_compute_report_gives_a_report_that_replays_or_a_typed_error(obj, invari
         except MatchforceError:
             return
         assert replay(report, path) == []
+
+
+def _report_paths(node, path=()):
+    """The path of every value inside a report entry's value or witness, itself included."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _report_paths(child, path + (key,))
+
+
+@cache
+def _mutated_reports():
+    """Reports of triphenylene and the dodecahedron with every invariant that applies."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, invariants in (
+            ("triphenylene", sorted(REGISTRY)),
+            ("dodecahedron", sorted(set(REGISTRY) - {"clar", "fries"})),
+        ):
+            obj = gen_named(name)
+            path = Path(tmp) / (name + (".hex" if isinstance(obj, HexSystem) else ".graph"))
+            text = serialize_instance(obj)
+            path.write_text(text)
+            out.append((path.name, text, compute_report(path, invariants)))
+    return out
+
+
+_WRONG_TYPES = ["1", None, 1.5, True, [], {}, [["x"]]]
+_OUT_OF_RANGE = [-1, 10**6, 2**70]
+
+
+@st.composite
+def mutated_report(draw):
+    """(file name, instance text, report, path, new, off_by_one): the field at
+    path is replaced by new, which is the old int plus or minus 1 when off_by_one."""
+    name, text, report = draw(st.sampled_from(_mutated_reports()))
+    report = json.loads(json.dumps(report))
+    entry = draw(st.sampled_from(report["invariants"]))
+    paths = [("value",) + p for p in _report_paths(entry["value"])]
+    if entry["witness"] is not None:
+        paths += [("witness",) + p for p in _report_paths(entry["witness"]) if p]
+    path = draw(st.sampled_from(paths))
+    parent = entry
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    if isinstance(old, int) and not isinstance(old, bool) and draw(st.booleans()):
+        parent[path[-1]] = new = old + draw(st.sampled_from([-1, 1]))
+        return name, text, report, path, new, True
+    new = draw(st.sampled_from(_WRONG_TYPES + _OUT_OF_RANGE))
+    assume(json.dumps(new) != json.dumps(old))
+    parent[path[-1]] = new
+    return name, text, report, path, new, False
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_report())
+def test_replay_describes_a_mutated_report_and_raises_nothing(case):
+    # An off-by-one witness field can make another valid witness, and JSON
+    # true passes for 1 inside a witness, so those two may replay clean.
+    name, text, report, path, new, off_by_one = case
+    with tempfile.TemporaryDirectory() as tmp:
+        instance = Path(tmp) / name
+        instance.write_text(text)
+        problems = replay(report, instance)
+    assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
+    if path[0] == "value" or not (off_by_one or new is True):
+        assert problems, (path, new)
