@@ -251,9 +251,17 @@ def dumps_report(report: dict[str, Any]) -> str:
     return json.dumps(report, indent=2, sort_keys=False) + "\n"
 
 
+def _ints(items) -> list[int]:
+    """A witness's edge ids or cell coordinates; TypeError unless each is an int, not true or 1.0."""
+    items = list(items)
+    if any(type(x) is not int for x in items):
+        raise TypeError("a witness holds a non-integer")
+    return items
+
+
 def _perfect(p: Profile, edge_ids) -> Matching | None:
     """The witness's matching, or None when it is no perfect matching of the instance."""
-    m = Matching(edge_ids)
+    m = Matching(_ints(edge_ids))
     try:
         matching_partner(p.graph, m)
     except NotPerfect:
@@ -266,7 +274,7 @@ def _check_witness(name: str, value, witness, p: Profile) -> list[str]:
     if name in _PER_MATCHING:
         _, is_set, what = _FAMILIES[_PER_MATCHING[name][0]]
         m = _perfect(p, witness["matching"])
-        s = witness["edge_set"]
+        s = _ints(witness["edge_set"])
         if m is None:
             return [f"{name}: witness matching is not a perfect matching"]
         if len(s) != value:
@@ -278,7 +286,7 @@ def _check_witness(name: str, value, witness, p: Profile) -> list[str]:
         return [] if ok else [f"{name}: witness is not {what}"]
     if name == "clar":
         m = _perfect(p, witness["matching"])
-        cells = [obj.cell_index.get(tuple(c)) for c in witness["hexagons"]]
+        cells = [obj.cell_index.get(tuple(_ints(c))) for c in witness["hexagons"]]
         if m is None:
             return ["clar: witness matching is not a perfect matching"]
         if None in cells or len(set(cells)) != len(cells):
@@ -288,17 +296,16 @@ def _check_witness(name: str, value, witness, p: Profile) -> list[str]:
         if len(cells) != value or not set(cells) <= set(alternating_hexagons(obj, m)):
             return ["clar: witness hexagons are not all alternating"]
         return []
-    problems = []
-    if name == "fries":
-        for side in ("max", "min"):
-            m = _perfect(p, witness[f"{side}_matching"])
-            cells = {tuple(c) for c in witness[f"{side}_hexagons"]}
-            if m is None:
-                problems.append(f"fries: {side} witness matching is not a perfect matching")
-                continue
-            alt = {obj.cells[i] for i in alternating_hexagons(obj, m)}
-            if cells != alt or len(cells) != value[side]:
-                problems.append(f"fries: {side} witness does not re-validate")
+    problems = []  # fries, the last invariant with a witness
+    for side in ("max", "min"):
+        m = _perfect(p, witness[f"{side}_matching"])
+        cells = {tuple(_ints(c)) for c in witness[f"{side}_hexagons"]}
+        if m is None:
+            problems.append(f"fries: {side} witness matching is not a perfect matching")
+            continue
+        alt = {obj.cells[i] for i in alternating_hexagons(obj, m)}
+        if cells != alt or len(cells) != value[side]:
+            problems.append(f"fries: {side} witness does not re-validate")
     return problems
 
 
@@ -339,14 +346,16 @@ def replay(report: dict[str, Any], path: str | Path) -> list[str]:
             problems.append(f"unknown invariant {name!r}")
             continue
         try:
-            value, _ = REGISTRY[name](profile, names)
+            value, builder = REGISTRY[name](profile, names)
         except (InapplicableInvariant, LimitExceeded, NoPerfectMatching) as e:
             problems.append(f"{name}: cannot be recomputed: {e}")
             continue
         # as JSON, so that true or 1.0 does not pass for 1
         if json.dumps(value, sort_keys=True) != json.dumps(entry["value"], sort_keys=True):
             problems.append(f"{name}: recomputed {value!r} != reported {entry['value']!r}")
-        if entry.get("witness") is not None:
+        if entry.get("witness") is not None and builder is None:  # it must carry null
+            problems.append(f"{name}: malformed witness")
+        elif entry.get("witness") is not None:
             try:
                 problems += _check_witness(name, entry["value"], entry["witness"], profile)
             except (KeyError, TypeError):  # a field missing or of the wrong type

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from .antiforcing import anti_forcing_edges
 from .errors import UnknownSuite
+from .exact import max_independent_size, overlap_conflicts
 from .generators import (
     GLUE_PRESETS,
     MAX_ENUMERATED_CELLS,
@@ -26,9 +26,9 @@ from .graphs import (
     DEFAULT_MATCHING_CAP,
     FIXED_SINGLE,
     Graph,
+    count_perfect_matchings,
     edge_mask,
     enumerate_alternating_cycles,  # noqa: F401  (perfbench traces it in every namespace)
-    enumerate_perfect_matchings,
 )
 from .hexsys import (
     HexSystem,
@@ -72,9 +72,11 @@ class SuiteResult:
 
 # ---------------------------------------------------------------- corpora
 
-def polyhex_corpus(max_cells: int) -> list[tuple[str, HexSystem]]:
+def polyhex_corpus(max_cells: int | None) -> list[tuple[str, HexSystem]]:
+    """Every polyhex of at most max_cells cells; None stands for MAX_ENUMERATED_CELLS."""
+    top = MAX_ENUMERATED_CELLS if max_cells is None else min(max_cells, MAX_ENUMERATED_CELLS)
     out = []
-    for n in range(1, min(max_cells, MAX_ENUMERATED_CELLS) + 1):
+    for n in range(1, top + 1):
         for i, h in enumerate(enumerate_hex_systems(n)):
             out.append((f"polyhex-{n}-{i:04d}", h))
     return out
@@ -137,14 +139,17 @@ def _profile(obj: Graph | HexSystem, max_matchings: int) -> Profile:
 
 # ------------------------------------------------------------ the suites
 
-def _checks(corpus, max_matchings: int, problem, keep=lambda obj: True) -> list[CheckResult]:
-    """One check per kept instance with a perfect matching; problem(obj, p) is "" when it holds.
+def _checks(corpus, max_matchings: int, problem, keep=lambda obj, p: p.pms) -> list[CheckResult]:
+    """One check per instance that keep(obj, p) keeps; problem(obj, p) is "" when it holds.
 
-    keep is asked first, so an instance it drops has no matchings enumerated.
+    p is the instance's profile, which computes nothing until it is read, so
+    a keep that drops an instance before reading p.pms lists no matchings.
+    By default an instance is kept when it has a perfect matching.
     """
     checks = []
     for name, obj in corpus:
-        if keep(obj) and (p := _profile(obj, max_matchings)).pms:
+        p = _profile(obj, max_matchings)
+        if keep(obj, p):
             detail = problem(obj, p)
             checks.append(CheckResult(name, not detail, detail))
     return checks
@@ -164,17 +169,11 @@ def _pair_checks(corpus, max_matchings: int, families, shown: str, holds) -> lis
     return _checks(corpus, max_matchings, problem)
 
 
-def _polyhex_checks(max_cells, max_matchings, problem, keep=lambda h: True) -> list[CheckResult]:
-    mc = max_cells if max_cells is not None else MAX_ENUMERATED_CELLS
-    return _checks(polyhex_corpus(mc), max_matchings, problem, keep)
-
-
 def _suite_thm2(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
     """f(G,M) equals the maximum disjoint cycle packing (bipartite planar)."""
-    mc = max_cells if max_cells is not None else 8
     corpus: list[tuple[str, Graph | HexSystem]] = []
-    corpus += polyhex_corpus(mc)
-    corpus += tp_corpus(min(mc, 8))
+    corpus += polyhex_corpus(max_cells)
+    corpus += tp_corpus(8 if max_cells is None else min(max_cells, 8))
     corpus += [(n, g) for n, g in named_corpus() if n in ("named-C4", "named-C6")]
     return _pair_checks(
         corpus, max_matchings, ("f", "disjoint"), "f={} c={}", lambda g, f, c: f == c
@@ -188,13 +187,12 @@ def _suite_thm3(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
         big_f, cl = max(p.values(("f",))["f"]), p.clar
         return "" if big_f == cl else f"F={big_f} cl={cl}"
 
-    return _polyhex_checks(max_cells, max_matchings, problem)
+    return _checks(polyhex_corpus(max_cells), max_matchings, problem)
 
 
 def _sandwich_corpus(max_cells: int | None):
-    mc = max_cells if max_cells is not None else MAX_ENUMERATED_CELLS
     corpus: list[tuple[str, Graph | HexSystem]] = []
-    corpus += polyhex_corpus(mc)
+    corpus += polyhex_corpus(max_cells)
     corpus += named_corpus()
     corpus += preset_corpus()
     return corpus
@@ -218,11 +216,10 @@ def _suite_lem8(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
 
 def _suite_thm9(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
     """Minimax: af(G,M) = c'(M) = minimum feedback set of the contraction."""
-    mc = max_cells if max_cells is not None else 12
     corpus: list[tuple[str, HexSystem]] = []
-    corpus += polyhex_corpus(mc)
-    corpus += tp_corpus(mc)
-    corpus += preset_corpus(mc)
+    corpus += polyhex_corpus(max_cells)
+    corpus += tp_corpus(12 if max_cells is None else max_cells)
+    corpus += preset_corpus(max_cells)
 
     def problem(h: HexSystem, p: Profile) -> str:
         v = p.values(("af", "compatible"))
@@ -242,7 +239,7 @@ def _suite_thm11(max_cells: int | None, max_matchings: int) -> list[CheckResult]
         big_af, fries = max(p.values(("af",))["af"]), max(map(int.bit_count, p.resonant))
         return "" if big_af == fries else f"Af={big_af} Fries={fries}"
 
-    return _polyhex_checks(max_cells, max_matchings, problem)
+    return _checks(polyhex_corpus(max_cells), max_matchings, problem)
 
 
 def _suite_cor12(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
@@ -252,7 +249,7 @@ def _suite_cor12(max_cells: int | None, max_matchings: int) -> list[CheckResult]
         cl, fries = p.clar, max(map(int.bit_count, p.resonant))
         return "" if cl <= fries <= 2 * cl else f"cl={cl} Fries={fries}"
 
-    return _polyhex_checks(max_cells, max_matchings, problem)
+    return _checks(polyhex_corpus(max_cells), max_matchings, problem)
 
 
 def _suite_thm13(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
@@ -263,35 +260,11 @@ def _suite_thm13(max_cells: int | None, max_matchings: int) -> list[CheckResult]
         ok = (fries == h.n_cells) == all_kink and fries <= h.n_cells
         return "" if ok else f"Fries={fries} n={h.n_cells} all-kink={all_kink}"
 
-    return _polyhex_checks(max_cells, max_matchings, problem)
+    return _checks(polyhex_corpus(max_cells), max_matchings, problem)
 
 
-def _tree_matching_number(g: Graph) -> int:
-    for k in range(g.m, 0, -1):
-        for sub in combinations(range(g.m), k):
-            used: set[int] = set()
-            ok = True
-            for eid in sub:
-                u, v = g.edges[eid]
-                if u in used or v in used:
-                    ok = False
-                    break
-                used.update((u, v))
-            if ok:
-                return k
-    return 0
-
-
-def _independence_number(g: Graph) -> int:
-    best = 0
-    for mask in range(1 << g.n):
-        picked = [v for v in range(g.n) if mask >> v & 1]
-        if len(picked) <= best:
-            continue
-        pset = set(picked)
-        if all(u not in pset or v not in pset for u, v in g.edges):
-            best = len(picked)
-    return best
+def _all_kink_catahex(h: HexSystem, p: Profile) -> bool:
+    return is_all_kink_catahex(h) and bool(p.pms)  # the shape first: no matchings listed
 
 
 def _suite_thm14(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
@@ -301,9 +274,10 @@ def _suite_thm14(max_cells: int | None, max_matchings: int) -> list[CheckResult]
         dual = inner_dual(h)
         v = p.values(("f", "af"))
         big_af, big_f = max(v["af"]), max(v["f"])
-        dual_pm = bool(enumerate_perfect_matchings(dual, max_matchings))
-        nu = _tree_matching_number(dual)
-        alpha = _independence_number(dual)
+        dual_pm = count_perfect_matchings(dual, max_matchings) > 0
+        # edges that share an end conflict in a matching, adjacent vertices in an independent set
+        nu = max_independent_size(overlap_conflicts((1 << a | 1 << b for a, b in dual.edges), -1))
+        alpha = max_independent_size([sum(1 << w for w, _ in nbrs) for nbrs in dual.adjacency])
         bad = []
         if (big_af == 2 * big_f) != dual_pm:
             bad.append(f"Af={big_af} F={big_f} dual-PM={dual_pm}")
@@ -313,7 +287,7 @@ def _suite_thm14(max_cells: int | None, max_matchings: int) -> list[CheckResult]
             bad.append(f"dual PM flag inconsistent with nu={nu}")
         return "; ".join(bad)
 
-    return _polyhex_checks(max_cells, max_matchings, problem, keep=is_all_kink_catahex)
+    return _checks(polyhex_corpus(max_cells), max_matchings, problem, _all_kink_catahex)
 
 
 def _brute_independent_domination(g: Graph) -> int:
@@ -361,7 +335,7 @@ def _suite_thm15(max_cells: int | None, max_matchings: int) -> list[CheckResult]
             bad.append("witness does not dominate at optimal size")
         return "; ".join(bad)
 
-    return _polyhex_checks(max_cells, max_matchings, problem, keep=is_all_kink_catahex)
+    return _checks(polyhex_corpus(max_cells), max_matchings, problem, _all_kink_catahex)
 
 
 _THM16_EXTRAS: tuple[tuple[tuple[int, ...], int], ...] = (
@@ -380,25 +354,18 @@ _THM16_EXTRAS: tuple[tuple[tuple[int, ...], int], ...] = (
 )
 
 
-def _af_is_one(h: HexSystem, p: Profile) -> bool:
-    if len(p.pms) < 2:
-        return False  # a unique matching needs no deletions at all
-    return bool(anti_forcing_edges(h.graph))
-
-
 def _suite_thm16(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
     """af(H) = 1 exactly for truncated parallelograms; plus edge-count goldens."""
-    mc = max_cells if max_cells is not None else MAX_ENUMERATED_CELLS
-    checks = []
-    for name, h in polyhex_corpus(mc):
+
+    def problem(h: HexSystem, p: Profile) -> str:
         is_tp, _ = is_truncated_parallelogram(h)
-        p = _profile(h, max_matchings)
         if not p.pms:
-            detail = "recognized TP has no perfect matching" if is_tp else ""
-        else:
-            af1 = _af_is_one(h, p)
-            detail = "" if af1 == is_tp else f"af==1 is {af1}, TP is {is_tp}"
-        checks.append(CheckResult(name, not detail, detail))
+            return "recognized TP has no perfect matching" if is_tp else ""
+        # a unique matching needs no deletions at all
+        af1 = len(p.pms) > 1 and bool(anti_forcing_edges(h.graph))
+        return "" if af1 == is_tp else f"af==1 is {af1}, TP is {is_tp}"
+
+    checks = _checks(polyhex_corpus(max_cells), max_matchings, problem, keep=lambda h, p: True)
     for params, expected in _THM16_EXTRAS:
         count = len(anti_forcing_edges(gen_truncated_parallelogram(params).graph))
         detail = "" if count == expected else f"{count} anti-forcing edges, expected {expected}"
@@ -421,29 +388,24 @@ _THM20_CONSTRUCTED: tuple[tuple[str, tuple[tuple[int, int], ...]], ...] = (
 
 def _suite_thm20(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
     """With a fixed single edge: af = 2 iff exactly two normal components, both TPs."""
-    mc = max_cells if max_cells is not None else MAX_ENUMERATED_CELLS
-    corpus = list(polyhex_corpus(mc))
+    corpus = polyhex_corpus(max_cells)
     corpus += [(name, build_hex_system(cells)) for name, cells in _THM20_CONSTRUCTED]
-    checks = []
-    for name, h in corpus:
-        p = _profile(h, max_matchings)
-        if not p.pms or FIXED_SINGLE not in p.labels:
-            continue
+
+    def problem(h: HexSystem, p: Profile) -> str:
         af_min = min(p.values(("af",))["af"])
         comps = normal_hex_components(h, p.labels)
         both_tp = len(comps) == 2 and all(is_truncated_parallelogram(c)[0] for c in comps)
         ok = (af_min == 2) == both_tp
-        detail = "" if ok else f"af={af_min}, components={len(comps)}, both TP={both_tp}"
-        checks.append(CheckResult(name, ok, detail))
-    return checks
+        return "" if ok else f"af={af_min}, components={len(comps)}, both TP={both_tp}"
+
+    return _checks(corpus, max_matchings, problem, lambda h, p: p.pms and FIXED_SINGLE in p.labels)
 
 
 def _suite_lem19(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
     """Every maximal parallel cut meets every perfect matching equally often."""
-    mc = max_cells if max_cells is not None else MAX_ENUMERATED_CELLS
     corpus: list[tuple[str, HexSystem]] = []
-    corpus += polyhex_corpus(mc)
-    corpus += tp_corpus(min(mc, 8))
+    corpus += polyhex_corpus(max_cells)
+    corpus += tp_corpus(min(MAX_ENUMERATED_CELLS if max_cells is None else max_cells, 8))
     corpus += preset_corpus()
 
     def problem(h: HexSystem, p: Profile) -> str:

@@ -8,6 +8,7 @@ perfect matchings, (c', af) = (4, 4) thirty times and (4, 5) six times,
 against an independent stdlib recount that shares no code with matchforce.
 """
 
+import hashlib
 import time
 from collections import Counter
 from itertools import combinations, islice
@@ -20,6 +21,7 @@ from matchforce.antiforcing import (
     is_antiforcing_set,
     max_compatible_alternating_set,
 )
+from matchforce.cli import main
 from matchforce.forcing import compatible_cycles, forcing_number, forcing_spectrum
 from matchforce.generators import GLUE_PRESETS, gen_named, glue_preset
 from matchforce.graphs import (
@@ -35,6 +37,7 @@ from matchforce.verify import (
     named_corpus,
     polyhex_corpus,
     preset_corpus,
+    SUITE_IDS,
     run_suite,
     tp_corpus,
 )
@@ -286,6 +289,30 @@ def test_c09_glued_presets_and_cut_invariance():
     result = run_suite("lem19")
     _assert_suite_clean(result)
     print(f"criterion 9 PASS: four presets af=2; {result.summary()}")
+
+
+# Each suite's check count at its default corpus, and the sha256 of every
+# line `matchforce verify` prints for the 13 suites in SUITE_IDS order, both
+# recorded before the suites shared one check loop and thm14 took nu and
+# alpha from the exact solver.  perfbench's goldens pin only max_cells=5.
+_DEFAULT_RUN = (
+    ("thm2", 716), ("thm3", 648), ("thm5", 656), ("lem8", 656), ("thm9", 923),
+    ("thm11", 648), ("cor12", 648), ("thm13", 648), ("thm14", 153), ("thm15", 153),
+    ("thm16", 1070), ("thm20", 35), ("lem19", 681),
+)
+_DEFAULT_RUN_SHA256 = "d386d6f9b68b53dfc942ecdee43288f73833b3a8074107d95f68f2df091890af"
+
+
+def test_default_verify_run_prints_the_recorded_lines(capsys):
+    digest, counts = hashlib.sha256(), []
+    for suite in SUITE_IDS:
+        assert main(["verify", "--suite", suite]) == 0
+        text = capsys.readouterr().out
+        digest.update(text.encode())
+        counts.append((suite, len(text.splitlines()) - 1))  # the last line is the summary
+    assert tuple(counts) == _DEFAULT_RUN
+    assert sum(n for _, n in counts) == 7635
+    assert digest.hexdigest() == _DEFAULT_RUN_SHA256
 
 
 def _unique_check_corpus():

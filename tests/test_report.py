@@ -351,6 +351,34 @@ def test_replay_tells_an_int_from_a_float_inside_a_value(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "name, field, new",
+    [("Af", "matching", True), ("Af", "edge_set", False), ("clar", "hexagons", -1.0),
+     ("fries", "max_hexagons", -1.0)],
+)
+def test_replay_takes_only_ints_inside_a_witness(tmp_path, name, field, new):
+    # true, false and -1.0 compare equal to the 1, 0 and -1 they replace, so
+    # only their type tells them apart
+    path = _write(tmp_path, "triphenylene", gen_named("triphenylene"))
+    report = json.loads(json.dumps(compute_report(path, ["Af", "clar", "fries"])))
+    assert replay(report, path) == []
+    items = _entry(report, name)["witness"][field]
+    if isinstance(items[0], list):  # a hexagon's coordinates
+        items = items[0]
+    assert type(items[0]) is int and items[0] == new
+    items[0] = new
+    assert replay(report, path) == [f"{name}: malformed witness"]
+
+
+@pytest.mark.parametrize("name", ["pm_count", "anti_forcing_edges"])
+def test_replay_takes_no_witness_where_an_invariant_has_none(tmp_path, name):
+    path = _write(tmp_path, "triphenylene", gen_named("triphenylene"))
+    report = compute_report(path, [name])
+    assert report["invariants"][0]["witness"] is None
+    report["invariants"][0]["witness"] = {"anything": [1, 2]}
+    assert replay(report, path) == [f"{name}: malformed witness"]
+
+
 def test_every_name_the_benchmark_traces_exists(monkeypatch):
     # perfbench's tracer looks each name up when it installs, so a renamed
     # function would break the benchmark and nothing here
