@@ -63,6 +63,7 @@ class Graph:
         rank = _bfs(self.n, self.edges)[0]
         steps = _cover_steps(self.n, ((rank[a], rank[b]) for a, b in self.edges))
         ways = {0: 1}  # per state of the vertex being swept: the partial matchings that reach it
+        cap = FRONTIER_STATE_CAP
         for v, tried in enumerate(steps):
             after: dict[int, int] = {}
             for s, k in ways.items():
@@ -72,7 +73,8 @@ class Graph:
                         after[t] = after.get(t, 0) + k
             if not after:
                 return 0
-            _check_frontier(len(after), v, self.n)
+            if len(after) > cap:
+                _check_frontier(len(after), v, self.n)
             ways = after
         return ways.get(0, 0)
 

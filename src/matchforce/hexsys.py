@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from . import exact
+from . import exact, graphs
 from .errors import (
     Disconnected,
     HasHole,
@@ -281,6 +281,11 @@ def _sweep_resonance(h: HexSystem) -> list | None:
     the most picks over all its paths, each with the edge mask of the first
     path to reach it, by _first.  count_perfect_matchings counts the
     completions; both stop at FRONTIER_STATE_CAP states in one layer.
+
+    The steps are built from int masks, not sets of cells: per vertex, the
+    OR of the fields of the cells with a corner there.  Cells open at one
+    vertex hold distinct slots, so an OR of their fields is their sum, and
+    an edge's step clears the OR of its ends' open cells less its own.
     """
     g, n_cells = h.graph, h.n_cells
     # a vertex covered by an earlier one lies less than this far ahead
@@ -300,11 +305,13 @@ def _sweep_resonance(h: HexSystem) -> list | None:
         else:
             slot[c], top = top, top + 1
     field = [1 << width + 2 * s for s in slot]
-    # per vertex: the cells with a corner there
+    # per vertex: the cells with a corner there, and the OR of their fields
     at: list[list[int]] = [[] for _ in range(g.n)]
+    fat = [0] * g.n
     for c, corners in enumerate(h.face_vertices):
         for x in corners:
             at[x].append(c)
+            fat[x] |= field[c]
 
     # per vertex: each covering step, with the fields of its edge's cells
     # added, and what the move keeps.  An edge that covers a vertex of an open
@@ -313,21 +320,32 @@ def _sweep_resonance(h: HexSystem) -> list | None:
     tries: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n)]
     for u, steps in enumerate(_cover_steps(g.n, g.edges)):
         for need, add, eid in steps:
-            # the cells with a corner at u or v, all open at u: distinct fields
-            near = set(at[u]).union(at[g.edges[eid][1]])
-            keep = ~sum(3 * field[c] for c in near.difference(h.edge_cells[eid]) if lo[c] <= u)
-            tries[u].append((need, add + sum(field[c] for c in h.edge_cells[eid]), keep, eid))
+            # the cells with a corner at u or v that are open at u
+            near = fat[u]
+            for c in at[g.edges[eid][1]]:
+                if lo[c] <= u:
+                    near |= field[c]
+            # the cells the edge borders, among them
+            own = 0
+            for c in h.edge_cells[eid]:
+                own |= field[c]
+            tries[u].append((need, add + own, ~(3 * (near & ~own)), eid))
     # per vertex, in closing order (a stable sort: ties in cell order): (field
     # shift, what closing keeps, what a pick keeps) of each cell closing there
     closes: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
     for c in sorted(cells, key=hi.__getitem__):
+        # the neighbours that close later, all open here
+        later = 0
+        for d in h.cell_adjacency[c]:
+            if (hi[d], d) > (hi[c], c):
+                later |= field[d]
         keep = ~(3 * field[c])
-        later = sum(3 * field[d] for d in h.cell_adjacency[c] if (hi[d], d) > (hi[c], c))
-        closes[hi[c]].append((field[c].bit_length() - 1, keep, keep & ~later))
+        closes[hi[c]].append((field[c].bit_length() - 1, keep, keep & ~(3 * later)))
 
     # per state: [most resonant closes, its path's edges, fewest negated, its
     # edges, most picks, its edges]
     layer: dict[int, list] = {0: [0, 0, 0, 0, 0, 0]}
+    cap = graphs.FRONTIER_STATE_CAP
     for v in range(g.n):
         tried, closed_here = tries[v], closes[v]
         after: dict[int, list] = {}
@@ -366,7 +384,8 @@ def _sweep_resonance(h: HexSystem) -> list | None:
                 value, mask = least - resonant, least_m | bit
                 if now[2] is None or value > now[2] or value == now[2] and _first(mask, now[3]):
                     now[2], now[3] = value, mask
-        _check_frontier(len(after), v, g.n)
+        if len(after) > cap:
+            _check_frontier(len(after), v, g.n)
         layer = after
     return layer.get(0)
 

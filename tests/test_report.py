@@ -330,6 +330,25 @@ def test_replay_names_each_tampering_by_its_line(tmp_path, tamper, line):
         assert replay(report, path) == [line]
 
 
+@pytest.mark.parametrize(
+    "name, field, line",
+    [
+        ("f", "matching", "f: witness matching is not a perfect matching"),
+        ("clar", "matching", "clar: witness matching is not a perfect matching"),
+        ("fries", "max_hexagons", "fries: max witness does not re-validate"),
+    ],
+)
+def test_replay_takes_no_repeated_entry_in_a_witness(tmp_path, name, field, line):
+    # a matching's ids and a Fries witness's cells are sets: a repeat is no
+    # perfect matching, and is not the resonant cells of one
+    path = _write(tmp_path, "triphenylene", gen_named("triphenylene"))
+    report = json.loads(json.dumps(compute_report(path, ["f", "clar", "fries"])))
+    assert replay(report, path) == []
+    items = _entry(report, name)["witness"][field]
+    items.append(items[0])
+    assert replay(report, path) == [line]
+
+
 @pytest.mark.parametrize("reported", [True, 1.0])
 def test_replay_tells_an_int_from_a_bool_or_a_float(tmp_path, reported):
     # K2's one perfect matching, reported as JSON true or 1.0

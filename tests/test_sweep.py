@@ -9,6 +9,7 @@ to the sweep.
 """
 
 import ast
+import gc
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -40,6 +41,8 @@ from matchforce.verify import polyhex_corpus, preset_corpus, tp_corpus
 from test_hexsys import _hexagon
 
 TP_LADDER = ((4, 4, 4), (5,) * 4, (6,) * 5, (7,) * 6)
+# the truncated parallelograms of the benchmark's kekule workload
+KEKULE_TPS = ((400,), (12, 10, 8, 6, 4, 2), (9, 7, 5, 3, 1), (5,) * 8, (6,) * 6, (8,) * 6)
 
 
 def _adjacent(h, cells):
@@ -87,12 +90,17 @@ def test_the_sweep_matches_the_enumeration_on_the_corpus():
     assert len(polyhexes) == 1058
     corpus = polyhexes + [glue_preset(k) for k in (1, 2, 3, 4)]
     corpus += [gen_truncated_parallelogram(p) for p in TP_LADDER]
-    without = 0
+    kekule = [gen_truncated_parallelogram(p) for p in KEKULE_TPS] + [_hexagon(3)]
+    # the chain's witnesses are masks over its 2,001 edges
+    assert kekule[0].graph.m == 2001
+    corpus += kekule
+    counts = []
     for h in corpus:
         expected = _reference(h)
         assert _swept(h) == expected, h.cells
-        without += not expected[0]
-    assert 0 < without < len(polyhexes)
+        counts.append(expected[0])
+    assert 0 < counts[: len(polyhexes)].count(0) < len(polyhexes)
+    assert counts[-len(kekule) :] == [401, 7752, 728, 1287, 924, 3003, 980]
 
 
 @st.composite
@@ -344,15 +352,32 @@ def test_both_passes_stop_at_the_state_cap(monkeypatch):
     assert clar_number(h)[0] == 7
 
 
-def test_the_resonance_pass_keeps_one_layer():
-    # one layer peaks near 80 KiB on hexagon-3; every layer's moves took 912 KiB
-    h = _hexagon(3)
-    # the system's cached graph properties stay out of the peak
+def _resonance_peak(h):
+    """The tracemalloc peak of h's resonance pass, in a state earlier tests cannot change.
+
+    The system's cached graph properties and count are made first.  An
+    object taken from one of the interpreter's free lists is not traced, and
+    a collection empties them, so one unmeasured pass fills them first and
+    the collector stays off.
+    """
     h.edge_cells, h.cell_adjacency, h.cell_conflicts, h.cell_edge_masks
-    tracemalloc.start()
+    count_perfect_matchings(h.graph)
+    gc.disable()
     try:
+        hexsys._sweep_resonance(h)
+        tracemalloc.start()
         h._resonance
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        gc.enable()
+
+
+def test_the_resonance_pass_keeps_one_layer():
+    # one layer peaks near 70 KiB on hexagon-3; every layer's moves took 912 KiB
+    peak = _resonance_peak(_hexagon(3))
     assert peak < 256 * 1024, peak
+    # TP(400,) peaks near 550 KiB, mostly the set-up over its 2,001 edges;
+    # steps holding their edge as the mask 1 << eid took 870 KiB
+    peak = _resonance_peak(gen_truncated_parallelogram((400,)))
+    assert peak < 768 * 1024, peak
