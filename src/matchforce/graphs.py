@@ -48,6 +48,14 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the fields, taken once: caches keyed by a graph re-hash it on every lookup."""
+        return hash((self.n, self.edges, self.color))
+
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per vertex: (neighbor, edge id) pairs in edge-id order."""
@@ -254,30 +262,25 @@ def matching_partner(g: Graph, m: Matching) -> list[int]:
     return partner
 
 
-def _adjacency_without(g: Graph, without: Collection[int]) -> Sequence[Sequence[tuple[int, int]]]:
-    """g.adjacency with the edges in `without` deleted; only their ends' lists are rebuilt."""
-    if not without:
-        return g.adjacency
-    adjacency = list(g.adjacency)
-    for e in without:
-        for x in g.edges[e]:
-            adjacency[x] = [a for a in adjacency[x] if a[1] not in without]
-    return adjacency
-
-
 def _iter_perfect_matchings(g: Graph, without: Collection[int] = ()) -> Iterator[tuple[int, ...]]:
     """Backtracking over the lowest-index uncovered vertex, edges in id order.
 
     The search runs on an explicit stack with one frame per matched pair, so
     its depth is not bounded by the interpreter's recursion limit and a
     matching is handed out without passing through a chain of generators.
-    The edges in `without` count as deleted.  Each matching is yielded as
-    its edge ids in the order they were chosen.
+    The edges in `without` count as deleted: only their ends' neighbour
+    lists are rebuilt.  Each matching is yielded as its edge ids in the
+    order they were chosen.
     """
     n = g.n
     if n % 2:
         return
-    adjacency = _adjacency_without(g, without)
+    adjacency: Sequence[Sequence[tuple[int, int]]] = g.adjacency
+    if without:
+        adjacency = list(adjacency)
+        for e in without:
+            for x in g.edges[e]:
+                adjacency[x] = [a for a in adjacency[x] if a[1] not in without]
     covered = bytearray(n)
     # frame i matches frame_v[i] by edge chosen[i] (-1 before the first try);
     # frame_next[i] is the adjacency slot after the one chosen
@@ -383,16 +386,17 @@ def count_perfect_matchings(g: Graph, max_matchings: int = DEFAULT_MATCHING_CAP)
 def _pendant_reduction(g: Graph, without: Collection[int] = ()) -> list[int] | None:
     """Take pendant edges as forced, one after another.
 
-    The edges in `without` count as deleted; no graph is built.  Returns
-    None when an uncovered vertex runs out of edges (no perfect matching),
-    else the forced edge ids.  Every uncovered vertex then keeps at least
-    two edges to uncovered vertices.
+    The edges in `without` (distinct ids) count as deleted: they are
+    skipped where g.adjacency is read, and no graph or list is copied.
+    Returns None when an uncovered vertex runs out of edges (no perfect
+    matching), else the forced edge ids.  Every uncovered vertex then keeps
+    at least two edges to uncovered vertices.
     """
-    adjacency = _adjacency_without(g, without)
-    ends = {x for e in without for x in g.edges[e]}
+    adjacency = g.adjacency
     deg = list(g._degrees)
+    ends = [x for e in without for x in g.edges[e]]
     for x in ends:
-        deg[x] = len(adjacency[x])
+        deg[x] -= 1
     # degrees only fall, so a vertex is queued once it has at most one edge left
     queue = [*g._pendants, *(x for x in ends if deg[x] <= 1)]
     covered = bytearray(g.n)
@@ -404,13 +408,13 @@ def _pendant_reduction(g: Graph, without: Collection[int] = ()) -> list[int] | N
         if not deg[v]:
             return None
         for u, eid in adjacency[v]:  # v's one edge left
-            if not covered[u]:
+            if not covered[u] and eid not in without:
                 break
         forced.append(eid)
         for x in (v, u):
             covered[x] = 1
-            for w, _ in adjacency[x]:
-                if not covered[w]:
+            for w, e in adjacency[x]:
+                if not covered[w] and e not in without:
                     deg[w] -= 1
                     if deg[w] <= 1:
                         queue.append(w)

@@ -87,6 +87,14 @@ class HexSystem:
     def n_cells(self) -> int:
         return len(self.cells)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the cells, taken once; equal systems have equal cells, so it agrees with ==."""
+        return hash(self.cells)
+
     @cached_property
     def cell_index(self) -> dict[Cell, int]:
         return {c: i for i, c in enumerate(self.cells)}

@@ -16,7 +16,7 @@ from matchforce.antiforcing import (
     max_compatible_alternating_set,
     min_feedback_arc_set,
 )
-from matchforce.errors import IntersectsM
+from matchforce.errors import IntersectsM, LimitExceeded
 from matchforce.forcing import forcing_number, is_forcing_set
 from matchforce.generators import (
     enumerate_hex_systems,
@@ -25,6 +25,7 @@ from matchforce.generators import (
     glue_preset,
 )
 from matchforce.graphs import (
+    Graph,
     _iter_perfect_matchings,
     alternating_cycle_masks,
     build_graph,
@@ -188,9 +189,7 @@ def test_anti_forcing_edges_match_the_definition():
     assert sum(len(anti_forcing_edges(g)) for g in cases if g.color is None) >= 15
 
 
-def test_anti_forcing_edges_ask_only_about_the_union_of_two_matchings(monkeypatch):
-    # two perfect matchings that avoid e both survive in g − e, so only the
-    # edges of the first two can be anti-forcing; with fewer, every edge is asked
+def _recording_unique_matching(monkeypatch):
     asked = []
 
     def recording(g, without=()):
@@ -198,18 +197,92 @@ def test_anti_forcing_edges_ask_only_about_the_union_of_two_matchings(monkeypatc
         return graphs._unique_matching(g, without)
 
     monkeypatch.setattr(antiforcing, "_unique_matching", recording)
+    return asked
+
+
+def _cycles_route(g):
+    """Does anti_forcing_edges decide g from one matching's alternating cycles?"""
+    try:
+        k = graphs.count_perfect_matchings(g)
+    except LimitExceeded:
+        return False
+    return k == 0 or g.color is None or 2 * (k - 1) <= g.n
+
+
+def _union_or_all(g):
+    first_two = list(itertools.islice(_iter_perfect_matchings(g), 2))
+    return sorted(set().union(*first_two)) if len(first_two) == 2 else list(range(g.m))
+
+
+def test_anti_forcing_edges_ask_only_about_the_union_of_two_matchings(monkeypatch):
+    # on the pendant route two perfect matchings that avoid e both survive in
+    # g − e, so only the edges of the first two are asked; with fewer, every
+    # edge is.  The cycles route asks no uniqueness question at all.
+    asked = _recording_unique_matching(monkeypatch)
+    routes = Counter()
     skipped = 0
     for g in _edge_deletion_corpus():
         asked.clear()
-        first_two = list(itertools.islice(_iter_perfect_matchings(g), 2))
         anti_forcing_edges(g)
-        if len(first_two) == 2:
-            union = sorted(set(first_two[0]) | set(first_two[1]))
+        cycles = _cycles_route(g)
+        if cycles:
+            assert asked == [], g
+        else:
+            union = _union_or_all(g)
             assert asked == union, g
             skipped += g.m - len(union)
-        else:
-            assert asked == list(range(g.m)), g
-    assert skipped > 1000
+        routes[cycles, g.color is None] += 1
+    # the pendant route runs on bipartite input alone
+    assert routes[True, True] >= 20 and routes[True, False] > 400 and routes[False, False] > 40
+    assert not routes[False, True] and skipped > 500
+
+
+def test_anti_forcing_edges_fall_back_to_the_union_when_the_count_stops(monkeypatch):
+    # with the sweep's state cap at 0 the count raises unless it finds no
+    # matching first, and the pendant tests over the first two matchings
+    # give the same answers
+    cases = _edge_deletion_corpus()
+    expected = [anti_forcing_edges(g) for g in cases]
+    asked = _recording_unique_matching(monkeypatch)
+    monkeypatch.setattr(graphs, "FRONTIER_STATE_CAP", 0)
+    fresh = [Graph(g.n, g.edges, g.color) for g in cases]  # no count cached
+    stopped = 0
+    for g, want in zip(fresh, expected):
+        asked.clear()
+        assert anti_forcing_edges(g) == want, g
+        if not _cycles_route(g):
+            assert asked == _union_or_all(g), g
+            stopped += 1
+    assert stopped > 500
+
+
+def _ladder_and_k24(rungs):
+    """A ladder joined by one edge to K_{2,4}: bipartite, every degree ≥ 2, no perfect matching."""
+    n = 2 * rungs
+    edges = [(2 * i, 2 * i + 1) for i in range(rungs)]
+    edges += [(i, i + 2) for i in range(n - 2)]
+    edges += [(a, b) for a in (n, n + 1) for b in range(n + 2, n + 6)]
+    return build_graph(n + 6, edges + [(0, n + 2)])
+
+
+def test_anti_forcing_edges_list_no_matching_when_there_is_none(monkeypatch):
+    # the backtracker would spend Fibonacci(40)-many dead ends on the ladder
+    g = _ladder_and_k24(40)
+    assert g.color is not None
+
+    def no_listing(*args, **kwargs):
+        raise AssertionError("anti_forcing_edges listed a matching")
+
+    monkeypatch.setattr(antiforcing, "_iter_perfect_matchings", no_listing)
+    assert anti_forcing_edges(g) == ()
+    assert anti_forcing_edges(_ladder_and_k24(4)) == ()
+
+
+def test_a_long_chain_takes_the_cycles_route(monkeypatch):
+    g = gen_truncated_parallelogram((200,)).graph
+    asked = _recording_unique_matching(monkeypatch)
+    assert len(anti_forcing_edges(g)) == 4  # as for every chain of 2 to 5 cells
+    assert asked == []
 
 
 def test_anti_forcing_edges_match_deletion_on_the_benchmark_instances(monkeypatch):

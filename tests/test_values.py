@@ -231,6 +231,27 @@ def test_thm20_reads_its_edge_labels_from_the_profile(monkeypatch):
         _clear_verify_caches()
 
 
+def test_equal_instances_hash_equal_and_share_one_profile():
+    # each instance hashes its fields once; equal ones still hash equal, so
+    # a truncated parallelogram built on its own reads the polyhex's profile
+    h, same = (build_hex_system([(0, 0), (1, 0), (0, 1)]) for _ in range(2))
+    assert h == same and h is not same and hash(h) == hash(same)
+    assert h.graph == same.graph and h.graph is not same.graph
+    g = h.graph
+    assert hash(g) == hash(same.graph) == hash(graphs.Graph(g.n, g.edges, g.color))
+    assert h != build_hex_system([(0, 0), (1, 0), (1, 1)])
+    _clear_verify_caches()
+    try:
+        cap = graphs.DEFAULT_MATCHING_CAP
+        polyhexes = {h: verify._profile(h, cap) for _, h in verify.polyhex_corpus(5)}
+        tps = verify.tp_corpus(5)
+        assert len(tps) == 18
+        for _, tp in tps:
+            assert verify._profile(tp, cap) is polyhexes[tp]
+    finally:
+        _clear_verify_caches()
+
+
 def test_verify_reads_every_instance_fact_through_one_cached_profile():
     # a second cache or a direct enumeration in verify would bring back a
     # second implementation of the facts report.Profile computes
