@@ -9,15 +9,18 @@ limit and no function here calls itself.
 - Hitting set: `_hit_search` asks whether a budget of k elements can hit
   every set, branching on the elements of a smallest unhit set and pruning
   where a greedy packing of pairwise disjoint sets exceeds the budget; it
-  settles budgets 1 and 2 by set intersection, without branching.  The
-  optimum counts up from that packing bound, the natural lower bound of the
-  minimax between hitting sets and disjoint packings, on the family reduced
-  once; `_hit_feasible` masks and reduces a family for the witness rebuild.
+  settles budgets 1 and 2 by set intersection, without branching.  Each
+  test stops once decided: a packing one set past the budget, an
+  intersection at its first empty step.  The optimum counts up from the
+  packing bound, the natural lower bound of the minimax between hitting
+  sets and disjoint packings, on the family reduced once; `_hit_feasible`
+  masks and reduces a family for the witness rebuild.
 - Independent set: `_independent_feasible` picks k items, or None when no
   k fit.  A greedy pick answers at once when it reaches k; otherwise the
   search branches on the lowest item, taking it first, prunes with a greedy
-  clique cover, and takes the lowest item outright when one is left to
-  pick.  The optimum counts down from that cover bound.
+  clique cover counted only up to the target, and takes the lowest item
+  outright when one is left to pick.  The optimum counts down from the full
+  cover bound.
 
 Both witnesses are the lexicographically least optimal ones, so repeated
 runs give identical output.  The independent-set witness is the first pick
@@ -43,6 +46,18 @@ def _greedy_disjoint(sets: list[int]) -> int:
             used |= s
             count += 1
     return count
+
+
+def _packs_past(sets: list[int], budget: int) -> bool:
+    """_greedy_disjoint(sets) > budget, for a budget ≥ 0, counted at most one set past it."""
+    used = 0
+    for s in sets:
+        if not s & used:
+            if not budget:
+                return True
+            used |= s
+            budget -= 1
+    return False
 
 
 def _reduce(sets: Iterable[int]) -> list[int]:
@@ -75,7 +90,7 @@ def _hit_feasible(sets: list[int], allowed: int, budget: int) -> bool:
             return False
         masked.append(s)
     masked = _reduce(masked)
-    return _greedy_disjoint(masked) <= budget and _hit_search(masked, budget)
+    return not _packs_past(masked, budget) and _hit_search(masked, budget)
 
 
 def _hit_search(node: list[int], left: int) -> bool:
@@ -100,7 +115,13 @@ def _hit_search(node: list[int], left: int) -> bool:
             while pivots:
                 b = pivots & -pivots
                 pivots ^= b
-                if reduce(and_, [s for s in node if not s & b], -1):
+                common = -1  # what the sets missing b share, until it empties
+                for s in node:
+                    if not s & b:
+                        common &= s
+                        if not common:
+                            break
+                else:
                     return True
         elif left > 2:
             stack.append((node, left - 1, node[0]))
@@ -110,7 +131,7 @@ def _hit_search(node: list[int], left: int) -> bool:
                 b = untried & -untried
                 stack[-1] = (parent, left, untried ^ b)
                 node = [s for s in parent if not s & b]
-                if left < 2 or _greedy_disjoint(node) <= left:
+                if left < 2 or not _packs_past(node, left):
                     break
             else:
                 stack.pop()
@@ -169,11 +190,14 @@ def overlap_conflicts(masks: Iterable[int], within: int) -> list[int]:
     return conflicts
 
 
-def _clique_cover_bound(avail: int, conflicts: Sequence[int]) -> int:
-    """Greedy clique cover of the conflict graph; bounds any independent set."""
+def _clique_cover_bound(avail: int, conflicts: Sequence[int], limit: int | None = None) -> int:
+    """Greedy clique cover of the conflict graph; bounds any independent set.
+
+    Given a `limit` ≥ 0, the count stops there: the result is min(cover, limit).
+    """
     cliques: list[int] = []
     m = avail
-    while m:
+    while m and len(cliques) != limit:
         b = m & -m
         v = b.bit_length() - 1
         m ^= b
@@ -207,11 +231,10 @@ def _independent_feasible(conflicts: Sequence[int], pool: int, target: int) -> i
     stack = [(pool, target, 0)]
     while stack:
         pool, target, pick = stack.pop()
-        if target <= 0:
-            return pick
+        # target ≥ 1 here: the greedy pick answers target ≤ 0; only target ≥ 2 pushes a child
         if target == 1 and pool:
             return pick | pool & -pool
-        if pool.bit_count() < target or _clique_cover_bound(pool, conflicts) < target:
+        if pool.bit_count() < target or _clique_cover_bound(pool, conflicts, target) < target:
             continue
         b = pool & -pool
         v = b.bit_length() - 1

@@ -87,6 +87,22 @@ class Graph:
         return ways.get(0, 0)
 
     @cached_property
+    def _search_copy(self) -> Graph | None:
+        """The graph the matching backtracker walks in place of this one, or None for this one.
+
+        Without a 2-coloring the vertices are renumbered in _bfs order, edge ids kept, so the
+        vertex matched next borders those already matched, as in the count's sweep, and a dead
+        end shows within a few steps instead of after a walk across the graph.  Bipartite
+        input keeps its ids: a hexagonal system's already follow a sweep, and its relabelled
+        walk ran slower.  None, not self, keeps the cache from making every graph a
+        reference cycle.
+        """
+        if self.color is not None:
+            return None
+        rank = _bfs(self.n, self.edges)[0]
+        return Graph(self.n, tuple((rank[u], rank[v]) for u, v in self.edges))
+
+    @cached_property
     def _degrees(self) -> tuple[int, ...]:
         return tuple(map(len, self.adjacency))
 
@@ -263,11 +279,12 @@ def matching_partner(g: Graph, m: Matching) -> list[int]:
 
 
 def _iter_perfect_matchings(g: Graph, without: Collection[int] = ()) -> Iterator[tuple[int, ...]]:
-    """Backtracking over the lowest-index uncovered vertex, edges in id order.
+    """Backtracking over the lowest-index uncovered vertex, edges in id order, on g._search_copy.
 
-    The search runs on an explicit stack with one frame per matched pair, so
-    its depth is not bounded by the interpreter's recursion limit and a
-    matching is handed out without passing through a chain of generators.
+    The copy keeps g's edge ids, so only the order of the matchings depends
+    on it.  The search runs on an explicit stack with one frame per matched
+    pair, so its depth is not bounded by the interpreter's recursion limit and
+    a matching is handed out without passing through a chain of generators.
     The edges in `without` count as deleted: only their ends' neighbour
     lists are rebuilt.  Each matching is yielded as its edge ids in the
     order they were chosen.
@@ -275,6 +292,7 @@ def _iter_perfect_matchings(g: Graph, without: Collection[int] = ()) -> Iterator
     n = g.n
     if n % 2:
         return
+    g = g._search_copy or g
     adjacency: Sequence[Sequence[tuple[int, int]]] = g.adjacency
     if without:
         adjacency = list(adjacency)

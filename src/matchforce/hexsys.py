@@ -537,8 +537,9 @@ def tree_independent_domination(g: Graph) -> tuple[int, tuple[int, ...]]:
                 state[w] = IN if a <= b else DOM
             else:
                 state[w] = DOM
-        if state[u] == DOM and kids[u] and all(state[w] == DOM for w in kids[u]):
-            state[min(kids[u], key=lambda w: cost[w][IN] - cost[w][DOM])] = IN
+        # a DOM vertex has a child put IN: were every child's IN cost above its DOM cost,
+        # the vertex's IN cost would be at most its DOM cost and its WAIT cost below it,
+        # and neither the root rule nor a parent leaves such a vertex DOM
     return min(cost[0][IN], cost[0][DOM]), tuple(v for v in range(g.n) if state[v] == IN)
 
 

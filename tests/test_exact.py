@@ -331,6 +331,61 @@ def test_feasibility_searches_match_the_recursive_solvers(monkeypatch):
     assert max(size for size, _ in got) >= 4
 
 
+def _rr_shaped_families(count, seed):
+    """40–70 sets of 3–9 elements over 20–30, the shape of the af instances of the
+    benchmark's random regular graphs."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(20, 30)
+        sets = [rng.sample(range(n), rng.randint(3, 9)) for _ in range(rng.randint(40, 70))]
+        out.append([edge_mask(s) for s in sets])
+    return out
+
+
+def test_rr_shaped_families_match_the_recursive_solvers(monkeypatch):
+    families = []
+    budgets, gaps = set(), set()
+    for sets in _rr_shaped_families(40, seed=29):
+        families.append(("hit", sets))
+        families.append(("independent", exact.overlap_conflicts(sets, -1)))  # disjoint packings
+    with monkeypatch.context() as patch:
+        for name, fn in REFERENCE.items():
+            patch.setattr(exact, name, fn)
+        expected = _solve_all(families)
+    assert _solve_all(families) == expected
+    for (kind, sets), (size, _) in zip(families, expected):
+        if kind == "hit":
+            bound = exact._greedy_disjoint(exact._reduce(sets))
+            budgets.update(range(bound, size + 1))  # every budget the deepening asks
+            gaps.add(size - bound)
+    assert set(range(3, 10)) <= budgets and {1, 2} <= gaps
+
+
+def test_stopped_counts_agree_with_the_full_ones():
+    rng = random.Random(43)
+    families = _rr_shaped_families(20, seed=43)
+    for _ in range(40):
+        families.append([edge_mask(rng.sample(range(8), rng.randint(1, 4))) for _ in range(6)])
+    for sets in families:
+        for order in (sets, exact._reduce(sets)):
+            full = exact._greedy_disjoint(order)
+            for k in range(full + 2):
+                assert exact._packs_past(order, k) == (full > k), (order, k)
+        conflicts = exact.overlap_conflicts(sets, -1)
+        for pool in ((1 << len(conflicts)) - 1, rng.getrandbits(len(conflicts))):
+            cover = exact._clique_cover_bound(pool, conflicts)
+            for limit in range(cover + 2):
+                assert exact._clique_cover_bound(pool, conflicts, limit) == min(cover, limit)
+
+
+def test_hit_feasible_fails_where_allowed_empties_a_set():
+    # min_hitting_set never asks this: each set it leaves unhit keeps an allowed element
+    assert not exact._hit_feasible([0b011, 0b100], 0b011, 5)
+    assert exact._hit_feasible([0b011, 0b100], 0b110, 2)
+    assert not exact._hit_feasible([0b011, 0b100], 0b110, 1)
+
+
 def _independent_families():
     """(conflicts, pool) pairs: the cycle corpus's disjoint and compatible
     families over all their items, then the cell adjacency of some hexagonal

@@ -1,7 +1,9 @@
 """Graph core: construction, matchings, alternating cycles, contraction."""
 
+import gc
 import random
-from itertools import combinations
+import time
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,7 @@ from matchforce.graphs import (
     _canonical_rotation,
     _iter_perfect_matchings,
     FIXED_DOUBLE,
+    FIXED_SINGLE,
     FREE,
     AltCycle,
     DirectedCycle,
@@ -478,12 +481,106 @@ def test_explicit_stack_yields_the_recursive_sequence():
     cases += _seeded_graphs(12, seed=7)
     cases.append(build_graph(3, [(0, 1), (1, 2)]))  # odd order: nothing to yield
     cases.append(build_graph(0, []))  # the empty matching of the empty graph
-    total = 0
+    total = relabelled = 0
     for g in cases:
+        walked = g._search_copy or g  # a non-bipartite graph is walked in BFS order
         got = list(_iter_perfect_matchings(g))
-        assert got == list(_recursive_perfect_matchings(g)), g
+        assert got == list(_recursive_perfect_matchings(walked)), g
         total += len(got)
+        relabelled += walked is not g
     assert total > 1000
+    assert relabelled == 13  # the dodecahedron and the seeded graphs
+
+
+def _random_non_bipartite(count, seed):
+    """Sparser and denser general graphs than _seeded_graphs, some with no perfect matching."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((6, 8, 10, 12, 14))
+        pairs = list(combinations(range(n), 2))
+        g = build_graph(n, rng.sample(pairs, rng.randint(n, min(len(pairs), 3 * n))))
+        if g.color is None:
+            out.append(g)
+    return out
+
+
+def _native_reference(g):
+    """Sorted edge ids of every perfect matching, from the recursive walk in g's own ids."""
+    return sorted(tuple(sorted(chosen)) for chosen in _recursive_perfect_matchings(g))
+
+
+def test_bfs_walk_answers_as_the_native_order_walk():
+    # only the order of the matchings may depend on the walked copy
+    cases = [gen_named("dodecahedron"), *_seeded_graphs(12, seed=7)]
+    cases += _random_non_bipartite(40, seed=19)
+    without_pm = unique = 0
+    for g in cases:
+        ref = _native_reference(g)
+        assert [m.edge_ids for m in enumerate_perfect_matchings(g)] == ref, g
+        if ref:
+            counts = [sum(e in ids for ids in ref) for e in range(g.m)]
+            labels = [
+                FIXED_SINGLE if c == 0 else FIXED_DOUBLE if c == len(ref) else FREE for c in counts
+            ]
+            assert list(edge_fixedness(g)) == labels, g
+        else:
+            with pytest.raises(NoPerfectMatching):
+                edge_fixedness(g)
+            without_pm += 1
+        unique += len(ref) == 1
+        expected = (True, Matching(ref[0])) if len(ref) == 1 else (False, None)
+        assert has_unique_perfect_matching(g) == expected, g
+        anti = [
+            e for e in range(g.m)
+            if len(list(islice(_recursive_perfect_matchings(remove_edges(g, [e])), 2))) == 1
+        ]
+        assert list(anti_forcing_edges(g)) == anti, g
+    assert without_pm and unique
+
+
+def _random_cubic(n, rng):
+    """A simple cubic graph from the pairing model, redrawn until no loop or double edge."""
+    stubs = [v for v in range(n) for _ in range(3)]
+    while True:
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(stubs[i : i + 2])) for i in range(0, len(stubs), 2)}
+        if len(pairs) * 2 == len(stubs) and all(u != v for u, v in pairs):
+            return build_graph(n, sorted(pairs))
+
+
+def test_bfs_walk_reaches_a_large_cubic_graphs_first_matching():
+    # in native ids the backtracker ran for minutes without reaching one
+    g = _random_cubic(100, random.Random(0))
+    assert g.color is None
+    start = time.perf_counter()
+    first = next(_iter_perfect_matchings(g))
+    matching_partner(g, Matching(first))  # raises NotPerfect unless it covers every vertex
+    assert has_unique_perfect_matching(g) == (False, None)
+    assert time.perf_counter() - start < 5
+    assert anti_forcing_edges(g) == ()
+
+
+def test_instance_caches_leave_no_reference_cycles():
+    # a cache that refers back to its own graph makes every graph cyclic garbage,
+    # which only the collector frees, and peak memory rises with it
+    gc.collect()
+    gc.disable()
+    try:
+        g = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        h = build_hex_system([(0, 0), (1, 0), (0, 1)])
+        for graph in (g, h.graph):
+            hash(graph)
+            graph.adjacency
+            count_perfect_matchings(graph)
+            graph._search_copy
+            enumerate_perfect_matchings(graph)
+        hash(h)
+        assert g._search_copy is not None and h.graph._search_copy is None
+        del g, h, graph
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_long_chain_counts_without_recursion():

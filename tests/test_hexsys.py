@@ -1,7 +1,7 @@
 """Hexagonal systems: lattice construction, invariants, recognizers."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -35,7 +35,7 @@ from matchforce.hexsys import (
     transform_cell,
     tree_independent_domination,
 )
-from matchforce.verify import run_suite
+from matchforce.verify import _brute_independent_domination, run_suite
 
 
 def test_single_cell_is_a_hexagon():
@@ -238,6 +238,28 @@ def test_idom_matches_brute_force_on_fixed_trees():
             if v in wset:
                 dominated.add(u)
         assert dominated == set(range(n))
+
+
+def test_idom_witness_needs_no_fix_up_on_any_small_tree():
+    # every rooted tree shape on up to 7 vertices, as parent lists with parent[v] < v: the
+    # state pass alone gives each dominated vertex outside the witness a neighbour inside it
+    checked = 0
+    for n in range(1, 8):
+        for parents in product(*(range(v) for v in range(1, n))):
+            g = build_graph(n, [(p, v) for v, p in enumerate(parents, 1)])
+            value, witness = tree_independent_domination(g)
+            assert value == len(witness) == _brute_independent_domination(g), parents
+            wset = set(witness)
+            dominated = set(wset)
+            for u, v in g.edges:
+                assert not (u in wset and v in wset), parents
+                if u in wset:
+                    dominated.add(v)
+                if v in wset:
+                    dominated.add(u)
+            assert dominated == set(range(n)), parents
+            checked += 1
+    assert checked == 874
 
 
 # -------------------------------------------------------------------- cuts
