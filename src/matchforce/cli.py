@@ -83,7 +83,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run one verification suite")
     p_verify.add_argument("--suite", required=True, choices=SUITE_IDS)
-    p_verify.add_argument("--max-cells", type=_count, default=None)
+    p_verify.add_argument(
+        "--max-cells",
+        type=_count,
+        default=None,
+        metavar="N",
+        help="cap each corpus part at min(N, its own cap): polyhexes 6 cells, "
+        "TPs 8 (thm2, lem19) or 12 (thm9); thm9 also drops presets over N; "
+        "omitted, every part runs to its own cap",
+    )
     p_verify.add_argument("--max-matchings", type=_count, default=DEFAULT_MATCHING_CAP)
     p_verify.add_argument("--out", help="also write the check results as JSON")
 

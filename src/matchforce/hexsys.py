@@ -584,8 +584,8 @@ def normal_hex_components(h: HexSystem, labels: tuple[str, ...]) -> tuple[HexSys
             for ci in range(h.n_cells)
             if all(labels[e] == FREE and e in comp_edges for e in h.face_edges[ci])
         ]
-        sub = build_hex_system(cells)
-        if sub.graph.m != len(comp_edges):
+        # a component with no whole hexagon has no system to rebuild
+        if not cells or (sub := build_hex_system(cells)).graph.m != len(comp_edges):
             raise MatchforceError("free-edge component is not a union of whole hexagons")
         out.append(sub)
     return tuple(out)

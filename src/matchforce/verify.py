@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .antiforcing import anti_forcing_edges
 from .errors import UnknownSuite
@@ -130,164 +131,97 @@ def _profile(obj: Graph | HexSystem, max_matchings: int) -> Profile:
     bounds every matching's alternating cycles: each cycle C of M gives its
     own perfect matching M ⊕ C.  thm3 and thm11 read the f and af values
     thm5 filled in.  The cache is not bounded: an entry holds only the
-    instance's matchings, ints and edge labels, never its cycles; the
-    corpora are capped by MAX_ENUMERATED_CELLS; and the benchmark and the
-    tests clear it wherever a run has to start cold.
+    instance's matchings, ints and edge labels, never its cycles; every
+    corpus part is capped (see _Suite); and the benchmark and the tests
+    clear it wherever a run has to start cold.
     """
     return Profile(obj, max_matchings)
 
 
 # ------------------------------------------------------------ the suites
 
-def _checks(corpus, max_matchings: int, problem, keep=lambda obj, p: p.pms) -> list[CheckResult]:
-    """One check per instance that keep(obj, p) keeps; problem(obj, p) is "" when it holds.
-
-    p is the instance's profile, which computes nothing until it is read, so
-    a keep that drops an instance before reading p.pms lists no matchings.
-    By default an instance is kept when it has a perfect matching.
-    """
-    checks = []
-    for name, obj in corpus:
-        p = _profile(obj, max_matchings)
-        if keep(obj, p):
-            detail = problem(obj, p)
-            checks.append(CheckResult(name, not detail, detail))
-    return checks
+def _each_matching(columns, shown: str, holds) -> str:
+    """One "matching i: ..." entry per matching whose values in columns fail holds."""
+    return "; ".join(
+        f"matching {i}: " + shown.format(*values)
+        for i, values in enumerate(zip(*columns))
+        if not holds(*values)
+    )
 
 
-def _pair_checks(corpus, max_matchings: int, families, shown: str, holds) -> list[CheckResult]:
-    """One check per instance with a matching: holds(g, a, b) on each matching's two values."""
-
-    def problem(obj, p: Profile) -> str:
-        v = p.values(families)
-        return "; ".join(
-            f"matching {i}: " + shown.format(a, b)
-            for i, (a, b) in enumerate(zip(*(v[f] for f in families)))
-            if not holds(p.graph, a, b)
-        )
-
-    return _checks(corpus, max_matchings, problem)
-
-
-def _suite_thm2(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
+def _thm2(g: Graph | HexSystem, p: Profile) -> str:
     """f(G,M) equals the maximum disjoint cycle packing (bipartite planar)."""
-    corpus: list[tuple[str, Graph | HexSystem]] = []
-    corpus += polyhex_corpus(max_cells)
-    corpus += tp_corpus(8 if max_cells is None else min(max_cells, 8))
-    corpus += [(n, g) for n, g in named_corpus() if n in ("named-C4", "named-C6")]
-    return _pair_checks(
-        corpus, max_matchings, ("f", "disjoint"), "f={} c={}", lambda g, f, c: f == c
-    )
+    v = p.values(("f", "disjoint"))
+    return _each_matching((v["f"], v["disjoint"]), "f={} c={}", lambda f, c: f == c)
 
 
-def _suite_thm3(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
+def _thm3(h: HexSystem, p: Profile) -> str:
     """Maximum forcing number equals the Clar number on hexagonal systems."""
-
-    def problem(h: HexSystem, p: Profile) -> str:
-        big_f, cl = max(p.values(("f",))["f"]), p.clar
-        return "" if big_f == cl else f"F={big_f} cl={cl}"
-
-    return _checks(polyhex_corpus(max_cells), max_matchings, problem)
+    big_f, cl = max(p.values(("f",))["f"]), p.clar
+    return "" if big_f == cl else f"F={big_f} cl={cl}"
 
 
-def _sandwich_corpus(max_cells: int | None):
-    corpus: list[tuple[str, Graph | HexSystem]] = []
-    corpus += polyhex_corpus(max_cells)
-    corpus += named_corpus()
-    corpus += preset_corpus()
-    return corpus
-
-
-def _suite_thm5(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
+def _thm5(g: Graph | HexSystem, p: Profile) -> str:
     """f(G,M) <= af(G,M) <= (max degree - 1) * f(G,M) for every matching."""
-    return _pair_checks(
-        _sandwich_corpus(max_cells), max_matchings, ("f", "af"), "f={} af={}",
-        lambda g, f, af: f <= af <= (g.max_degree - 1) * f,
-    )
+    v, d = p.values(("f", "af")), p.graph.max_degree
+    return _each_matching((v["f"], v["af"]), "f={} af={}", lambda f, af: f <= af <= (d - 1) * f)
 
 
-def _suite_lem8(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
+def _lem8(g: Graph | HexSystem, p: Profile) -> str:
     """af(G,M) is at least the maximum compatible alternating set size."""
-    return _pair_checks(
-        _sandwich_corpus(max_cells), max_matchings, ("af", "compatible"), "af={} c'={}",
-        lambda g, af, cp: af >= cp,
+    v = p.values(("af", "compatible"))
+    return _each_matching((v["af"], v["compatible"]), "af={} c'={}", lambda af, cp: af >= cp)
+
+
+def _thm9(h: HexSystem, p: Profile) -> str:
+    """Minimax: af(G,M) = c'(M) = minimum feedback set of the contraction."""
+    v = p.values(("af", "compatible"))
+    return _each_matching(
+        (v["af"], v["compatible"], p.feedback), "af={} c'={} feedback={}",
+        lambda af, cp, fb: af == cp == fb,
     )
 
 
-def _suite_thm9(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
-    """Minimax: af(G,M) = c'(M) = minimum feedback set of the contraction."""
-    corpus: list[tuple[str, HexSystem]] = []
-    corpus += polyhex_corpus(max_cells)
-    corpus += tp_corpus(12 if max_cells is None else max_cells)
-    corpus += preset_corpus(max_cells)
-
-    def problem(h: HexSystem, p: Profile) -> str:
-        v = p.values(("af", "compatible"))
-        return "; ".join(
-            f"matching {i}: af={af} c'={cp} feedback={fb}"
-            for i, (af, cp, fb) in enumerate(zip(v["af"], v["compatible"], p.feedback))
-            if not af == cp == fb
-        )
-
-    return _checks(corpus, max_matchings, problem)
-
-
-def _suite_thm11(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
+def _thm11(h: HexSystem, p: Profile) -> str:
     """Maximum anti-forcing number equals the Fries number."""
-
-    def problem(h: HexSystem, p: Profile) -> str:
-        big_af, fries = max(p.values(("af",))["af"]), max(map(int.bit_count, p.resonant))
-        return "" if big_af == fries else f"Af={big_af} Fries={fries}"
-
-    return _checks(polyhex_corpus(max_cells), max_matchings, problem)
+    big_af, fries = max(p.values(("af",))["af"]), max(map(int.bit_count, p.resonant))
+    return "" if big_af == fries else f"Af={big_af} Fries={fries}"
 
 
-def _suite_cor12(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
+def _cor12(h: HexSystem, p: Profile) -> str:
     """cl(H) <= Fries(H) <= 2 cl(H)."""
-
-    def problem(h: HexSystem, p: Profile) -> str:
-        cl, fries = p.clar, max(map(int.bit_count, p.resonant))
-        return "" if cl <= fries <= 2 * cl else f"cl={cl} Fries={fries}"
-
-    return _checks(polyhex_corpus(max_cells), max_matchings, problem)
+    cl, fries = p.clar, max(map(int.bit_count, p.resonant))
+    return "" if cl <= fries <= 2 * cl else f"cl={cl} Fries={fries}"
 
 
-def _suite_thm13(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
+def _thm13(h: HexSystem, p: Profile) -> str:
     """Fries(H) = n exactly for all-kink catahexes; otherwise strictly below."""
-
-    def problem(h: HexSystem, p: Profile) -> str:
-        fries, all_kink = max(map(int.bit_count, p.resonant)), is_all_kink_catahex(h)
-        ok = (fries == h.n_cells) == all_kink and fries <= h.n_cells
-        return "" if ok else f"Fries={fries} n={h.n_cells} all-kink={all_kink}"
-
-    return _checks(polyhex_corpus(max_cells), max_matchings, problem)
+    fries, all_kink = max(map(int.bit_count, p.resonant)), is_all_kink_catahex(h)
+    ok = (fries == h.n_cells) == all_kink and fries <= h.n_cells
+    return "" if ok else f"Fries={fries} n={h.n_cells} all-kink={all_kink}"
 
 
 def _all_kink_catahex(h: HexSystem, p: Profile) -> bool:
     return is_all_kink_catahex(h) and bool(p.pms)  # the shape first: no matchings listed
 
 
-def _suite_thm14(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
+def _thm14(h: HexSystem, p: Profile) -> str:
     """All-kink catahex: Af = 2F exactly when the inner dual has a PM."""
-
-    def problem(h: HexSystem, p: Profile) -> str:
-        dual = inner_dual(h)
-        v = p.values(("f", "af"))
-        big_af, big_f = max(v["af"]), max(v["f"])
-        dual_pm = count_perfect_matchings(dual, max_matchings) > 0
-        # edges that share an end conflict in a matching, adjacent vertices in an independent set
-        nu = max_independent_size(overlap_conflicts((1 << a | 1 << b for a, b in dual.edges), -1))
-        alpha = max_independent_size([sum(1 << w for w, _ in nbrs) for nbrs in dual.adjacency])
-        bad = []
-        if (big_af == 2 * big_f) != dual_pm:
-            bad.append(f"Af={big_af} F={big_f} dual-PM={dual_pm}")
-        if nu + alpha != dual.n:
-            bad.append(f"nu+alpha={nu + alpha} != n={dual.n}")
-        if dual_pm != (2 * nu == dual.n):
-            bad.append(f"dual PM flag inconsistent with nu={nu}")
-        return "; ".join(bad)
-
-    return _checks(polyhex_corpus(max_cells), max_matchings, problem, _all_kink_catahex)
+    dual = inner_dual(h)
+    v = p.values(("f", "af"))
+    big_af, big_f = max(v["af"]), max(v["f"])
+    dual_pm = count_perfect_matchings(dual, p.max_matchings) > 0
+    # edges that share an end conflict in a matching, adjacent vertices in an independent set
+    nu = max_independent_size(overlap_conflicts((1 << a | 1 << b for a, b in dual.edges), -1))
+    alpha = max_independent_size([sum(1 << w for w, _ in nbrs) for nbrs in dual.adjacency])
+    bad = []
+    if (big_af == 2 * big_f) != dual_pm:
+        bad.append(f"Af={big_af} F={big_f} dual-PM={dual_pm}")
+    if nu + alpha != dual.n:
+        bad.append(f"nu+alpha={nu + alpha} != n={dual.n}")
+    if dual_pm != (2 * nu == dual.n):
+        bad.append(f"dual PM flag inconsistent with nu={nu}")
+    return "; ".join(bad)
 
 
 def _brute_independent_domination(g: Graph) -> int:
@@ -309,33 +243,39 @@ def _brute_independent_domination(g: Graph) -> int:
     return best
 
 
-def _suite_thm15(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
+def _thm15(h: HexSystem, p: Profile) -> str:
     """All-kink catahex: f(H) = i(inner dual) = minimum Fries count."""
+    dual = inner_dual(h)
+    f_min, fries_min = min(p.values(("f",))["f"]), min(map(int.bit_count, p.resonant))
+    i_dp, witness = tree_independent_domination(dual)
+    i_brute = _brute_independent_domination(dual)
+    bad = []
+    if not f_min == i_dp == fries_min:
+        bad.append(f"f={f_min} i={i_dp} fries_min={fries_min}")
+    if i_dp != i_brute:
+        bad.append(f"tree DP {i_dp} != brute force {i_brute}")
+    wset = set(witness)
+    dominated = set(wset)
+    for u, v in dual.edges:
+        if u in wset and v in wset:
+            bad.append("witness not independent")
+        if u in wset:
+            dominated.add(v)
+        if v in wset:
+            dominated.add(u)
+    if len(dominated) != dual.n or len(wset) != i_dp:
+        bad.append("witness does not dominate at optimal size")
+    return "; ".join(bad)
 
-    def problem(h: HexSystem, p: Profile) -> str:
-        dual = inner_dual(h)
-        f_min, fries_min = min(p.values(("f",))["f"]), min(map(int.bit_count, p.resonant))
-        i_dp, witness = tree_independent_domination(dual)
-        i_brute = _brute_independent_domination(dual)
-        bad = []
-        if not f_min == i_dp == fries_min:
-            bad.append(f"f={f_min} i={i_dp} fries_min={fries_min}")
-        if i_dp != i_brute:
-            bad.append(f"tree DP {i_dp} != brute force {i_brute}")
-        wset = set(witness)
-        dominated = set(wset)
-        for u, v in dual.edges:
-            if u in wset and v in wset:
-                bad.append("witness not independent")
-            if u in wset:
-                dominated.add(v)
-            if v in wset:
-                dominated.add(u)
-        if len(dominated) != dual.n or len(wset) != i_dp:
-            bad.append("witness does not dominate at optimal size")
-        return "; ".join(bad)
 
-    return _checks(polyhex_corpus(max_cells), max_matchings, problem, _all_kink_catahex)
+def _thm16(h: HexSystem, p: Profile) -> str:
+    """af(H) = 1 exactly for truncated parallelograms; plus edge-count goldens."""
+    is_tp, _ = is_truncated_parallelogram(h)
+    if not p.pms:
+        return "recognized TP has no perfect matching" if is_tp else ""
+    # a unique matching needs no deletions at all
+    af1 = len(p.pms) > 1 and bool(anti_forcing_edges(h.graph))
+    return "" if af1 == is_tp else f"af==1 is {af1}, TP is {is_tp}"
 
 
 _THM16_EXTRAS: tuple[tuple[tuple[int, ...], int], ...] = (
@@ -354,24 +294,13 @@ _THM16_EXTRAS: tuple[tuple[tuple[int, ...], int], ...] = (
 )
 
 
-def _suite_thm16(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
-    """af(H) = 1 exactly for truncated parallelograms; plus edge-count goldens."""
-
-    def problem(h: HexSystem, p: Profile) -> str:
-        is_tp, _ = is_truncated_parallelogram(h)
-        if not p.pms:
-            return "recognized TP has no perfect matching" if is_tp else ""
-        # a unique matching needs no deletions at all
-        af1 = len(p.pms) > 1 and bool(anti_forcing_edges(h.graph))
-        return "" if af1 == is_tp else f"af==1 is {af1}, TP is {is_tp}"
-
-    checks = _checks(polyhex_corpus(max_cells), max_matchings, problem, keep=lambda h, p: True)
-    for params, expected in _THM16_EXTRAS:
-        count = len(anti_forcing_edges(gen_truncated_parallelogram(params).graph))
-        detail = "" if count == expected else f"{count} anti-forcing edges, expected {expected}"
-        name = "tp-" + ",".join(map(str, params)) + "-edges"
-        checks.append(CheckResult(name, not detail, detail))
-    return checks
+def _thm20(h: HexSystem, p: Profile) -> str:
+    """With a fixed single edge: af = 2 iff exactly two normal components, both TPs."""
+    af_min = min(p.values(("af",))["af"])
+    comps = normal_hex_components(h, p.labels)
+    both_tp = len(comps) == 2 and all(is_truncated_parallelogram(c)[0] for c in comps)
+    ok = (af_min == 2) == both_tp
+    return "" if ok else f"af={af_min}, components={len(comps)}, both TP={both_tp}"
 
 
 # two / three 2-cell blocks joined by forced middle cells: the first has two
@@ -386,55 +315,65 @@ _THM20_CONSTRUCTED: tuple[tuple[str, tuple[tuple[int, int], ...]], ...] = (
 )
 
 
-def _suite_thm20(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
-    """With a fixed single edge: af = 2 iff exactly two normal components, both TPs."""
-    corpus = polyhex_corpus(max_cells)
-    corpus += [(name, build_hex_system(cells)) for name, cells in _THM20_CONSTRUCTED]
-
-    def problem(h: HexSystem, p: Profile) -> str:
-        af_min = min(p.values(("af",))["af"])
-        comps = normal_hex_components(h, p.labels)
-        both_tp = len(comps) == 2 and all(is_truncated_parallelogram(c)[0] for c in comps)
-        ok = (af_min == 2) == both_tp
-        return "" if ok else f"af={af_min}, components={len(comps)}, both TP={both_tp}"
-
-    return _checks(corpus, max_matchings, problem, lambda h, p: p.pms and FIXED_SINGLE in p.labels)
-
-
-def _suite_lem19(max_cells: int | None, max_matchings: int) -> list[CheckResult]:
+def _lem19(h: HexSystem, p: Profile) -> str:
     """Every maximal parallel cut meets every perfect matching equally often."""
-    corpus: list[tuple[str, HexSystem]] = []
-    corpus += polyhex_corpus(max_cells)
-    corpus += tp_corpus(min(MAX_ENUMERATED_CELLS if max_cells is None else max_cells, 8))
-    corpus += preset_corpus()
-
-    def problem(h: HexSystem, p: Profile) -> str:
-        masks = [edge_mask(m.edge_ids) for m in p.pms]
-        bad = []
-        for cut in parallel_cuts(h):
-            cut_mask = edge_mask(cut)
-            values = {(cut_mask & mask).bit_count() for mask in masks}
-            if len(values) != 1:
-                bad.append(f"cut {cut}: counts {sorted(values)}")
-        return "; ".join(bad)
-
-    return _checks(corpus, max_matchings, problem)
+    masks = [edge_mask(m.edge_ids) for m in p.pms]
+    bad = []
+    for cut in parallel_cuts(h):
+        cut_mask = edge_mask(cut)
+        values = {(cut_mask & mask).bit_count() for mask in masks}
+        if len(values) != 1:
+            bad.append(f"cut {cut}: counts {sorted(values)}")
+    return "; ".join(bad)
 
 
-_SUITES = {
-    "thm2": _suite_thm2,
-    "thm3": _suite_thm3,
-    "thm5": _suite_thm5,
-    "lem8": _suite_lem8,
-    "thm9": _suite_thm9,
-    "thm11": _suite_thm11,
-    "cor12": _suite_cor12,
-    "thm13": _suite_thm13,
-    "thm14": _suite_thm14,
-    "thm15": _suite_thm15,
-    "thm16": _suite_thm16,
-    "thm20": _suite_thm20,
-    "lem19": _suite_lem19,
+# ------------------------------------------------------------ the table
+
+_Instance = tuple[str, Graph | HexSystem]
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """One suite: its corpus, the instances it keeps, and its problem on them.
+
+    The corpus is every polyhex of at most max_cells cells, the TPs of at most
+    min(max_cells, tp_cap) cells (None means tp_cap), then extra(max_cells).
+    keep(obj, p) reads the instance's profile, which computes nothing until it is
+    read, so a keep that drops an instance before reading p.pms lists no matchings.
+    problem(obj, p) is "" when the identity holds.  goldens: fixed TP edge counts.
+    """
+
+    problem: Callable[[Graph | HexSystem, Profile], str]
+    tp_cap: int = 0
+    extra: Callable[[int | None], list[_Instance]] = lambda max_cells: []
+    keep: Callable[[Graph | HexSystem, Profile], object] = lambda obj, p: p.pms
+    goldens: tuple[tuple[tuple[int, ...], int], ...] = ()
+
+    def corpus(self, max_cells: int | None) -> list[_Instance]:
+        tps = tp_corpus(self.tp_cap if max_cells is None else min(max_cells, self.tp_cap))
+        return polyhex_corpus(max_cells) + tps + self.extra(max_cells)
+
+
+_CYCLES = ("named-C4", "named-C6")
+# presets: thm9 keeps those of at most max_cells cells, the others all four
+_SUITES: dict[str, _Suite] = {
+    "thm2": _Suite(_thm2, tp_cap=8, extra=lambda c: [x for x in named_corpus() if x[0] in _CYCLES]),
+    "thm3": _Suite(_thm3),
+    "thm5": _Suite(_thm5, extra=lambda c: named_corpus() + preset_corpus()),
+    "lem8": _Suite(_lem8, extra=lambda c: named_corpus() + preset_corpus()),
+    "thm9": _Suite(_thm9, tp_cap=12, extra=preset_corpus),
+    "thm11": _Suite(_thm11),
+    "cor12": _Suite(_cor12),
+    "thm13": _Suite(_thm13),
+    "thm14": _Suite(_thm14, keep=_all_kink_catahex),
+    "thm15": _Suite(_thm15, keep=_all_kink_catahex),
+    "thm16": _Suite(_thm16, keep=lambda h, p: True, goldens=_THM16_EXTRAS),
+    "thm20": _Suite(
+        _thm20,
+        extra=lambda c: [(name, build_hex_system(cells)) for name, cells in _THM20_CONSTRUCTED],
+        keep=lambda h, p: p.pms and FIXED_SINGLE in p.labels,
+    ),
+    "lem19": _Suite(_lem19, tp_cap=8, extra=lambda c: preset_corpus()),
 }
 SUITE_IDS = tuple(_SUITES)
 
@@ -444,7 +383,18 @@ def run_suite(
     max_cells: int | None = None,
     max_matchings: int = DEFAULT_MATCHING_CAP,
 ) -> SuiteResult:
+    """One check per instance of the suite's corpus that it keeps, then one per golden."""
     if suite not in _SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; have {', '.join(SUITE_IDS)}")
-    checks = _SUITES[suite](max_cells, max_matchings)
+    row, checks = _SUITES[suite], []
+    for name, obj in row.corpus(max_cells):
+        p = _profile(obj, max_matchings)
+        if row.keep(obj, p):
+            detail = row.problem(obj, p)
+            checks.append(CheckResult(name, not detail, detail))
+    for params, expected in row.goldens:
+        count = len(anti_forcing_edges(gen_truncated_parallelogram(params).graph))
+        detail = "" if count == expected else f"{count} anti-forcing edges, expected {expected}"
+        name = "tp-" + ",".join(map(str, params)) + "-edges"
+        checks.append(CheckResult(name, not detail, detail))
     return SuiteResult(suite, tuple(checks))

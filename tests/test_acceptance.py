@@ -21,6 +21,7 @@ from matchforce.antiforcing import (
     is_antiforcing_set,
     max_compatible_alternating_set,
 )
+from matchforce import verify
 from matchforce.cli import main
 from matchforce.forcing import compatible_cycles, forcing_number, forcing_spectrum
 from matchforce.generators import GLUE_PRESETS, gen_named, glue_preset
@@ -292,15 +293,16 @@ def test_c09_glued_presets_and_cut_invariance():
 
 
 # Each suite's check count at its default corpus, and the sha256 of every
-# line `matchforce verify` prints for the 13 suites in SUITE_IDS order, both
-# recorded before the suites shared one check loop and thm14 took nu and
-# alpha from the exact solver.  perfbench's goldens pin only max_cells=5.
+# line `matchforce verify` prints for the 13 suites in SUITE_IDS order.  Both
+# were recorded when every suite's default corpus became its largest, which
+# added lem19's 37 TPs of 7 and 8 cells; every other line is the one the
+# per-suite wrappers printed.  perfbench's goldens pin only max_cells=5.
 _DEFAULT_RUN = (
     ("thm2", 716), ("thm3", 648), ("thm5", 656), ("lem8", 656), ("thm9", 923),
     ("thm11", 648), ("cor12", 648), ("thm13", 648), ("thm14", 153), ("thm15", 153),
-    ("thm16", 1070), ("thm20", 35), ("lem19", 681),
+    ("thm16", 1070), ("thm20", 35), ("lem19", 718),
 )
-_DEFAULT_RUN_SHA256 = "d386d6f9b68b53dfc942ecdee43288f73833b3a8074107d95f68f2df091890af"
+_DEFAULT_RUN_SHA256 = "735846baa46810173094144321b25ff6c4cfa0edbe8567219e3513deb90f1c40"
 
 
 def test_default_verify_run_prints_the_recorded_lines(capsys):
@@ -311,8 +313,44 @@ def test_default_verify_run_prints_the_recorded_lines(capsys):
         digest.update(text.encode())
         counts.append((suite, len(text.splitlines()) - 1))  # the last line is the summary
     assert tuple(counts) == _DEFAULT_RUN
-    assert sum(n for _, n in counts) == 7635
+    assert sum(n for _, n in counts) == 7672
     assert digest.hexdigest() == _DEFAULT_RUN_SHA256
+
+
+# The sha256 of what `matchforce verify --suite ID --max-cells 3` prints,
+# recorded from the per-suite wrappers the suite table replaced: a cap below
+# both the perfbench goldens' 5 and the default run's.
+_THREE_CELL_SHA256 = {
+    "thm2": "27a3c8a179a00ed4d9de164d42b453085ccc4bc3743b591f780b57f27eba67b4",
+    "thm3": "9943581a0e0946f83b77fc829357c72937102467735c97669678e7d5f1d1579a",
+    "thm5": "daa57e133dbbf1b9da1ef3c77ef4d554f752208fce23f8eebb22cd426156a2b7",
+    "lem8": "2b873b8deb3ab852c28e14539223ffd6cf60efebc35ebe4297a6ed8da4336c46",
+    "thm9": "45b2ff304da9004a47d3435196f7c0ee45dc9b8b8d7367ad6fbe9bfca4949d55",
+    "thm11": "9afb986adc9770ad1f296620294bea92c25be41fb7ba8010b6d2bcc043dcf949",
+    "cor12": "a6a5f1971285904f153d782feb1142908efe67a5ea12101c5888e5b48f717eb1",
+    "thm13": "7aaf25fe709bdb98a39ece7ab48f73d0baf739011e6a799c4579f544b88aefab",
+    "thm14": "984053a658bb023f4402f55be05b83eace4a22f15dcd938d5778774a63aced18",
+    "thm15": "12033871774559ada1c585207ddadcc4483ac55b515b86689e4a416f5d0962d3",
+    "thm16": "caa65075f9f8f743ec41f04b6f01c9d1d1342aac2a73b27645534d6604ef5d4e",
+    "thm20": "df0b99280eaba2c5e560963fcd12d61e3742ed11f94edfab4f898e3da0dda113",
+    "lem19": "f7daa2933cb11999d1d6cd05282814e45c9f3b7bba99c3e14dbaa31475f3aabb",
+}
+
+
+def test_three_cell_verify_runs_print_the_recorded_lines(capsys):
+    for suite in SUITE_IDS:
+        assert main(["verify", "--suite", suite, "--max-cells", "3"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == _THREE_CELL_SHA256[suite], suite
+
+
+def test_every_suites_default_corpus_is_its_largest():
+    # the instances are built, never solved: no profile is read
+    for suite, row in verify._SUITES.items():
+        default = {name for name, _ in row.corpus(None)}
+        for max_cells in range(13):
+            missing = {name for name, _ in row.corpus(max_cells)} - default
+            assert not missing, (suite, max_cells, sorted(missing))
 
 
 def _unique_check_corpus():

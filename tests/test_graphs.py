@@ -305,6 +305,16 @@ def test_c6_single_alternating_cycle():
         assert cycles[0].vertex_seq == (0, 1, 2, 3, 4, 5) or len(cycles[0]) == 6
 
 
+def test_matchings_answer_membership_and_cycles_their_length():
+    g = c6()
+    m = enumerate_perfect_matchings(g)[0]
+    assert [e in m for e in range(g.m)] == [e in m.edge_ids for e in range(g.m)]
+    assert sum(e in m for e in range(g.m)) == len(m) == 3
+    (cycle,) = enumerate_alternating_cycles(g, m)
+    assert len(cycle) == len(cycle.vertex_seq) == 6
+    assert len(AltCycle((0, 1, 2, 3), frozenset())) == 4
+
+
 def test_alternation_is_sound():
     h = gen_named("triphenylene")
     g = h.graph

@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
-from matchforce.errors import Disconnected, HasHole, LimitExceeded, NotATree
+from matchforce.errors import Disconnected, HasHole, LimitExceeded, MatchforceError, NotATree
 from matchforce.generators import (
     GLUE_PRESETS,
     enumerate_hex_systems,
@@ -16,6 +16,8 @@ from matchforce.generators import (
 from matchforce.graphs import (
     BLACK,
     DEFAULT_MATCHING_CAP,
+    FIXED_SINGLE,
+    FREE,
     Matching,
     build_graph,
     edge_fixedness,
@@ -309,6 +311,20 @@ def test_normal_system_has_single_component():
     h = gen_truncated_parallelogram((3, 2))
     comps = normal_hex_components(h, edge_fixedness(h.graph))
     assert len(comps) == 1 and comps[0].n_cells == h.n_cells
+
+
+@pytest.mark.parametrize("with_cell_0", [True, False])
+def test_a_free_component_of_no_whole_hexagons_is_refused(with_cell_0):
+    # cell 0's six edges plus one edge of cell 1 at a cell-0 vertex, or that edge alone
+    h = gen_truncated_parallelogram((2,))
+    cell_0 = set(h.face_edges[0])
+    at_cell_0 = {v for e in cell_0 for v in h.graph.edges[e]}
+    edge = next(e for e in h.face_edges[1] if e not in cell_0 and at_cell_0 & set(h.graph.edges[e]))
+    free = cell_0 | {edge} if with_cell_0 else {edge}
+    labels = tuple(FREE if e in free else FIXED_SINGLE for e in range(h.graph.m))
+    with pytest.raises(MatchforceError, match="not a union of whole hexagons") as raised:
+        normal_hex_components(h, labels)
+    assert type(raised.value) is MatchforceError
 
 
 def _pattern_alternating_hexagons(h, m):
