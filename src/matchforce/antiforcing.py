@@ -89,18 +89,19 @@ def anti_forcing_edges(g: Graph) -> tuple[int, ...]:
     matchings (each gives its own M ⊕ C), while the per-edge route below
     runs at least n/2 pendant reductions.  So the cycles decide when
     K − 1 ≤ n/2, and on non-bipartite input, where a stalled reduction
-    would also list matchings of g − e.  With K = 0 nothing is listed.
-    Otherwise, and when the count exceeds its cap, each edge is tested by
-    one pendant reduction of g without it; given two perfect matchings only
-    their union is tested, since g − e keeps both for any other edge e.
+    would also list matchings of g − e; both only while K is at most
+    DEFAULT_MATCHING_CAP.  With K = 0 nothing is listed.  Otherwise, and
+    when the count stops, each edge is tested by one pendant reduction of g
+    without it; given two perfect matchings only their union is tested,
+    since g − e keeps both for any other edge e.
     """
     try:
         k = count_perfect_matchings(g)
     except LimitExceeded:
-        k = None
+        k = DEFAULT_MATCHING_CAP + 1  # the count stopped: take the pendant route
     if k == 0:
         return ()
-    if k is not None and (g.color is None or 2 * (k - 1) <= g.n):
+    if k <= DEFAULT_MATCHING_CAP and (g.color is None or 2 * (k - 1) <= g.n):
         m = Matching(next(_iter_perfect_matchings(g)))
         inside = edge_mask(m.edge_ids)
         cycles = alternating_cycle_masks(g, m, k)

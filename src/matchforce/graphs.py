@@ -390,15 +390,13 @@ def enumerate_perfect_matchings(
     return tuple(map(_sorted_matching, ids))
 
 
-def count_perfect_matchings(g: Graph, max_matchings: int = DEFAULT_MATCHING_CAP) -> int:
+def count_perfect_matchings(g: Graph) -> int:
     """The number of perfect matchings (Kekulé structures), swept on a BFS order, none listed.
 
-    LimitExceeded past `max_matchings`, or past FRONTIER_STATE_CAP states in one sweep layer.
+    No matching cap applies, as none is listed: LimitExceeded only past
+    FRONTIER_STATE_CAP states in one sweep layer.
     """
-    count = g._pm_count
-    if count > max_matchings:
-        raise LimitExceeded(f"more than {max_matchings} perfect matchings")
-    return count
+    return g._pm_count
 
 
 def _pendant_reduction(g: Graph, without: Collection[int] = ()) -> list[int] | None:

@@ -27,7 +27,6 @@ from .errors import (
 )
 from .graphs import (
     BLACK,
-    DEFAULT_MATCHING_CAP,
     FREE,
     Graph,
     Matching,
@@ -37,7 +36,6 @@ from .graphs import (
     _cover_steps,
     _reach,
     build_graph,
-    count_perfect_matchings,
     edge_mask,
     normal_components,
 )
@@ -129,9 +127,12 @@ class HexSystem:
         return tuple(sum(1 << d for d in nbrs) for nbrs in self.cell_adjacency)
 
     @cached_property
-    def _resonance(self) -> tuple[_Clar, FriesNumbers]:
-        """Clar and Fries numbers with their witnesses, from one resonance sweep per system."""
-        most, most_m, least, least_m, _, picked_m = _sweep_resonance(self)
+    def _resonance(self) -> tuple[_Clar, FriesNumbers] | None:
+        """Clar and Fries numbers with their witnesses from one resonance sweep; None with no PM."""
+        end = _sweep_resonance(self)
+        if end is None:
+            return None
+        most, most_m, least, least_m, _, picked_m = end
         clar_m, most_m, least_m = (Matching(_bit_ids(mask)) for mask in (picked_m, most_m, least_m))
         best, pick = exact._max_independent(self.cell_conflicts, _resonant_mask(self, clar_m))
         witnesses = [(m, _mask_cells(self, _resonant_mask(self, m))) for m in (most_m, least_m)]
@@ -287,8 +288,8 @@ def _sweep_resonance(h: HexSystem) -> list | None:
     and the fewest resonant closes over its paths with no pick (None when
     only picks reach it; the fewest negated, so all three are maxima) and
     the most picks over all its paths, each with the edge mask of the first
-    path to reach it, by _first.  count_perfect_matchings counts the
-    completions; both stop at FRONTIER_STATE_CAP states in one layer.
+    path to reach it, by _first.  None: no perfect matching.  Listing no
+    matching, it stops only at FRONTIER_STATE_CAP states in one layer.
 
     The steps are built from int masks, not sets of cells: per vertex, the
     OR of the fields of the cells with a corner there.  Cells open at one
@@ -403,14 +404,13 @@ def _resonant_mask(h: HexSystem, m: Matching) -> int:
     return sum(1 << c for c in alternating_hexagons(h, m))
 
 
-def _kekule_resonance(h: HexSystem, max_matchings: int) -> tuple[_Clar, FriesNumbers]:
-    # every call checks its own cap and empty case, whether h keeps the sweep yet or not
-    if not count_perfect_matchings(h.graph, max_matchings):
+def _kekule_resonance(h: HexSystem) -> tuple[_Clar, FriesNumbers]:
+    if h._resonance is None:
         raise NoPerfectMatching("graph has no perfect matching")
     return h._resonance
 
 
-def clar_number(h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP) -> _Clar:
+def clar_number(h: HexSystem) -> _Clar:
     """Largest set of disjoint simultaneously-alternating hexagons over all PMs.
 
     The witness is the first perfect matching in canonical order to attain
@@ -418,17 +418,17 @@ def clar_number(h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP) -> _Cla
     cells.  From the resonance sweep that h keeps for fries_numbers too;
     every report reads its Clar number here.
     """
-    return _kekule_resonance(h, max_matchings)[0]
+    return _kekule_resonance(h)[0]
 
 
-def fries_numbers(h: HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP) -> FriesNumbers:
+def fries_numbers(h: HexSystem) -> FriesNumbers:
     """Max and min count of alternating hexagons over all perfect matchings.
 
     Each witness is the first perfect matching in canonical order to attain
     its extreme, with its resonant cells.  From the resonance sweep that h
     keeps for clar_number too; every report reads its Fries numbers here.
     """
-    return _kekule_resonance(h, max_matchings)[1]
+    return _kekule_resonance(h)[1]
 
 
 def is_all_kink_catahex(h: HexSystem) -> bool:

@@ -78,8 +78,8 @@ class Profile:
     comes from each matching's contraction (orient_and_contract), never
     from its alternating cycles, so thm9's third equality stays a check.
 
-    `max_matchings` is the one cap: LimitExceeded past that many perfect
-    matchings.  It bounds each matching's alternating cycles too, since each
+    `max_matchings` caps only what lists matchings: LimitExceeded past
+    that many.  It bounds each matching's alternating cycles too, since each
     M-alternating cycle C gives its own perfect matching M ⊕ C, so a matching
     has fewer cycles than there are matchings.  Where a single-matching
     solver meets a listed matching (`feedback`, on a contraction whose
@@ -89,11 +89,13 @@ class Profile:
     Reports never read `resonant` or `clar`: pm_count is the frontier count
     (count_perfect_matchings) on every instance, and on a hexagonal system
     clar and fries come from the resonance sweep (clar_number,
-    fries_numbers), whatever else the call names.  The two are verify's
-    value-only read-off for thm3, thm11, cor12, thm13 and thm15: on its
-    polyhexes of at most 5 cells listing the matchings and reading them is
-    cheaper than the sweep, and reading Clar and Fries off the sweep
-    instead made a cold run of all 13 suites at 5 cells about 13 % slower.
+    fries_numbers), whatever else the call names; the sweeps list no
+    matching, so only graphs.FRONTIER_STATE_CAP bounds them.  `resonant`
+    and `clar` are verify's value-only read-off for thm3, thm11, cor12,
+    thm13 and thm15: on its polyhexes of at most 5 cells listing the
+    matchings and reading them is cheaper than the sweep, and reading Clar
+    and Fries off the sweep instead made a cold run of all 13 suites at 5
+    cells about 13 % slower.
     """
 
     def __init__(self, obj: Graph | HexSystem, max_matchings: int = DEFAULT_MATCHING_CAP) -> None:
@@ -175,20 +177,20 @@ def _per_matching(family: str, extreme: Callable | None) -> Callable[[Profile, A
 
 
 def _inv_pm_count(p: Profile, names):
-    return count_perfect_matchings(p.graph, p.max_matchings), None
+    return count_perfect_matchings(p.graph), None
 
 
 def _inv_clar(p: Profile, names):
     if not isinstance(p.obj, HexSystem):
         raise InapplicableInvariant("clar needs a hexagonal system")
-    value, (m, cells) = clar_number(p.obj, p.max_matchings)
+    value, (m, cells) = clar_number(p.obj)
     return value, lambda: {"matching": list(m.edge_ids), "hexagons": [list(c) for c in cells]}
 
 
 def _inv_fries(p: Profile, names):
     if not isinstance(p.obj, HexSystem):
         raise InapplicableInvariant("fries needs a hexagonal system")
-    fr = fries_numbers(p.obj, p.max_matchings)
+    fr = fries_numbers(p.obj)
     return {"max": fr.maximum, "min": fr.minimum}, lambda: {
         "max_matching": list(fr.max_witness[0].edge_ids),
         "max_hexagons": [list(c) for c in fr.max_witness[1]],

@@ -24,7 +24,6 @@ from .generators import (
     glue_preset,
 )
 from .graphs import (
-    DEFAULT_MATCHING_CAP,
     FIXED_SINGLE,
     Graph,
     count_perfect_matchings,
@@ -124,18 +123,17 @@ def named_corpus() -> list[tuple[str, Graph | HexSystem]]:
 # ------------------------------------------------------- cached profiles
 
 @lru_cache(maxsize=None)
-def _profile(obj: Graph | HexSystem, max_matchings: int) -> Profile:
+def _profile(obj: Graph | HexSystem) -> Profile:
     """The one profile of an instance, shared by every suite that reads it.
 
-    It is keyed by the instance and the one cap, max_matchings, which also
-    bounds every matching's alternating cycles: each cycle C of M gives its
-    own perfect matching M ⊕ C.  thm3 and thm11 read the f and af values
-    thm5 filled in.  The cache is not bounded: an entry holds only the
+    It is keyed by the instance alone: it lists at the default matching cap,
+    which no corpus instance comes near.  thm3 and thm11 read the f and af
+    values thm5 filled in.  The cache is not bounded: an entry holds only the
     instance's matchings, ints and edge labels, never its cycles; every
     corpus part is capped (see _Suite); and the benchmark and the tests
     clear it wherever a run has to start cold.
     """
-    return Profile(obj, max_matchings)
+    return Profile(obj)
 
 
 # ------------------------------------------------------------ the suites
@@ -210,7 +208,7 @@ def _thm14(h: HexSystem, p: Profile) -> str:
     dual = inner_dual(h)
     v = p.values(("f", "af"))
     big_af, big_f = max(v["af"]), max(v["f"])
-    dual_pm = count_perfect_matchings(dual, p.max_matchings) > 0
+    dual_pm = count_perfect_matchings(dual) > 0
     # edges that share an end conflict in a matching, adjacent vertices in an independent set
     nu = max_independent_size(overlap_conflicts((1 << a | 1 << b for a, b in dual.edges), -1))
     alpha = max_independent_size([sum(1 << w for w, _ in nbrs) for nbrs in dual.adjacency])
@@ -378,17 +376,13 @@ _SUITES: dict[str, _Suite] = {
 SUITE_IDS = tuple(_SUITES)
 
 
-def run_suite(
-    suite: str,
-    max_cells: int | None = None,
-    max_matchings: int = DEFAULT_MATCHING_CAP,
-) -> SuiteResult:
+def run_suite(suite: str, max_cells: int | None = None) -> SuiteResult:
     """One check per instance of the suite's corpus that it keeps, then one per golden."""
     if suite not in _SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; have {', '.join(SUITE_IDS)}")
     row, checks = _SUITES[suite], []
     for name, obj in row.corpus(max_cells):
-        p = _profile(obj, max_matchings)
+        p = _profile(obj)
         if row.keep(obj, p):
             detail = row.problem(obj, p)
             checks.append(CheckResult(name, not detail, detail))

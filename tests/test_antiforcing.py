@@ -285,6 +285,33 @@ def test_a_long_chain_takes_the_cycles_route(monkeypatch):
     assert asked == []
 
 
+def _diagonal_strip(rungs):
+    """A ladder with one diagonal in each square: not bipartite, K a Fibonacci number."""
+    edges = [(2 * i, 2 * i + 1) for i in range(rungs)]
+    for i in range(rungs - 1):
+        edges += [(2 * i, 2 * i + 2), (2 * i + 1, 2 * i + 3), (2 * i, 2 * i + 3)]
+    return build_graph(2 * rungs, edges)
+
+
+def test_a_count_past_the_matching_cap_takes_the_pendant_route(monkeypatch):
+    # the count takes no cap, so anti_forcing_edges holds K to the matching cap
+    # itself: at 30 rungs walking M's cycles takes 2.6 s, the pendant tests 1 ms
+    g = _diagonal_strip(30)
+    assert g.color is None
+    assert graphs.count_perfect_matchings(g) == 1_346_269 > graphs.DEFAULT_MATCHING_CAP
+    expected = tuple(
+        e
+        for e in range(g.m)
+        if len(list(itertools.islice(_iter_perfect_matchings(remove_edges(g, [e])), 2))) == 1
+    )
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("anti_forcing_edges walked the cycles of a matching")
+
+    monkeypatch.setattr(antiforcing, "alternating_cycle_masks", no_walk)
+    assert anti_forcing_edges(g) == expected
+
+
 def test_anti_forcing_edges_match_deletion_on_the_benchmark_instances(monkeypatch):
     # against G − e enumerated, capped at two matchings: on the polyhexes of at
     # most 5 cells, the dodecahedron, and the large benzenoids and two seeded

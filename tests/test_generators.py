@@ -1,5 +1,7 @@
 """Instance generators: layouts, the polyhex corpus, gluings."""
 
+from itertools import product
+
 import pytest
 
 from matchforce.errors import BadRowSequence, InvalidGlue, TooLarge, UnknownName
@@ -14,6 +16,7 @@ from matchforce.generators import (
     tp_cells,
 )
 from matchforce.hexsys import is_truncated_parallelogram, transform_cell
+from matchforce.verify import _descending_tuples
 
 
 def test_tp_layout_rows_are_right_aligned():
@@ -194,6 +197,24 @@ def test_glue_can_produce_a_truncated_parallelogram():
     ok, params = is_truncated_parallelogram(h)
     assert ok and params == (2,)
     assert anti_forcing_edges(h.graph)
+
+
+def test_every_valid_gluing_of_small_tps_builds():
+    # glue_af2 builds the union without catching HasHole or Disconnected:
+    # blocks that pass its path checks always make a connected, hole-free
+    # system.  Every TP of at most 3 cells, against every one, under all 12
+    # symmetries and offsets in [-3, 3]^2.
+    tps = [params for total in range(1, 4) for params in _descending_tuples(total)]
+    assert len(tps) == 6
+    built = 0
+    for t1, t2, symmetry, dq, dr in product(tps, tps, range(12), range(-3, 4), range(-3, 4)):
+        try:
+            h = glue_af2(GlueSpec(t1, t2, symmetry, (dq, dr)))
+        except InvalidGlue:
+            continue
+        assert h.n_cells == sum(t1) + sum(t2)
+        built += 1
+    assert built == 3082
 
 
 def test_glue_rejects_closed_ring():

@@ -34,6 +34,7 @@ from matchforce.io import (
     serialize_hex,
 )
 from matchforce.report import compute_report, replay
+from test_hexsys import _hexagon
 
 
 # ---------------------------------------------------------------- formats
@@ -349,9 +350,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "compute", "--in", str(gp), "--inv", "clar")
     assert code == 3
 
-    code, _, _ = run_cli(
-        capsys, "compute", "--in", str(gp), "--inv", "pm_count", "--max-matchings", "1"
-    )
+    code, _, _ = run_cli(capsys, "compute", "--in", str(gp), "--inv", "f", "--max-matchings", "1")
     assert code == 4
 
     code, _, _ = run_cli(capsys, "compute", "--in", str(gp), "--inv", "nonesuch")
@@ -416,8 +415,6 @@ def test_cli_compute_names_a_parse_error(tmp_path, capsys, name, text, message):
         ("compute", "--inv", "pm_count", "--max-matchings", "-5"),
         ("compute", "--inv", "f", "--max-matchings", "-1"),
         ("verify", "--suite", "thm2", "--max-cells", "-3"),
-        ("verify", "--suite", "thm2", "--max-matchings", "-1"),
-        ("verify", "--suite", "thm9", "--max-matchings", "-1"),
     ],
 )
 def test_cli_rejects_negative_caps_and_cell_counts(tmp_path, capsys, args):
@@ -442,14 +439,40 @@ def test_cli_has_no_cycle_cap(tmp_path, capsys):
         assert err.endswith("error: unrecognized arguments: --max-cycles 5\n")
 
 
+def test_cli_verify_has_no_matching_cap(capsys):
+    # no corpus instance comes near the matching cap, so verify takes none
+    for suite in ("thm2", "thm9"):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-matchings", "-1")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --max-matchings -1\n")
+
+
 def test_cli_takes_zero_caps_as_caps(tmp_path, capsys):
     gp = tmp_path / "c6.graph"
     gp.write_text(serialize_graph(gen_named("C6")))
-    code, _, err = run_cli(
-        capsys, "compute", "--in", str(gp), "--inv", "pm_count", "--max-matchings", "0"
-    )
+    code, _, err = run_cli(capsys, "compute", "--in", str(gp), "--inv", "f", "--max-matchings", "0")
     assert code == 4
     assert err == "cap exceeded: more than 0 perfect matchings\n"
+
+
+def test_cli_sweeps_hexagon_5_past_the_matching_cap(tmp_path, capsys):
+    # K = 267,227,532 is past the default matching cap, which bounds only
+    # what lists matchings: the count, Clar and Fries answer and replay clean
+    path, out = tmp_path / "hexagon-5.hex", tmp_path / "report.json"
+    path.write_text(serialize_hex(_hexagon(5)))
+    code, _, err = run_cli(
+        capsys, "compute", "--in", str(path), "--inv", "pm_count,clar,fries", "--out", str(out)
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out.read_text())
+    values = [e["value"] for e in report["invariants"]]
+    assert values == [267_227_532, 19, {"max": 37, "min": 1}]
+    assert replay(report, path) == []
+    # listing its matchings still stops at the cap
+    code, _, err = run_cli(
+        capsys, "compute", "--in", str(path), "--inv", "f", "--max-matchings", "1000"
+    )
+    assert (code, err) == (4, "cap exceeded: more than 1000 perfect matchings\n")
 
 
 def _random_cubic(n, seed):

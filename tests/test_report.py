@@ -204,13 +204,13 @@ def test_kekule_report_sweeps_and_enumerates_no_matchings(tmp_path, kekule_calls
     # pm_count, clar and fries all come from the frontier sweep; only its three
     # witness matchings (Clar, Fries maximum and minimum) have their hexagons tested
     assert not kekule_calls["search"] and len(kekule_calls["hexagons"]) == 3
-    # pm_count and the gates of clar and fries ask the count, which sweeps
-    # once; one resonance pass serves both clar and fries
-    assert kekule_calls["count"] == [graphs.DEFAULT_MATCHING_CAP] * 3
+    # pm_count alone asks the count, with no cap, and it sweeps once; one
+    # resonance pass serves both clar and fries, and asks no count
+    assert kekule_calls["count"] == [None]
     assert len(kekule_calls["steps"]) == 2 and len(kekule_calls["resonance"]) == 1
     _reset(kekule_calls)
     assert replay(report, path) == []
-    assert not kekule_calls["search"] and len(kekule_calls["count"]) == 3
+    assert not kekule_calls["search"] and len(kekule_calls["count"]) == 1
     assert len(kekule_calls["steps"]) == 2 and len(kekule_calls["resonance"]) == 1
     # the sweep's witnesses again, and the witness checks: one for clar and
     # one for each side of fries
@@ -289,13 +289,16 @@ def test_replay_describes_an_entry_it_cannot_recompute(tmp_path):
     ]
 
 
-def test_replay_describes_a_cap_it_hits(tmp_path):
-    # a report made with a raised cap is replayed under the default caps
+def test_replay_describes_a_cap_it_hits(tmp_path, monkeypatch):
+    # a count past 10**6 takes no matching cap; a replay that meets the
+    # state cap describes it
     path = _write(tmp_path, "hexagon-5", _hexagon(5))
-    report = compute_report(path, ["pm_count"], max_matchings=10**9)
+    report = compute_report(path, ["pm_count"])
     assert report["invariants"][0]["value"] == 267227532
+    monkeypatch.setattr(graphs, "FRONTIER_STATE_CAP", 100)
     assert replay(report, path) == [
-        "pm_count: cannot be recomputed: more than 1000000 perfect matchings"
+        "pm_count: cannot be recomputed: frontier sweep holds 105 states at vertex 32 of 150, "
+        "more than 100"
     ]
 
 

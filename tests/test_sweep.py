@@ -165,19 +165,13 @@ def test_the_profile_read_off_equals_the_sweep():
 
 
 def test_the_kept_sweep_still_checks_the_cap():
-    # one call keeps the resonance sweep on the system; the next still checks
-    # its own cap and its own empty case first
-    h = gen_truncated_parallelogram((3, 3, 2))
-    k = len(enumerate_perfect_matchings(h.graph))
-    clar_number(h)
-    for search in (fries_numbers, clar_number):
-        with pytest.raises(LimitExceeded):
-            search(h, max_matchings=k - 1)
-    assert fries_numbers(h, max_matchings=k) == _reference(h)[2]
+    # the system keeps a sweep that ends with no perfect matching as None,
+    # and every call, the first or a later one, raises from it
     h = next(h for h in enumerate_hex_systems(3) if not enumerate_perfect_matchings(h.graph))
     for search in (clar_number, fries_numbers, clar_number):
         with pytest.raises(NoPerfectMatching):
             search(h)
+    assert h._resonance is None
 
 
 def _determinant(rows):
@@ -217,11 +211,10 @@ def test_the_swept_count_is_the_kekule_determinant():
     for n in range(1, 7):
         for h in enumerate_hex_systems(n):
             assert count_perfect_matchings(h.graph) == _dewar_longuet_higgins(h), h.cells
+    # the count lists no matching, so no matching cap applies, past 10**6 too
     for side, k in ((3, 980), (4, 232_848), (5, 267_227_532)):
         h = _hexagon(side)
-        assert count_perfect_matchings(h.graph, max_matchings=k) == k == _dewar_longuet_higgins(h)
-        with pytest.raises(LimitExceeded):
-            count_perfect_matchings(h.graph, max_matchings=k - 1)
+        assert count_perfect_matchings(h.graph) == k == _dewar_longuet_higgins(h)
 
 
 def _macmahon(n):
@@ -240,7 +233,7 @@ def test_the_forward_count_equals_the_enumeration_the_resonance_pass_and_macmaho
         assert count == len(enumerate_perfect_matchings(h.graph)), name
         # the resonance pass ends in state 0 exactly when some matching completes it
         assert (hexsys._sweep_resonance(h) is not None) == (count > 0), name
-    counts = [count_perfect_matchings(_hexagon(n).graph, max_matchings=10**20) for n in range(1, 7)]
+    counts = [count_perfect_matchings(_hexagon(n).graph) for n in range(1, 7)]
     assert counts == [_macmahon(n) for n in range(1, 7)]
     assert counts[-1] == 1_478_619_421_136
     # a linear chain of n hexagons has n + 1 perfect matchings

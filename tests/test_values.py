@@ -190,8 +190,7 @@ def test_resonance_is_tested_only_where_it_is_read(monkeypatch, tmp_path):
         compute_report(path, ["f", "af"])
         assert not hexagon_calls
         assert verify.run_suite("thm3", max_cells=4).ok
-        cap = graphs.DEFAULT_MATCHING_CAP
-        profiles = [verify._profile(h, cap) for _, h in verify.polyhex_corpus(4)]
+        profiles = [verify._profile(h) for _, h in verify.polyhex_corpus(4)]
         assert hexagon_calls == [(p.obj, m) for p in profiles for m in p.pms]
         del hexagon_calls[:]
         assert verify.run_suite("cor12", max_cells=4).ok
@@ -242,12 +241,11 @@ def test_equal_instances_hash_equal_and_share_one_profile():
     assert h != build_hex_system([(0, 0), (1, 0), (1, 1)])
     _clear_verify_caches()
     try:
-        cap = graphs.DEFAULT_MATCHING_CAP
-        polyhexes = {h: verify._profile(h, cap) for _, h in verify.polyhex_corpus(5)}
+        polyhexes = {h: verify._profile(h) for _, h in verify.polyhex_corpus(5)}
         tps = verify.tp_corpus(5)
         assert len(tps) == 18
         for _, tp in tps:
-            assert verify._profile(tp, cap) is polyhexes[tp]
+            assert verify._profile(tp) is polyhexes[tp]
     finally:
         _clear_verify_caches()
 
