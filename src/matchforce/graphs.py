@@ -367,11 +367,16 @@ def _check_frontier(states: int, v: int, n: int) -> None:
         )
 
 
+def _too_many_matchings(max_matchings: int) -> LimitExceeded:
+    """The error of a listing that finds more than max_matchings perfect matchings."""
+    return LimitExceeded(f"more than {max_matchings} perfect matchings")
+
+
 def _capped(g: Graph, max_matchings: int) -> Iterator[tuple[int, ...]]:
     """_iter_perfect_matchings of g; LimitExceeded once there are more than max_matchings."""
     for count, chosen in enumerate(_iter_perfect_matchings(g), 1):
         if count > max_matchings:
-            raise LimitExceeded(f"more than {max_matchings} perfect matchings")
+            raise _too_many_matchings(max_matchings)
         yield chosen
 
 

@@ -31,7 +31,9 @@ from .graphs import (
     Graph,
     Matching,
     _fixedness,
+    _too_many_matchings,
     count_perfect_matchings,
+    edge_mask,
     enumerate_perfect_matchings,
     matching_partner,
     orient_and_contract,
@@ -42,6 +44,9 @@ from .hexsys import (
     alternating_hexagons,
     clar_number,
     fries_numbers,
+    inner_dual,
+    is_truncated_parallelogram,
+    parallel_cuts,
 )
 from .io import load_instance, serialize_instance
 
@@ -68,10 +73,13 @@ _PER_MATCHING = {
 class Profile:
     """The per-instance facts that every invariant and identity is read from.
 
-    Each fact is computed once, when first asked for: the perfect matchings,
-    the edge labels, each matching's value of each forcing.VALUE_OF family,
-    each matching's minimum feedback arc set on a bipartite graph, and on a
-    hexagonal system each matching's resonant cells and the Clar number.
+    Each fact is computed once, when first asked for: the perfect matchings
+    and their count, the edge labels, each matching's value of each
+    forcing.VALUE_OF family, each matching's minimum feedback arc set on a
+    bipartite graph, and the anti-forcing edges; on a hexagonal system also
+    each matching's resonant cells, the Clar number, whether it is a
+    truncated parallelogram, its maximal parallel cuts as edge masks and its
+    inner dual.  The count and the anti-forcing edges list no matching.
     A matching's alternating cycles are never kept: a call of `values` that
     misses a family reads every missing family in one
     forcing.matching_values pass, which keeps only the values.  `feedback`
@@ -79,9 +87,11 @@ class Profile:
     from its alternating cycles, so thm9's third equality stays a check.
 
     `max_matchings` caps only what lists matchings: LimitExceeded past
-    that many.  It bounds each matching's alternating cycles too, since each
-    M-alternating cycle C gives its own perfect matching M ⊕ C, so a matching
-    has fewer cycles than there are matchings.  Where a single-matching
+    that many.  A report's per-matching invariant raises it before listing
+    when the count is already past the cap (_refuse_past_the_cap).  It
+    bounds each matching's alternating cycles too, since each M-alternating
+    cycle C gives its own perfect matching M ⊕ C, so a matching has fewer
+    cycles than there are matchings.  Where a single-matching
     solver meets a listed matching (`feedback`, on a contraction whose
     directed cycles are the alternating cycles one to one, and a report's f
     or af witness), its cycle cap is the number of matchings, never reached.
@@ -108,6 +118,11 @@ class Profile:
     def pms(self) -> tuple[Matching, ...]:
         """Every perfect matching in canonical order, possibly none."""
         return enumerate_perfect_matchings(self.graph, self.max_matchings)
+
+    @cached_property
+    def pm_count(self) -> int:
+        """The number of perfect matchings, by the frontier count, which lists none."""
+        return count_perfect_matchings(self.graph)
 
     @property
     def matchings(self) -> tuple[Matching, ...]:
@@ -142,6 +157,26 @@ class Profile:
         g, cap = self.graph, len(self.pms)
         return tuple(feedback_value(orient_and_contract(g, m), cap) for m in self.pms)
 
+    @cached_property
+    def af_edges(self) -> tuple[int, ...]:
+        """The edges whose sole deletion leaves a unique perfect matching (anti_forcing_edges)."""
+        return anti_forcing_edges(self.graph)
+
+    @cached_property
+    def is_tp(self) -> bool:
+        """Is the hexagonal system a truncated parallelogram (is_truncated_parallelogram)?"""
+        return is_truncated_parallelogram(self.obj)[0]
+
+    @cached_property
+    def cut_masks(self) -> tuple[int, ...]:
+        """The hexagonal system's maximal parallel cuts as edge masks, in parallel_cuts order."""
+        return tuple(map(edge_mask, parallel_cuts(self.obj)))
+
+    @cached_property
+    def dual(self) -> Graph:
+        """The hexagonal system's inner dual graph (inner_dual)."""
+        return inner_dual(self.obj)
+
     def values(self, families: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
         """Per-matching values of each named forcing.VALUE_OF family, in matching order."""
         missing = [f for f in families if f not in self._values]
@@ -150,10 +185,28 @@ class Profile:
         return self._values
 
 
+def _refuse_past_the_cap(p: Profile) -> None:
+    """LimitExceeded at once when the count shows more matchings than p lists.
+
+    The count lists none, so this raises what listing would raise after
+    max_matchings matchings.  Where the count itself stops at
+    FRONTIER_STATE_CAP, the listing decides.  Profile.pms does not ask, so
+    verify pays no count for its listings.
+    """
+    try:
+        k = p.pm_count
+    except LimitExceeded:
+        return
+    if k > p.max_matchings:
+        raise _too_many_matchings(p.max_matchings)
+
+
 def _per_matching(family: str, extreme: Callable | None) -> Callable[[Profile, Any], tuple]:
     number_fn = _FAMILIES[family][0]
 
     def invariant(p: Profile, names):
+        if family not in p._values:  # the first read of the family may list
+            _refuse_past_the_cap(p)
         # one pass over the matchings fills in every family the call reads
         wanted = {_PER_MATCHING[n][0] for n in names if n in _PER_MATCHING}
         values = p.values(tuple(f for f in _FAMILIES if f in wanted))[family]
@@ -177,7 +230,7 @@ def _per_matching(family: str, extreme: Callable | None) -> Callable[[Profile, A
 
 
 def _inv_pm_count(p: Profile, names):
-    return count_perfect_matchings(p.graph), None
+    return p.pm_count, None
 
 
 def _inv_clar(p: Profile, names):
@@ -200,7 +253,7 @@ def _inv_fries(p: Profile, names):
 
 
 def _inv_anti_forcing_edges(p: Profile, names):
-    return list(anti_forcing_edges(p.graph)), None
+    return list(p.af_edges), None
 
 
 # name -> invariant(profile, names of every invariant in the call) -> (value,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .antiforcing import anti_forcing_edges
 from .errors import UnknownSuite
 from .exact import max_independent_size, overlap_conflicts
 from .generators import (
@@ -33,11 +32,9 @@ from .graphs import (
 from .hexsys import (
     HexSystem,
     build_hex_system,
-    inner_dual,
     is_all_kink_catahex,
     is_truncated_parallelogram,
     normal_hex_components,
-    parallel_cuts,
     tree_independent_domination,
 )
 from .report import Profile
@@ -128,10 +125,16 @@ def _profile(obj: Graph | HexSystem) -> Profile:
 
     It is keyed by the instance alone: it lists at the default matching cap,
     which no corpus instance comes near.  thm3 and thm11 read the f and af
-    values thm5 filled in.  The cache is not bounded: an entry holds only the
-    instance's matchings, ints and edge labels, never its cycles; every
-    corpus part is capped (see _Suite); and the benchmark and the tests
-    clear it wherever a run has to start cold.
+    values thm5 filled in.  Each suite reads its instance facts here, so a
+    warm rerun computes none again: the matchings and the values, edge
+    labels, feedback values and resonant cells read off them (see Profile),
+    the anti-forcing edges and the TP recognition (thm16, and thm16's
+    goldens, which at max_cells 5 share eight polyhexes' profiles), the
+    parallel cuts as edge masks (lem19) and the inner dual (thm14, thm15).
+    The cache is not bounded: an entry holds the instance's matchings, ints,
+    edge labels and inner dual, never its cycles; every corpus part is
+    capped (see _Suite); and the benchmark and the tests clear it wherever a
+    run has to start cold.
     """
     return Profile(obj)
 
@@ -205,7 +208,7 @@ def _all_kink_catahex(h: HexSystem, p: Profile) -> bool:
 
 def _thm14(h: HexSystem, p: Profile) -> str:
     """All-kink catahex: Af = 2F exactly when the inner dual has a PM."""
-    dual = inner_dual(h)
+    dual = p.dual
     v = p.values(("f", "af"))
     big_af, big_f = max(v["af"]), max(v["f"])
     dual_pm = count_perfect_matchings(dual) > 0
@@ -243,7 +246,7 @@ def _brute_independent_domination(g: Graph) -> int:
 
 def _thm15(h: HexSystem, p: Profile) -> str:
     """All-kink catahex: f(H) = i(inner dual) = minimum Fries count."""
-    dual = inner_dual(h)
+    dual = p.dual
     f_min, fries_min = min(p.values(("f",))["f"]), min(map(int.bit_count, p.resonant))
     i_dp, witness = tree_independent_domination(dual)
     i_brute = _brute_independent_domination(dual)
@@ -268,11 +271,12 @@ def _thm15(h: HexSystem, p: Profile) -> str:
 
 def _thm16(h: HexSystem, p: Profile) -> str:
     """af(H) = 1 exactly for truncated parallelograms; plus edge-count goldens."""
-    is_tp, _ = is_truncated_parallelogram(h)
-    if not p.pms:
+    # the count, which anti_forcing_edges reads too, tells none, one or several matchings
+    k, is_tp = p.pm_count, p.is_tp
+    if not k:
         return "recognized TP has no perfect matching" if is_tp else ""
     # a unique matching needs no deletions at all
-    af1 = len(p.pms) > 1 and bool(anti_forcing_edges(h.graph))
+    af1 = k > 1 and bool(p.af_edges)
     return "" if af1 == is_tp else f"af==1 is {af1}, TP is {is_tp}"
 
 
@@ -296,6 +300,7 @@ def _thm20(h: HexSystem, p: Profile) -> str:
     """With a fixed single edge: af = 2 iff exactly two normal components, both TPs."""
     af_min = min(p.values(("af",))["af"])
     comps = normal_hex_components(h, p.labels)
+    # the components are no corpus instances, so they are recognized here, not profiled
     both_tp = len(comps) == 2 and all(is_truncated_parallelogram(c)[0] for c in comps)
     ok = (af_min == 2) == both_tp
     return "" if ok else f"af={af_min}, components={len(comps)}, both TP={both_tp}"
@@ -317,11 +322,11 @@ def _lem19(h: HexSystem, p: Profile) -> str:
     """Every maximal parallel cut meets every perfect matching equally often."""
     masks = [edge_mask(m.edge_ids) for m in p.pms]
     bad = []
-    for cut in parallel_cuts(h):
-        cut_mask = edge_mask(cut)
-        values = {(cut_mask & mask).bit_count() for mask in masks}
+    for cut in p.cut_masks:
+        values = {(cut & mask).bit_count() for mask in masks}
         if len(values) != 1:
-            bad.append(f"cut {cut}: counts {sorted(values)}")
+            ids = tuple(e for e in range(cut.bit_length()) if cut >> e & 1)
+            bad.append(f"cut {ids}: counts {sorted(values)}")
     return "; ".join(bad)
 
 
@@ -387,7 +392,7 @@ def run_suite(suite: str, max_cells: int | None = None) -> SuiteResult:
             detail = row.problem(obj, p)
             checks.append(CheckResult(name, not detail, detail))
     for params, expected in row.goldens:
-        count = len(anti_forcing_edges(gen_truncated_parallelogram(params).graph))
+        count = len(_profile(gen_truncated_parallelogram(params)).af_edges)
         detail = "" if count == expected else f"{count} anti-forcing edges, expected {expected}"
         name = "tp-" + ",".join(map(str, params)) + "-edges"
         checks.append(CheckResult(name, not detail, detail))

@@ -473,6 +473,21 @@ def test_cli_sweeps_hexagon_5_past_the_matching_cap(tmp_path, capsys):
     assert (code, err) == (4, "cap exceeded: more than 1000 perfect matchings\n")
 
 
+def test_cli_refuses_a_listing_past_the_cap_by_the_count(tmp_path, capsys, monkeypatch):
+    # TP(5,5,5) has K = 56 perfect matchings; the count refuses 10 before any is listed
+    path = tmp_path / "tp-5-5-5.hex"
+    path.write_text(serialize_hex(gen_truncated_parallelogram((5, 5, 5))))
+
+    def listed(*args, **kwargs):
+        raise AssertionError("a matching was listed")
+
+    monkeypatch.setattr("matchforce.report.enumerate_perfect_matchings", listed)
+    code, out, err = run_cli(
+        capsys, "compute", "--in", str(path), "--inv", "f", "--max-matchings", "10"
+    )
+    assert (code, out, err) == (4, "", "cap exceeded: more than 10 perfect matchings\n")
+
+
 def _random_cubic(n, seed):
     """A simple 3-regular graph on n vertices from the pairing model."""
     rng = random.Random(seed)

@@ -17,7 +17,7 @@ import pytest
 
 from matchforce import exact, graphs, hexsys
 from matchforce.antiforcing import antiforcing_number
-from matchforce.errors import NoPerfectMatching
+from matchforce.errors import LimitExceeded, NoPerfectMatching
 from matchforce.forcing import forcing_number
 from matchforce.generators import (
     enumerate_hex_systems,
@@ -300,6 +300,26 @@ def test_replay_describes_a_cap_it_hits(tmp_path, monkeypatch):
         "pm_count: cannot be recomputed: frontier sweep holds 105 states at vertex 32 of 150, "
         "more than 100"
     ]
+
+
+def test_a_per_matching_invariant_refuses_past_the_cap_before_listing(tmp_path, monkeypatch):
+    # TP(5,5,5) has K = 56: the count refuses a cap of 10 with the listing's
+    # own message, and nothing is listed
+    path = _write(tmp_path, "tp-5-5-5", gen_truncated_parallelogram((5, 5, 5)))
+    with pytest.raises(LimitExceeded) as listed:
+        enumerate_perfect_matchings(gen_truncated_parallelogram((5, 5, 5)).graph, 10)
+    searches = _count_calls(monkeypatch, graphs.enumerate_perfect_matchings)
+    for name in SIX:
+        with pytest.raises(LimitExceeded) as refused:
+            compute_report(path, [name], max_matchings=10)
+        assert str(refused.value) == str(listed.value) == "more than 10 perfect matchings"
+    assert not searches
+    # where the count stops at the state cap, the matchings are listed as before
+    monkeypatch.setattr(graphs, "FRONTIER_STATE_CAP", 1)
+    with pytest.raises(LimitExceeded, match="^more than 10 perfect matchings$"):
+        compute_report(path, ["f"], max_matchings=10)
+    assert searches == [10]
+    assert compute_report(path, ["F"])["invariants"][0]["value"] == 3  # the Clar number
 
 
 def _entry(report, name):

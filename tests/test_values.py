@@ -214,6 +214,47 @@ def test_catahex_suites_search_only_all_kink_catahexes(monkeypatch):
         _clear_verify_caches()
 
 
+def test_a_cold_thm16_lists_no_matching(monkeypatch):
+    # the count tells none, one or several matchings, and anti_forcing_edges
+    # reads the same count
+    search_calls = _counted(monkeypatch, report, "enumerate_perfect_matchings")
+    _clear_verify_caches()
+    try:
+        assert verify.run_suite("thm16", max_cells=5).ok
+        assert not search_calls
+    finally:
+        _clear_verify_caches()
+
+
+def test_a_warm_rerun_prints_the_cold_lines_and_recomputes_no_profiled_fact(monkeypatch):
+    # the report functions behind the profile facts thm14, thm15, thm16 and lem19 read
+    facts = ("anti_forcing_edges", "is_truncated_parallelogram", "parallel_cuts", "inner_dual")
+    calls = {name: _counted(monkeypatch, report, name) for name in facts}
+    try:
+        for suite in verify.SUITE_IDS:
+            _clear_verify_caches()
+            cold = verify.run_suite(suite, max_cells=4)
+            cold_calls = sum(map(len, calls.values()))
+            for made in calls.values():
+                del made[:]
+            # equal results print equal check lines
+            assert verify.run_suite(suite, max_cells=4) == cold, suite
+            if suite in ("thm14", "thm15", "thm16", "lem19"):
+                assert cold_calls and not any(calls.values()), suite
+    finally:
+        _clear_verify_caches()
+
+
+def test_lem19_names_a_failing_cut_by_its_sorted_edge_ids():
+    h = build_hex_system([(0, 0)])
+    p = report.Profile(h)  # not verify's cached one, which this doctors
+    assert [m.edge_ids for m in p.pms] == [(0, 3, 4), (1, 2, 5)]
+    assert verify._lem19(h, p) == ""
+    # edges 0 and 4 are not a cut: the first matching holds both, the second neither
+    p.cut_masks = (edge_mask((4, 0)),) + p.cut_masks[1:]
+    assert verify._lem19(h, p) == "cut (0, 4): counts [0, 2]"
+
+
 def test_thm20_reads_its_edge_labels_from_the_profile(monkeypatch):
     search_calls = _counted(monkeypatch, report, "enumerate_perfect_matchings")
     fixedness_calls = _counted(monkeypatch, graphs, "edge_fixedness")
@@ -267,6 +308,9 @@ def test_verify_reads_every_instance_fact_through_one_cached_profile():
     used |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     banned = {"alternating_cycle_masks", "alternating_hexagons", "VALUE_OF"}
     banned |= {"_max_independent", "_resonant_mask", "feedback_value", "orient_and_contract"}
+    # is_truncated_parallelogram stays allowed: thm20 recognizes the normal
+    # components of an instance, which are not corpus instances
+    banned |= {"anti_forcing_edges", "parallel_cuts", "inner_dual"}
     assert not used & banned
 
 
